@@ -14,12 +14,16 @@ order yields identical retrieval results.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .model import OcrPayload, PayloadKind, QualityFlag, QueryRecord
 
 DEFAULT_TEXT_SIMILARITY_THRESHOLD = 0.8
+
+# Index key of the empty token set; token ranks are non-negative.
+_EMPTY_KEY = -1
 
 
 def _tokens(texts: Iterable[str]) -> frozenset[str]:
@@ -29,19 +33,25 @@ def _tokens(texts: Iterable[str]) -> frozenset[str]:
     return frozenset(out)
 
 
+def _jaccard(shared: int, union: int) -> float:
+    """Jaccard similarity from overlap and union sizes; 1.0 for two empty sets."""
+    return shared / union if union else 1.0
+
+
 def text_similarity(a: Sequence[str], b: Sequence[str]) -> float:
     """Jaccard similarity of lowercase token sets; 1.0 when both are empty."""
     ta, tb = _tokens(a), _tokens(b)
-    if not ta and not tb:
-        return 1.0
-    union = ta | tb
-    if not union:
-        return 1.0
-    return len(ta & tb) / len(union)
+    return _jaccard(len(ta & tb), len(ta | tb))
 
 
 def payload_similarity(a: OcrPayload, b: OcrPayload) -> float:
     return text_similarity([s.text for s in a.spans], [s.text for s in b.spans])
+
+
+def _exemplar_key(p: OcrPayload) -> tuple[int, float, int]:
+    chars = sum(len(s.text) for s in p.spans)
+    mean_conf = sum(s.conf for s in p.spans) / len(p.spans) if p.spans else 0.0
+    return (chars, mean_conf, p.frame_ts_ms)
 
 
 def select_exemplar(members: Sequence[OcrPayload]) -> int:
@@ -52,13 +62,18 @@ def select_exemplar(members: Sequence[OcrPayload]) -> int:
     """
     if not members:
         raise ValueError("group must be non-empty")
+    return max(members, key=_exemplar_key).frame_ts_ms
 
-    def key(p: OcrPayload) -> tuple[int, float, int]:
-        chars = sum(len(s.text) for s in p.spans)
-        mean_conf = sum(s.conf for s in p.spans) / len(p.spans) if p.spans else 0.0
-        return (chars, mean_conf, p.frame_ts_ms)
 
-    return max(members, key=key).frame_ts_ms
+def _min_overlap(size: int, theta: float) -> int:
+    """Fewest shared tokens ``i`` with ``i / size >= theta``; ``size + 1`` if none.
+
+    Two sets at Jaccard >= theta share at least this many tokens when
+    either of them has ``size`` tokens.  The search uses the same float
+    division as the exact test, so filters built on it never reject a
+    pair that test accepts.
+    """
+    return next((i for i in range(size + 1) if i / size >= theta), size + 1)
 
 
 @dataclass(frozen=True)
@@ -66,10 +81,10 @@ class OcrGroup:
     members: tuple[int, ...]
     exemplar_ts: int
     is_selection: bool
+    group_latest_ts: int = field(init=False)
 
-    @property
-    def group_latest_ts(self) -> int:
-        return max(self.members)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "group_latest_ts", max(self.members))
 
 
 @dataclass(frozen=True)
@@ -80,13 +95,25 @@ class OcrContextEntry:
     is_selection: bool
 
 
+@dataclass(frozen=True)
+class _Views:
+    """Everything derived from one payload set."""
+
+    valid_ts: list[int]
+    groups: list[OcrGroup]
+    latest_selection: int | None
+    group_by_ts: dict[int, OcrGroup]
+    by_latest: list[OcrGroup]  # ascending group_latest_ts
+    latest_keys: list[int]  # group_latest_ts of by_latest
+
+
 class SessionTimeline:
     """Mutable store; all retrieval views are derived from the payload set."""
 
     def __init__(self, text_similarity_threshold: float = DEFAULT_TEXT_SIMILARITY_THRESHOLD):
         self.theta_text = text_similarity_threshold
         self._payloads: dict[int, OcrPayload] = {}
-        self._cache: tuple[list[int], list[int], list[OcrGroup], int | None] | None = None
+        self._cache: _Views | None = None
 
     def ingest(self, payload: OcrPayload) -> "SessionTimeline":
         """Store a payload; a later payload at the same timestamp replaces it."""
@@ -100,65 +127,128 @@ class SessionTimeline:
 
     # -- derived structure ------------------------------------------------
 
-    def _derived(self) -> tuple[list[int], list[int], list[OcrGroup], int | None]:
+    def _derived(self) -> _Views:
         if self._cache is None:
             all_ts = sorted(self._payloads)
-            valid_ts = [
-                ts for ts in all_ts if self._payloads[ts].is_valid_for_retrieval()
-            ]
             groups = self._build_groups(all_ts)
             selection_ts = [ts for ts in all_ts if self._payloads[ts].selection]
-            latest_selection = max(selection_ts) if selection_ts else None
-            self._cache = (all_ts, valid_ts, groups, latest_selection)
+            by_latest = sorted(groups, key=lambda g: g.group_latest_ts)
+            self._cache = _Views(
+                valid_ts=[
+                    ts for ts in all_ts if self._payloads[ts].is_valid_for_retrieval()
+                ],
+                groups=groups,
+                latest_selection=max(selection_ts) if selection_ts else None,
+                group_by_ts={ts: g for g in groups for ts in g.members},
+                by_latest=by_latest,
+                latest_keys=[g.group_latest_ts for g in by_latest],
+            )
         return self._cache
 
     def _build_groups(self, all_ts: list[int]) -> list[OcrGroup]:
         # Single-pass greedy grouping in ascending timestamp order: a
         # payload joins the first existing group whose current exemplar
         # it matches at theta_text; selection payloads stay singletons.
+        #
+        # Rather than test every earlier group, candidates come from a
+        # token index filtered as in set-similarity joins (AllPairs,
+        # PPJoin).  Tokens are ranked by document frequency, then by
+        # string; a set of n tokens matching at theta shares at least
+        # _min_overlap(n) of them, so two matching sets share a token
+        # within their n - _min_overlap(n) + 1 lowest ranks ("prefix").
+        # The index maps each prefix token of a group's current exemplar
+        # to the group.  Candidates pass a size filter and the exact test
+        # in creation order; the first match wins, as in a full scan.  At
+        # theta <= 0 every group matches, so the first open one is the
+        # only candidate.
+        theta = self.theta_text
+        text = [
+            self._payloads[ts]
+            for ts in all_ts
+            if self._payloads[ts].kind is PayloadKind.TEXT_OCR
+        ]
+        # Token sets of the payloads that can join a group, kept as
+        # tuples of shared strings and then of ascending ranks: a few
+        # small tuples rather than a set per payload.
+        shared: dict[str, str] = {}
+        tokens: dict[int, tuple] = {
+            p.frame_ts_ms: tuple(shared.setdefault(t, t) for t in _tokens(s.text for s in p.spans))
+            for p in text
+            if not p.selection
+        }
+        df = Counter(t for toks in tokens.values() for t in toks)
+        rank = {t: r for r, t in enumerate(sorted(df, key=lambda t: (df[t], t)))}
+        for ts, toks in tokens.items():
+            tokens[ts] = tuple(sorted(map(rank.__getitem__, toks)))
+        max_size = max(map(len, tokens.values()), default=0)
+        need = [0] + [_min_overlap(n, theta) for n in range(1, max_size + 1)]
+        # Size filter: fits[a] holds the exemplar sizes b with
+        # theta*a <= b <= a/theta, in the exact test's arithmetic.
+        fits = [
+            frozenset(b for b in range(max_size + 1) if min(a, b) >= need[max(a, b)])
+            for a in range(max_size + 1)
+        ]
+
+        def prefix(ts: int) -> tuple[int, ...]:
+            toks = tokens[ts]
+            return toks[: len(toks) - need[len(toks)] + 1] if toks else (_EMPTY_KEY,)
+
         member_lists: list[list[int]] = []
         exemplars: list[int] = []
         selection_flags: list[bool] = []
-        for ts in all_ts:
-            payload = self._payloads[ts]
-            if payload.kind is not PayloadKind.TEXT_OCR:
-                continue
-            if payload.selection:
+        index: dict[int, set[int]] = {}
+        first_open: int | None = None
+        for payload in text:
+            ts = payload.frame_ts_ms
+            match = None
+            if not payload.selection:
+                toks = tokens[ts]
+                if theta <= 0:
+                    candidates = [] if first_open is None else [first_open]
+                else:
+                    candidates = sorted(set().union(*(index.get(k, ()) for k in prefix(ts))))
+                mine = set(toks)
+                sizes = fits[len(toks)]
+                for gi in candidates:
+                    other = tokens[exemplars[gi]]
+                    if len(other) in sizes:
+                        common = len(mine.intersection(other))
+                        if _jaccard(common, len(toks) + len(other) - common) >= theta:
+                            match = gi
+                            break
+            if match is None:
+                gi = len(member_lists)
                 member_lists.append([ts])
                 exemplars.append(ts)
-                selection_flags.append(True)
+                selection_flags.append(payload.selection)
+                if not payload.selection:
+                    for k in prefix(ts):
+                        index.setdefault(k, set()).add(gi)
+                    if first_open is None:
+                        first_open = gi
                 continue
-            for gi in range(len(member_lists)):
-                if selection_flags[gi]:
-                    continue
-                exemplar = self._payloads[exemplars[gi]]
-                if payload_similarity(payload, exemplar) >= self.theta_text:
-                    member_lists[gi].append(ts)
-                    exemplars[gi] = select_exemplar(
-                        [self._payloads[m] for m in member_lists[gi]]
-                    )
-                    break
-            else:
-                member_lists.append([ts])
-                exemplars.append(ts)
-                selection_flags.append(False)
+            member_lists[match].append(ts)
+            old = exemplars[match]
+            if _exemplar_key(payload) > _exemplar_key(self._payloads[old]):
+                for k in prefix(old):
+                    index[k].discard(match)
+                for k in prefix(ts):
+                    index.setdefault(k, set()).add(match)
+                exemplars[match] = ts
         return [
             OcrGroup(members=tuple(m), exemplar_ts=e, is_selection=s)
             for m, e, s in zip(member_lists, exemplars, selection_flags)
         ]
 
     def groups(self) -> list[OcrGroup]:
-        return self._derived()[2]
+        return self._derived().groups
 
     @property
     def latest_selection_ts(self) -> int | None:
-        return self._derived()[3]
+        return self._derived().latest_selection
 
     def group_of(self, ts: int) -> OcrGroup | None:
-        for group in self.groups():
-            if ts in group.members:
-                return group
-        return None
+        return self._derived().group_by_ts.get(ts)
 
     # -- retrieval --------------------------------------------------------
 
@@ -167,7 +257,7 @@ class SessionTimeline:
 
         Source is None for synthesized results.
         """
-        _, valid_ts, _, _ = self._derived()
+        valid_ts = self._derived().valid_ts
         exact = self._payloads.get(t)
         if exact is not None and exact.is_valid_for_retrieval():
             return exact, t
@@ -264,20 +354,19 @@ class SessionTimeline:
         if window_ms <= 0:
             raise ValueError("window_ms must be positive")
         lo, hi = query.ts_ms - window_ms, query.ts_ms
-        latest_selection = self.latest_selection_ts
+        views = self._derived()
+        start = bisect.bisect_left(views.latest_keys, lo)
+        stop = bisect.bisect_right(views.latest_keys, hi)
         entries = []
-        for group in self.groups():
+        for group in views.by_latest[start:stop]:
             latest = group.group_latest_ts
-            if not lo <= latest <= hi:
-                continue
             exemplar = self._payloads[group.exemplar_ts]
             entries.append(
                 OcrContextEntry(
                     ts_ms=latest,
                     text=exemplar.text(),
                     quality_flags=exemplar.quality_flags,
-                    is_selection=group.is_selection and latest == latest_selection,
+                    is_selection=group.is_selection and latest == views.latest_selection,
                 )
             )
-        entries.sort(key=lambda e: e.ts_ms)
         return entries

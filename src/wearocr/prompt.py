@@ -89,9 +89,10 @@ def plan_frames(
                 continue
             if not pre or pre[-1] != ts:
                 pre.append(ts)
-    in_query = [
-        ts for ts in frame_ts if start <= ts <= query.ts_ms and ts in accepted_ts
-    ]
+    speech = slice(
+        bisect.bisect_left(frame_ts, start), bisect.bisect_right(frame_ts, query.ts_ms)
+    )
+    in_query = [ts for ts in frame_ts[speech] if ts in accepted_ts]
     historical: list[int] = []
     for plan in prior_plans:
         historical.extend(plan.pre_query)

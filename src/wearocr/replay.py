@@ -241,10 +241,21 @@ def replay(
     ledger = wire.UplinkLedger()
     timeline = SessionTimeline(config.text_similarity_threshold)
     for msg in messages:
-        ledger = wire.account(ledger, msg)
-        received = wire.decode(wire.encode(msg))
+        frame = wire.encode(msg)
+        ledger = wire.account(ledger, msg, frame)
+        received = wire.decode(frame)
         if isinstance(received.body, OcrPayload):
             timeline.ingest(received.body)
+
+    # One payload per frame, and one message per payload plus the session
+    # start, end and (for a non-empty trace) video segment.
+    if len(payloads) != len(frames):
+        raise ReplayError(f"{len(payloads)} payloads for {len(frames)} frames")
+    expected_messages = len(frames) + (3 if frames else 2)
+    if ledger.message_count != expected_messages:
+        raise ReplayError(
+            f"ledger holds {ledger.message_count} messages, expected {expected_messages}"
+        )
 
     frame_ts = [f.ts_ms for f in frames]
     frame_by_ts = {f.ts_ms: f for f in frames}
@@ -287,15 +298,6 @@ def replay(
         total += sum(gt.values())
 
     stages = stage_report(decisions)
-    if stages.input_count != (
-        sum(1 for d in decisions if d.verdict is Verdict.RUN_OCR)
-        + (stages.input_count - stages.after_blur)
-        + (stages.after_blur - stages.after_text)
-        + (stages.after_text - stages.after_similarity)
-        + stages.budget_rejected
-    ):
-        raise ReplayError("pipeline conservation violated: stage buckets do not sum")
-
     text_word_counts = [
         len(f.gt_words)
         for f, d in zip(frames, decisions)

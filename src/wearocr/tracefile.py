@@ -17,7 +17,7 @@ import json
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Sequence, TypeVar
 
 from .model import (
     Detection,
@@ -59,6 +59,9 @@ _VOCAB = (
 
 class TraceFormatError(ValueError):
     pass
+
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -301,34 +304,46 @@ def write_generated_trace(path: str | Path, spec: TraceSpec) -> list[FrameRecord
     return frames
 
 
-def _read_lines(path: str | Path, expected_format: str) -> tuple[dict, Iterator[dict]]:
-    fh: TextIO = open(path, encoding="utf-8")
-    header_line = fh.readline()
-    if not header_line:
-        fh.close()
-        raise TraceFormatError(f"{path}: empty file, missing header")
-    header = json.loads(header_line)
-    if header.get("format") != expected_format:
-        fh.close()
-        raise TraceFormatError(
-            f"{path}: expected format {expected_format!r}, got {header.get('format')!r}"
-        )
-    if header.get("version") != FORMAT_VERSION:
-        fh.close()
-        raise TraceFormatError(f"{path}: unsupported version {header.get('version')!r}")
+def _parse_line(path: str | Path, lineno: int, line: str) -> dict:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceFormatError(f"{path}:{lineno}: not JSON: {exc.msg}") from None
+    if not isinstance(obj, dict):
+        raise TraceFormatError(f"{path}:{lineno}: expected an object, got {type(obj).__name__}")
+    return obj
 
-    def records() -> Iterator[dict]:
-        with fh:
-            for line in fh:
-                if line.strip():
-                    yield json.loads(line)
 
-    return header, records()
+def _read_lines(
+    path: str | Path, expected_format: str, convert: Callable[[dict], T]
+) -> tuple[dict, list[T]]:
+    """Header and converted records; bad input raises ``TraceFormatError``
+    as ``path:line: ...`` and the file is closed on every path."""
+    with open(path, encoding="utf-8") as fh:
+        header_line = fh.readline()
+        if not header_line:
+            raise TraceFormatError(f"{path}: empty file, missing header")
+        header = _parse_line(path, 1, header_line)
+        if header.get("format") != expected_format:
+            raise TraceFormatError(
+                f"{path}:1: expected format {expected_format!r}, got {header.get('format')!r}"
+            )
+        if header.get("version") != FORMAT_VERSION:
+            raise TraceFormatError(f"{path}:1: unsupported version {header.get('version')!r}")
+        records = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            obj = _parse_line(path, lineno, line)
+            try:
+                records.append(convert(obj))
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise TraceFormatError(f"{path}:{lineno}: bad record: {exc!r}") from None
+    return header, records
 
 
 def read_trace(path: str | Path) -> tuple[dict, list[FrameRecord]]:
-    header, records = _read_lines(path, TRACE_FORMAT)
-    return header, [frame_from_obj(obj) for obj in records]
+    return _read_lines(path, TRACE_FORMAT, frame_from_obj)
 
 
 def write_queries(path: str | Path, queries: Sequence[QueryRecord]) -> None:
@@ -339,5 +354,4 @@ def write_queries(path: str | Path, queries: Sequence[QueryRecord]) -> None:
 
 
 def read_queries(path: str | Path) -> list[QueryRecord]:
-    _, records = _read_lines(path, QUERY_FORMAT)
-    return [query_from_obj(obj) for obj in records]
+    return _read_lines(path, QUERY_FORMAT, query_from_obj)[1]

@@ -22,7 +22,12 @@ from .model import OcrPayload, PayloadKind, QualityFlag, Rect, Resolution, TextS
 
 
 class WireError(ValueError):
-    """Base decode failure; ``offset`` is the byte position of the problem."""
+    """Base codec failure; ``offset`` is the byte position of the problem.
+
+    Raised as-is by ``encode`` for a field the layout cannot hold (the
+    offset is where that field would sit in the frame); ``decode`` raises
+    the subclasses below.
+    """
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte {offset})")
@@ -107,30 +112,45 @@ class WireMessage:
         }[type(self.body)]
 
 
+_U8, _U32, _U64, _F64 = (struct.Struct(fmt) for fmt in (">B", ">I", ">Q", ">d"))
+
+
 class _Writer:
     def __init__(self) -> None:
         self.parts: list[bytes] = []
 
-    def u8(self, v: int) -> None:
-        self.parts.append(struct.pack(">B", v))
+    def _bad(self, name: str, kind: str, v: object) -> WireError:
+        offset = 4 + sum(map(len, self.parts))
+        return WireError(f"field {name} cannot be encoded as {kind}: {v!r}", offset)
 
-    def u32(self, v: int) -> None:
-        self.parts.append(struct.pack(">I", v))
+    def u8(self, v: int, name: str) -> None:
+        try:
+            self.parts.append(_U8.pack(v))
+        except struct.error:
+            raise self._bad(name, "u8", v) from None
 
-    def u64(self, v: int) -> None:
-        self.parts.append(struct.pack(">Q", v))
+    def u32(self, v: int, name: str) -> None:
+        try:
+            self.parts.append(_U32.pack(v))
+        except struct.error:
+            raise self._bad(name, "u32", v) from None
 
-    def f64(self, v: float) -> None:
-        self.parts.append(struct.pack(">d", v))
+    def u64(self, v: int, name: str) -> None:
+        try:
+            self.parts.append(_U64.pack(v))
+        except struct.error:
+            raise self._bad(name, "u64", v) from None
 
-    def string(self, s: str) -> None:
+    def f64(self, v: float, name: str) -> None:
+        try:
+            self.parts.append(_F64.pack(v))
+        except struct.error:
+            raise self._bad(name, "f64", v) from None
+
+    def string(self, s: str, name: str) -> None:
         raw = s.encode("utf-8")
-        self.u32(len(raw))
+        self.u32(len(raw), name)
         self.parts.append(raw)
-
-    def rect(self, r: Rect) -> None:
-        for v in (r.x, r.y, r.w, r.h):
-            self.f64(v)
 
     def join(self) -> bytes:
         return b"".join(self.parts)
@@ -167,16 +187,23 @@ class _Reader:
 
     def string(self) -> str:
         n = self.u32()
-        return self.take(n).decode("utf-8")
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptFrameError(f"string is not UTF-8: {exc.reason}", self.offset - n) from None
 
     def rect(self) -> Rect:
         return Rect(self.f64(), self.f64(), self.f64(), self.f64())
 
 
 def _encode_span(w: _Writer, span: TextSpan) -> None:
-    w.string(span.text)
-    w.rect(span.bbox)
-    w.f64(span.conf)
+    w.string(span.text, "span.text")
+    bbox = span.bbox
+    w.f64(bbox.x, "span.bbox.x")
+    w.f64(bbox.y, "span.bbox.y")
+    w.f64(bbox.w, "span.bbox.w")
+    w.f64(bbox.h, "span.bbox.h")
+    w.f64(span.conf, "span.conf")
 
 
 def _decode_span(r: _Reader) -> TextSpan:
@@ -184,29 +211,30 @@ def _decode_span(r: _Reader) -> TextSpan:
 
 
 def encode(msg: WireMessage) -> bytes:
+    """The frame for ``msg``; ``WireError`` names a field out of its range."""
     w = _Writer()
-    w.u8(msg.msg_type)
-    w.u64(msg.session_id)
+    w.u8(msg.msg_type, "msg_type")
+    w.u64(msg.session_id, "session_id")
     body = msg.body
     if isinstance(body, OcrPayload):
-        w.u8(int(body.kind))
-        w.u64(body.frame_ts_ms)
-        w.u8(1 if body.selection else 0)
+        w.u8(int(body.kind), "kind")
+        w.u64(body.frame_ts_ms, "frame_ts_ms")
+        w.u8(1 if body.selection else 0, "selection")
         flags = sorted(_FLAG_CODE[f] for f in body.quality_flags)
-        w.u32(len(flags))
+        w.u32(len(flags), "quality_flags count")
         for code in flags:
-            w.u8(code)
-        w.u32(len(body.spans))
+            w.u8(code, "quality_flag")
+        w.u32(len(body.spans), "spans count")
         for span in body.spans:
             _encode_span(w, span)
     elif isinstance(body, VideoSegment):
-        w.u64(body.start_ms)
-        w.u64(body.duration_ms)
-        w.f64(body.fps)
-        w.u8(_RESOLUTION_CODE[body.resolution])
-        w.u64(body.bitrate_bps)
+        w.u64(body.start_ms, "start_ms")
+        w.u64(body.duration_ms, "duration_ms")
+        w.f64(body.fps, "fps")
+        w.u8(_RESOLUTION_CODE[body.resolution], "resolution")
+        w.u64(body.bitrate_bps, "bitrate_bps")
     elif isinstance(body, SelectionEvent):
-        w.u64(body.frame_ts_ms)
+        w.u64(body.frame_ts_ms, "frame_ts_ms")
     # SessionStart / SessionEnd carry no fields.
     payload = w.join()
     return struct.pack(">I", len(payload)) + payload
@@ -246,16 +274,21 @@ def decode(data: bytes) -> WireMessage:
             selection=selection, quality_flags=frozenset(flags),
         )
     elif msg_type == MSG_VIDEO_SEGMENT:
+        fields_at = r.offset
         start_ms = r.u64()
         duration_ms = r.u64()
         fps = r.f64()
         res_code = r.u8()
         if res_code not in _CODE_RESOLUTION:
             raise CorruptFrameError(f"unknown resolution code {res_code}", r.offset - 1)
-        body = VideoSegment(
-            start_ms=start_ms, duration_ms=duration_ms, fps=fps,
-            resolution=_CODE_RESOLUTION[res_code], bitrate_bps=r.u64(),
-        )
+        bitrate_bps = r.u64()
+        try:
+            body = VideoSegment(
+                start_ms=start_ms, duration_ms=duration_ms, fps=fps,
+                resolution=_CODE_RESOLUTION[res_code], bitrate_bps=bitrate_bps,
+            )
+        except ValueError as exc:
+            raise CorruptFrameError(f"invalid video segment: {exc}", fields_at) from None
     elif msg_type == MSG_SELECTION_EVENT:
         body = SelectionEvent(frame_ts_ms=r.u64())
     elif msg_type == MSG_SESSION_START:
@@ -278,19 +311,24 @@ class UplinkLedger:
     message_count: int = 0
 
 
-def account(ledger: UplinkLedger, msg: WireMessage) -> UplinkLedger:
+def account(
+    ledger: UplinkLedger, msg: WireMessage, frame: bytes | None = None
+) -> UplinkLedger:
     """Charge one message to the ledger.
 
-    Every message is charged its encoded length in bits.  A video
-    segment additionally charges its simulated stream
-    (bitrate x duration); the descriptor itself only counts its bytes.
+    Every message is charged its encoded length in bits; ``frame`` is
+    ``encode(msg)`` when the caller already has it.  A video segment
+    additionally charges its simulated stream (bitrate x duration); the
+    descriptor itself only counts its bytes.
     """
+    if frame is None:
+        frame = encode(msg)
     video = ledger.video_bits
     if isinstance(msg.body, VideoSegment):
         video += Fraction(msg.body.bitrate_bps * msg.body.duration_ms, 1000)
     return UplinkLedger(
         video_bits=video,
-        payload_bits=ledger.payload_bits + len(encode(msg)) * 8,
+        payload_bits=ledger.payload_bits + len(frame) * 8,
         message_count=ledger.message_count + 1,
     )
 

@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wearocr.model import OcrPayload, PayloadKind, QualityFlag, QueryMode, QueryRecord, Rect, TextSpan
 from wearocr.osm import (
+    OcrContextEntry,
+    OcrGroup,
     SessionTimeline,
     payload_similarity,
     select_exemplar,
@@ -323,3 +327,181 @@ class TestOrderInsensitivity:
                     reference = snapshot
                 else:
                     assert snapshot == reference
+
+
+def oracle_groups(payloads_by_ts, theta):
+    """Brute-force greedy grouping: every text payload, in ascending
+    timestamp order, is tested against every earlier group's exemplar,
+    and the exemplar is re-selected over all members on each join."""
+    member_lists: list[list[int]] = []
+    exemplars: list[int] = []
+    selection_flags: list[bool] = []
+    for ts in sorted(payloads_by_ts):
+        payload = payloads_by_ts[ts]
+        if payload.kind is not PayloadKind.TEXT_OCR:
+            continue
+        if payload.selection:
+            member_lists.append([ts])
+            exemplars.append(ts)
+            selection_flags.append(True)
+            continue
+        for gi in range(len(member_lists)):
+            if selection_flags[gi]:
+                continue
+            exemplar = payloads_by_ts[exemplars[gi]]
+            if payload_similarity(payload, exemplar) >= theta:
+                member_lists[gi].append(ts)
+                exemplars[gi] = select_exemplar(
+                    [payloads_by_ts[m] for m in member_lists[gi]]
+                )
+                break
+        else:
+            member_lists.append([ts])
+            exemplars.append(ts)
+            selection_flags.append(False)
+    return [
+        OcrGroup(members=tuple(m), exemplar_ts=e, is_selection=s)
+        for m, e, s in zip(member_lists, exemplars, selection_flags)
+    ]
+
+
+def oracle_context(payloads_by_ts, groups, query, window_ms):
+    """Linear-scan context: every group whose latest member is in the window."""
+    selections = [ts for ts, p in payloads_by_ts.items() if p.selection]
+    latest_selection = max(selections) if selections else None
+    entries = []
+    for group in groups:
+        latest = max(group.members)
+        if not query.ts_ms - window_ms <= latest <= query.ts_ms:
+            continue
+        exemplar = payloads_by_ts[group.exemplar_ts]
+        entries.append(
+            OcrContextEntry(
+                ts_ms=latest,
+                text=exemplar.text(),
+                quality_flags=exemplar.quality_flags,
+                is_selection=group.is_selection and latest == latest_selection,
+            )
+        )
+    return sorted(entries, key=lambda e: e.ts_ms)
+
+
+def spans_payload(ts, texts, selection=False, conf=0.9, kind=PayloadKind.TEXT_OCR):
+    spans = tuple(
+        TextSpan(text=t, bbox=Rect(0.1, 0.1, 0.1, 0.1), conf=conf) for t in texts
+    )
+    return OcrPayload(kind=kind, frame_ts_ms=ts, spans=spans, selection=selection)
+
+
+def grouped(theta, *payloads):
+    timeline = SessionTimeline(theta)
+    for p in payloads:
+        timeline.ingest(p)
+    return [g.members for g in timeline.groups()]
+
+
+class TestGroupingEdgeCases:
+    @pytest.mark.parametrize("theta", [0.0, -0.5])
+    def test_nonpositive_threshold_joins_first_open_group(self, theta):
+        groups = grouped(
+            theta,
+            text_payload(10, "alpha", selection=True),
+            text_payload(20, "beta"),
+            text_payload(30, "gamma delta"),
+            spans_payload(40, [" "]),
+        )
+        assert groups == [(10,), (20, 30, 40)]
+
+    def test_empty_token_sets_match_only_each_other(self):
+        groups = grouped(
+            0.8,
+            spans_payload(10, ["  "]),
+            text_payload(20, "gate"),
+            spans_payload(30, []),
+            spans_payload(40, ["", "\t"]),
+        )
+        assert groups == [(10, 30, 40), (20,)]
+
+    @pytest.mark.parametrize("theta", [1.0000001, 1.5])
+    def test_threshold_above_one_matches_nothing(self, theta):
+        groups = grouped(theta, spans_payload(10, [" "]), spans_payload(20, [" "]),
+                         text_payload(30, "gate"), text_payload(40, "gate"))
+        assert groups == [(10,), (20,), (30,), (40,)]
+
+    def test_exact_threshold_one_groups_identical_sets(self):
+        groups = grouped(1.0, text_payload(10, "gate b12"), text_payload(20, "B12 gate"),
+                         text_payload(30, "gate b12 open"))
+        assert groups == [(10, 20), (30,)]
+
+    def test_match_follows_exemplar_change(self):
+        # 30 matches the exemplar taken over from 20, not the founding 10.
+        groups = grouped(
+            0.5,
+            text_payload(10, "a b"),
+            text_payload(20, "a b c"),
+            text_payload(30, "b c d"),
+        )
+        assert groups == [(10, 20, 30)]
+
+    def test_join_goes_to_earliest_matching_group(self):
+        # "y x" matches group 3 ("x") and group 9 ("y"); creation order wins.
+        payloads = [text_payload(ts, f"w{ts}") for ts in (0, 1, 2, 4, 5, 6, 7, 8)]
+        payloads += [text_payload(3, "x"), text_payload(9, "y"), text_payload(10, "y x")]
+        groups = grouped(0.5, *payloads)
+        assert groups[3] == (3, 10)
+        assert len(groups) == 10
+
+
+_VOCAB = ["gate", "b12", "exit", "menu", "open", "closed", "Platform", "six",
+          "north", "SALE", "zone", "a7"]
+_span_text = st.one_of(
+    st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=3).map(" ".join),
+    st.sampled_from(["", " ", " \t\n "]),
+)
+_kinds = st.sampled_from(
+    [PayloadKind.TEXT_OCR] * 6 + [k for k in PayloadKind if k is not PayloadKind.TEXT_OCR]
+)
+
+
+@st.composite
+def _payload(draw):
+    kind = draw(_kinds)
+    texts = draw(st.lists(_span_text, max_size=4)) if kind is PayloadKind.TEXT_OCR else []
+    return spans_payload(
+        draw(st.integers(0, 80)),
+        texts,
+        selection=draw(st.integers(0, 9)) == 0,
+        conf=draw(st.sampled_from([0.5, 0.9])),
+        kind=kind,
+    )
+
+
+class TestIndexedGroupingOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ingested=st.lists(_payload(), max_size=40),
+        theta=st.sampled_from([0.0, 0.5, 0.8, 1.0]),
+        queries=st.lists(st.tuples(st.integers(-5, 90), st.integers(1, 50)), max_size=4),
+        data=st.data(),
+    )
+    def test_matches_brute_force(self, ingested, theta, queries, data):
+        final = {p.frame_ts_ms: p for p in ingested}  # later writes replace
+        expected = oracle_groups(final, theta)
+        timeline = SessionTimeline(theta)
+        for p in ingested:
+            timeline.ingest(p)
+        shuffled = SessionTimeline(theta)
+        for p in data.draw(st.permutations(list(final.values()))):
+            shuffled.ingest(p)
+
+        assert timeline.groups() == expected
+        assert shuffled.groups() == expected
+        for ts in range(-1, 82):
+            assert timeline.group_of(ts) == next(
+                (g for g in expected if ts in g.members), None
+            )
+        for ts, window in queries:
+            query = query_at(ts)
+            assert timeline.build_ocr_context(query, window) == oracle_context(
+                final, expected, query, window
+            )

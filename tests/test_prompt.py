@@ -68,7 +68,14 @@ class TestPlanFrames:
             for ts in plan.in_query:
                 assert start <= ts <= q.ts_ms
             assert list(plan.pre_query) == sorted(set(plan.pre_query))
-            assert list(plan.in_query) == sorted(plan.in_query)
+            assert plan.in_query == tuple(
+                ts for ts in frame_ts if start <= ts <= q.ts_ms and ts in accepted
+            )
+
+    def test_in_query_empty_when_speech_starts_after_query(self):
+        frame_ts = list(range(0, 20_000, 500))
+        plan = plan_frames(frame_ts, set(frame_ts), query(ts=9_000, start=10_000), PlannerConfig())
+        assert plan.in_query == ()
 
     def test_historical_from_prior_plans(self):
         prior = FramePlan(pre_query=(100, 200), in_query=(300,), historical=())

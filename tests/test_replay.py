@@ -1,4 +1,5 @@
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -7,7 +8,11 @@ from wearocr.enrich import EnrichmentPipeline
 from wearocr.model import FrameRecord, QueryMode, QueryRecord, Resolution
 from wearocr.replay import ReplayError, SimConfig, emit_report, replay
 from wearocr.tracefile import TraceSpec, generate_frames
+from wearocr import wire
 from wearocr.wire import total_bits
+
+# ``wearocr.replay`` is re-exported as the function, so reach the module.
+REPLAY_MODULE = sys.modules["wearocr.replay"]
 
 
 def make_frames(seed=5, duration_s=60):
@@ -97,6 +102,36 @@ class TestReplay:
         assert any(
             e.text != p.text for e, p in zip(enriched.prompts, plain.prompts)
         )
+
+    def test_encodes_each_message_once(self, monkeypatch):
+        calls = []
+        encode = wire.encode
+        monkeypatch.setattr(wire, "encode", lambda msg: calls.append(msg) or encode(msg))
+        result = replay(make_frames(duration_s=10), [])
+        assert len(calls) == result.report.ledger.message_count
+
+    def test_lost_payload_rejected(self, monkeypatch):
+        device_pass = REPLAY_MODULE._device_pass
+
+        def drop_last(*args):
+            decisions, payloads = device_pass(*args)
+            return decisions, payloads[:-1]
+
+        monkeypatch.setattr(REPLAY_MODULE, "_device_pass", drop_last)
+        with pytest.raises(ReplayError, match="19 payloads for 20 frames"):
+            replay(make_frames(duration_s=10), [])
+
+    def test_uncounted_message_rejected(self, monkeypatch):
+        account = wire.account
+
+        def skip_session_end(ledger, msg, frame=None):
+            if isinstance(msg.body, wire.SessionEnd):
+                return ledger
+            return account(ledger, msg, frame)
+
+        monkeypatch.setattr(wire, "account", skip_session_end)
+        with pytest.raises(ReplayError, match="ledger holds 22 messages, expected 23"):
+            replay(make_frames(duration_s=10), [])
 
     def test_empty_trace_and_queries(self):
         result = replay([], [])

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wearocr import tracefile
 from wearocr.model import QueryMode, QueryRecord, validate_trace
 from wearocr.tracefile import (
     FORMAT_VERSION,
@@ -129,3 +130,43 @@ class TestFileRoundTrip:
         path.write_text(json.dumps({"format": TRACE_FORMAT, "version": 99}) + "\n")
         with pytest.raises(TraceFormatError, match="version"):
             read_trace(path)
+
+    def test_bad_header_json_rejected_and_file_closed(self, tmp_path, monkeypatch):
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(tracefile, "open", recording_open, raising=False)
+        path = tmp_path / "trace.ndjson"
+        path.write_text("{not json\n")
+        with pytest.raises(TraceFormatError, match=r"trace\.ndjson:1: not JSON"):
+            read_trace(path)
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_bad_third_line_names_the_line(self, tmp_path):
+        frames = generate_frames(SPEC)
+        path = tmp_path / "trace.ndjson"
+        write_trace(path, frames)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = '{"ts_ms": 500, "truncated'
+        path.write_text("".join(lines))
+        with pytest.raises(TraceFormatError, match=r"trace\.ndjson:3: not JSON"):
+            read_trace(path)
+
+    def test_record_missing_field_names_the_line(self, tmp_path):
+        path = tmp_path / "queries.ndjson"
+        write_queries(path, [QueryRecord(10_000, 9_000, "What gate?", QueryMode.QA)])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"ts_ms": 20000}\n')
+        with pytest.raises(TraceFormatError, match=r"queries\.ndjson:3: bad record: KeyError"):
+            read_queries(path)
+
+    def test_record_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "queries.ndjson"
+        write_queries(path, [])
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("[1, 2]\n")
+        with pytest.raises(TraceFormatError, match=r"queries\.ndjson:2: expected an object"):
+            read_queries(path)

@@ -143,6 +143,70 @@ class TestCodec:
             wire.decode(bytes(frame))
 
 
+    def test_invalid_utf8_string_corrupt_at_string_offset(self):
+        msg = wire.WireMessage(
+            1,
+            OcrPayload(
+                kind=PayloadKind.TEXT_OCR, frame_ts_ms=5,
+                spans=(TextSpan("exit", Rect(0.1, 0.1, 0.1, 0.1), 0.9),),
+            ),
+        )
+        frame = bytearray(wire.encode(msg))
+        start = frame.index(b"exit")
+        frame[start + 1] = 0xFF
+        with pytest.raises(wire.CorruptFrameError, match="UTF-8") as excinfo:
+            wire.decode(bytes(frame))
+        assert excinfo.value.offset == start
+
+    def test_zero_duration_segment_corrupt(self):
+        frame = bytearray(wire.encode(segment(1000, 500_000)))
+        frame[21:29] = bytes(8)  # duration_ms
+        with pytest.raises(wire.CorruptFrameError, match="duration_ms"):
+            wire.decode(bytes(frame))
+
+    @pytest.mark.parametrize(
+        "body, field",
+        [
+            (OcrPayload(kind=PayloadKind.NO_TEXT, frame_ts_ms=-1), "frame_ts_ms"),
+            (OcrPayload(kind=PayloadKind.NO_TEXT, frame_ts_ms=2**64), "frame_ts_ms"),
+            (wire.SelectionEvent(frame_ts_ms=-5), "frame_ts_ms"),
+            (
+                OcrPayload(
+                    kind=PayloadKind.TEXT_OCR, frame_ts_ms=0,
+                    spans=(TextSpan("a", Rect(0, 0, 1, 1), "high"),),
+                ),
+                "span.conf",
+            ),
+        ],
+    )
+    def test_encode_rejects_out_of_range_field(self, body, field):
+        with pytest.raises(wire.WireError, match=field):
+            wire.encode(wire.WireMessage(1, body))
+
+    def test_encode_rejects_negative_session_id(self):
+        with pytest.raises(wire.WireError, match="session_id") as excinfo:
+            wire.encode(wire.WireMessage(-1, wire.SessionEnd()))
+        assert excinfo.value.offset == 5
+
+    @given(
+        messages(),
+        st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)), max_size=3),
+        st.one_of(st.none(), st.integers(min_value=0)),
+    )
+    @settings(max_examples=500)
+    def test_mutated_or_truncated_frames_raise_only_wire_errors(self, msg, edits, cut):
+        frame = bytearray(wire.encode(msg))
+        for position, value in edits:
+            frame[position % len(frame)] = value
+        if cut is not None:
+            frame = frame[: cut % (len(frame) + 1)]
+        try:
+            decoded = wire.decode(bytes(frame))
+        except wire.WireError:
+            return
+        assert isinstance(decoded, wire.WireMessage)
+
+
 def segment(duration_ms, bitrate_bps):
     return wire.WireMessage(
         1,
@@ -164,6 +228,12 @@ class TestLedger:
                 start_ms=0, duration_ms=0, fps=2.0,
                 resolution=Resolution.MP3, bitrate_bps=500_000,
             )
+
+    def test_account_with_frame_equals_encoding_itself(self):
+        msg = segment(1000, 500_000)
+        assert wire.account(wire.UplinkLedger(), msg, wire.encode(msg)) == wire.account(
+            wire.UplinkLedger(), msg
+        )
 
     def test_payload_bits_additive(self):
         msg = wire.WireMessage(1, OcrPayload(kind=PayloadKind.NO_TEXT, frame_ts_ms=9))
