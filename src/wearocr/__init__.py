@@ -6,50 +6,4 @@ and prompt builder, with table-anchored power, latency, and accuracy
 models.
 """
 
-from .model import (
-    Detection,
-    DetectionClass,
-    FrameRecord,
-    ImuSample,
-    OcrPayload,
-    PayloadKind,
-    QualityFlag,
-    QueryMode,
-    QueryRecord,
-    Rect,
-    Resolution,
-    TextSpan,
-    validate_trace,
-)
-from .osm import SessionTimeline
-from .replay import PipelineReport, ReplayResult, SimConfig, emit_report, replay
-from .tracefile import TraceSpec, generate_frames, read_trace, write_trace
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Detection",
-    "DetectionClass",
-    "FrameRecord",
-    "ImuSample",
-    "OcrPayload",
-    "PayloadKind",
-    "PipelineReport",
-    "QualityFlag",
-    "QueryMode",
-    "QueryRecord",
-    "Rect",
-    "ReplayResult",
-    "Resolution",
-    "SessionTimeline",
-    "SimConfig",
-    "TextSpan",
-    "TraceSpec",
-    "emit_report",
-    "generate_frames",
-    "read_trace",
-    "replay",
-    "validate_trace",
-    "write_trace",
-    "__version__",
-]

@@ -197,6 +197,22 @@ def validate_trace(frames: Sequence[FrameRecord]) -> list[str]:
     return violations
 
 
+def piecewise_linear(anchors: Sequence[tuple[float, float]], x: float) -> float:
+    """Interpolate through ``(x, y)`` anchors sorted by x; exact at each one.
+
+    Flat below the first anchor, linear between anchors, and beyond the
+    last anchor the final segment's slope extrapolates.
+    """
+    if x <= anchors[0][0]:
+        return anchors[0][1]
+    for (x0, y0), (x1, y1) in zip(anchors, anchors[1:]):
+        if x <= x1:
+            return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    (x0, y0), (x1, y1) = anchors[-2], anchors[-1]
+    slope = (y1 - y0) / (x1 - x0)
+    return y1 + slope * (x - x1)
+
+
 def validate_payload(payload: OcrPayload) -> list[str]:
     """Invariant check for a single payload (used at wire decode time)."""
     violations: list[str] = []

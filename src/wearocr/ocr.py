@@ -13,7 +13,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .model import Rect, Resolution, TextSpan
+from .model import Rect, Resolution, TextSpan, piecewise_linear
 
 DEFAULT_ACCURACY_ANCHORS: dict[Resolution, float] = {
     Resolution.MP3: 0.1980,
@@ -72,15 +72,7 @@ def ocr_latency_ms(word_count: int, config: OcrConfig | None = None) -> float:
     """
     if word_count < 0:
         raise ValueError("word_count must be non-negative")
-    anchors = (config or OcrConfig()).latency_anchors
-    if word_count <= anchors[0][0]:
-        return anchors[0][1]
-    for (x0, y0), (x1, y1) in zip(anchors, anchors[1:]):
-        if word_count <= x1:
-            return y0 + (y1 - y0) * (word_count - x0) / (x1 - x0)
-    (x0, y0), (x1, y1) = anchors[-2], anchors[-1]
-    slope = (y1 - y0) / (x1 - x0)
-    return y1 + slope * (word_count - x1)
+    return piecewise_linear((config or OcrConfig()).latency_anchors, word_count)
 
 
 def _unit_uniform(seed: int, frame_ts_ms: int, token_index: int, lane: int) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
-from .model import Resolution
+from .model import Resolution, piecewise_linear
 
 _ANCHOR_RESOURCE = "power_anchors.json"
 
@@ -107,13 +107,7 @@ class PowerAnchors:
                 f"anchored rows: {rows}"
             ) from None
         anchors = self.device_words[key]
-        words = min(config.words_per_text_frame, anchors[-1][0])
-        if words <= anchors[0][0]:
-            return anchors[0][1]
-        for (x0, y0), (x1, y1) in zip(anchors, anchors[1:]):
-            if words <= x1:
-                return y0 + (y1 - y0) * (words - x0) / (x1 - x0)
-        return anchors[-1][1]
+        return piecewise_linear(anchors, min(config.words_per_text_frame, anchors[-1][0]))
 
 
 _DEFAULT_ANCHORS: PowerAnchors | None = None

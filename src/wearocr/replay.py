@@ -14,8 +14,8 @@ import hashlib
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, fields, replace
+from typing import Iterable, Mapping, Sequence
 
 from . import wire
 from .enrich import EnrichmentPipeline, consolidate, normalize_entries
@@ -60,6 +60,30 @@ class ReplayError(RuntimeError):
     pass
 
 
+# Keys ``SimConfig.from_obj`` accepts: a top-level key maps to None, or
+# to the keys its section may hold.
+_CONFIG_KEYS: dict[str, tuple[str, ...] | None] = {
+    "ocr_resolution": None,
+    "seed": None,
+    "session_id": None,
+    "text_similarity_threshold": None,
+    "stream": ("resolution", "fps", "bitrate_bps"),
+    "device": ("fps", "ocr_mode"),
+    "selector": ("tree", "similarity_threshold", "budget_words", "budget_window_ms"),
+    "planner": tuple(f.name for f in fields(PlannerConfig)),
+    "shuffle": ("enabled", "bound"),
+}
+
+
+def _check_keys(obj: object, known: Iterable[str], path: str = "") -> None:
+    """Raise ``ValueError`` naming the path of a key not in ``known``."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"config {path or 'root'} must be an object")
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"unknown config key {path + '.' if path else ''}{key}")
+
+
 @dataclass
 class SimConfig:
     ocr_resolution: Resolution = Resolution.MP12
@@ -78,6 +102,15 @@ class SimConfig:
 
     @classmethod
     def from_obj(cls, obj: Mapping) -> "SimConfig":
+        """Config from its JSON object; absent keys keep their defaults.
+
+        An unknown key raises ``ValueError`` naming its path, for example
+        ``planner.lookbak_ms``.
+        """
+        _check_keys(obj, _CONFIG_KEYS)
+        for key, section in _CONFIG_KEYS.items():
+            if section is not None and key in obj:
+                _check_keys(obj[key], section, key)
         config = cls()
         if "ocr_resolution" in obj:
             config.ocr_resolution = Resolution(obj["ocr_resolution"])
@@ -93,26 +126,18 @@ class SimConfig:
             config.device_fps = d.get("fps", config.device_fps)
             config.device_ocr_mode = OcrMode(d.get("ocr_mode", config.device_ocr_mode))
         if "selector" in obj:
-            s = obj["selector"]
+            s = dict(obj["selector"])
             if "tree" in s:
-                config.selector.tree = load_tree(s["tree"])
-            for key in ("similarity_threshold", "budget_words", "budget_window_ms"):
-                if key in s:
-                    setattr(config.selector, key, s[key])
+                s["tree"] = load_tree(s["tree"])
+            config.selector = replace(config.selector, **s)
         config.text_similarity_threshold = obj.get(
             "text_similarity_threshold", config.text_similarity_threshold
         )
         if "planner" in obj:
-            p = obj["planner"]
-            config.planner = PlannerConfig(
-                lookback_ms=p.get("lookback_ms", 8000),
-                pre_n=p.get("pre_n", 4),
-                hist_n=p.get("hist_n", 2),
-                ocr_window_ms=p.get("ocr_window_ms", 30000),
-            )
+            config.planner = replace(config.planner, **obj["planner"])
         if "shuffle" in obj:
-            config.shuffle_delivery = obj["shuffle"].get("enabled", False)
-            config.shuffle_bound = obj["shuffle"].get("bound", 8)
+            config.shuffle_delivery = obj["shuffle"].get("enabled", config.shuffle_delivery)
+            config.shuffle_bound = obj["shuffle"].get("bound", config.shuffle_bound)
         return config
 
 
@@ -164,42 +189,23 @@ def _device_pass(
         except ValueError as exc:
             raise ReplayError(f"frame {index}: {exc}") from exc
         decisions.append(decision)
-        selection = decision.selection or frame.user_selection
+        spans: tuple = ()
         if decision.verdict is Verdict.RUN_OCR:
-            result = run_mock_ocr(
+            spans = run_mock_ocr(
                 frame.gt_words, config.ocr_resolution, decision.roi, ocr_config, frame.ts_ms
+            ).spans
+            if not spans:
+                kind = PayloadKind.NO_TEXT
+        blurry = decision.verdict is Verdict.REJECT_BLUR
+        payloads.append(
+            OcrPayload(
+                kind=kind,
+                frame_ts_ms=frame.ts_ms,
+                spans=spans,
+                selection=decision.selection or frame.user_selection,
+                quality_flags=frozenset({QualityFlag.BLURRY}) if blurry else frozenset(),
             )
-            if result.spans:
-                payloads.append(
-                    OcrPayload(
-                        kind=PayloadKind.TEXT_OCR,
-                        frame_ts_ms=frame.ts_ms,
-                        spans=result.spans,
-                        selection=selection,
-                    )
-                )
-            else:
-                payloads.append(
-                    OcrPayload(
-                        kind=PayloadKind.NO_TEXT,
-                        frame_ts_ms=frame.ts_ms,
-                        selection=selection,
-                    )
-                )
-        else:
-            flags = (
-                frozenset({QualityFlag.BLURRY})
-                if decision.verdict is Verdict.REJECT_BLUR
-                else frozenset()
-            )
-            payloads.append(
-                OcrPayload(
-                    kind=kind,
-                    frame_ts_ms=frame.ts_ms,
-                    selection=selection,
-                    quality_flags=flags,
-                )
-            )
+        )
     return decisions, payloads
 
 

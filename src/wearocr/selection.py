@@ -285,7 +285,6 @@ class SelectionDecision:
     verdict: Verdict
     roi: Rect | None
     selection: bool
-    stage_latency_ms: tuple[tuple[str, float], ...]
 
     @property
     def payload_kind(self) -> PayloadKind:
@@ -301,15 +300,11 @@ class SelectorConfig:
     similarity_threshold: float = 0.9
     budget_words: int = 300
     budget_window_ms: int = 10_000
-    blur_stage_ms: float = 1.0
-    roi_stage_ms: float = 70.0
-    similarity_stage_ms: float = 1.0
 
 
 @dataclass
 class SelectorState:
     last_accepted_sig: tuple[float, ...] | None = None
-    last_accepted_ts_ms: int | None = None
     # (ts_ms, word count) of accepted frames inside the budget window.
     window: deque = field(default_factory=deque)
 
@@ -326,41 +321,30 @@ def process_frame(
 
     Frames must be presented in trace order; the state is single-writer.
     """
-    stages: list[tuple[str, float]] = [("blur", config.blur_stage_ms)]
-
     def reject(verdict: Verdict, selection: bool = False) -> tuple[SelectionDecision, PayloadKind, SelectorState]:
-        decision = SelectionDecision(
-            verdict=verdict, roi=None, selection=selection, stage_latency_ms=tuple(stages)
-        )
+        decision = SelectionDecision(verdict=verdict, roi=None, selection=selection)
         return decision, decision.payload_kind, state
 
     if classify_blur(blur_features(frame), config.tree) is BlurLabel.BLURRY:
         return reject(Verdict.REJECT_BLUR)
 
-    stages.append(("roi", config.roi_stage_ms))
     choice = select_roi(frame.detections, config.class_thresholds)
     if choice is None:
         return reject(Verdict.REJECT_NO_TEXT)
     selected = choice.selection or frame.user_selection
 
-    if not selected:
-        stages.append(("similarity", config.similarity_stage_ms))
-        if state.last_accepted_sig is not None:
-            sim = scene_similarity(frame.scene_sig, state.last_accepted_sig)
-            if sim >= config.similarity_threshold:
-                return reject(Verdict.REJECT_SIMILAR)
+    if not selected and state.last_accepted_sig is not None:
+        sim = scene_similarity(frame.scene_sig, state.last_accepted_sig)
+        if sim >= config.similarity_threshold:
+            return reject(Verdict.REJECT_SIMILAR)
 
     words = len(frame.gt_words)
     if state.window_words(frame.ts_ms, config.budget_window_ms) >= config.budget_words:
         return reject(Verdict.REJECT_BUDGET, selection=selected)
 
     state.last_accepted_sig = frame.scene_sig
-    state.last_accepted_ts_ms = frame.ts_ms
     state.window.append((frame.ts_ms, words))
-    decision = SelectionDecision(
-        verdict=Verdict.RUN_OCR, roi=choice.roi, selection=selected,
-        stage_latency_ms=tuple(stages),
-    )
+    decision = SelectionDecision(verdict=Verdict.RUN_OCR, roi=choice.roi, selection=selected)
     return decision, decision.payload_kind, state
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
@@ -176,23 +176,8 @@ def generate_frames(spec: TraceSpec) -> list[FrameRecord]:
         text_indices = [i for i, f in enumerate(frames) if f.detections]
         chosen = rng.sample(text_indices, min(spec.selection_events, len(text_indices)))
         for i in chosen:
-            frames[i] = FrameRecord(
-                **{**_frame_fields(frames[i]), "user_selection": True}
-            )
+            frames[i] = replace(frames[i], user_selection=True)
     return frames
-
-
-def _frame_fields(frame: FrameRecord) -> dict:
-    return {
-        "ts_ms": frame.ts_ms,
-        "resolution": frame.resolution,
-        "exposure_us": frame.exposure_us,
-        "imu": frame.imu,
-        "detections": frame.detections,
-        "scene_sig": frame.scene_sig,
-        "gt_words": frame.gt_words,
-        "user_selection": frame.user_selection,
-    }
 
 
 # -- serialization --------------------------------------------------------

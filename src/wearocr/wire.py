@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable
 
-from .model import OcrPayload, PayloadKind, QualityFlag, Rect, Resolution, TextSpan
+from .model import OcrPayload, PayloadKind, QualityFlag, Rect, Resolution, TextSpan, validate_payload
 
 
 class WireError(ValueError):
@@ -255,6 +255,7 @@ def decode(data: bytes) -> WireMessage:
     session_id = r.u64()
     body: Body
     if msg_type == MSG_OCR_PAYLOAD:
+        fields_at = r.offset
         kind_code = r.u8()
         try:
             kind = PayloadKind(kind_code)
@@ -273,6 +274,9 @@ def decode(data: bytes) -> WireMessage:
             kind=kind, frame_ts_ms=frame_ts, spans=spans,
             selection=selection, quality_flags=frozenset(flags),
         )
+        violations = validate_payload(body)
+        if violations:
+            raise CorruptFrameError(f"invalid payload: {violations[0]}", fields_at)
     elif msg_type == MSG_VIDEO_SEGMENT:
         fields_at = r.offset
         start_ms = r.u64()

@@ -1,18 +1,17 @@
 import json
-import sys
+import types
 from dataclasses import replace
 
 import pytest
 
+import wearocr.replay as replay_module
 from wearocr.enrich import EnrichmentPipeline
 from wearocr.model import FrameRecord, QueryMode, QueryRecord, Resolution
 from wearocr.replay import ReplayError, SimConfig, emit_report, replay
+from wearocr.selection import REFERENCE_TREE_CONFIG, SelectorConfig
 from wearocr.tracefile import TraceSpec, generate_frames
 from wearocr import wire
 from wearocr.wire import total_bits
-
-# ``wearocr.replay`` is re-exported as the function, so reach the module.
-REPLAY_MODULE = sys.modules["wearocr.replay"]
 
 
 def make_frames(seed=5, duration_s=60):
@@ -34,6 +33,11 @@ def make_queries():
         QueryRecord(20_000, 18_500, "What does the sign say?", QueryMode.QA),
         QueryRecord(45_000, 44_000, "Read this to me", QueryMode.READOUT),
     ]
+
+
+def test_submodule_import_yields_the_module():
+    assert isinstance(replay_module, types.ModuleType)
+    assert replay_module.SimConfig is SimConfig
 
 
 class TestReplay:
@@ -111,13 +115,13 @@ class TestReplay:
         assert len(calls) == result.report.ledger.message_count
 
     def test_lost_payload_rejected(self, monkeypatch):
-        device_pass = REPLAY_MODULE._device_pass
+        device_pass = replay_module._device_pass
 
         def drop_last(*args):
             decisions, payloads = device_pass(*args)
             return decisions, payloads[:-1]
 
-        monkeypatch.setattr(REPLAY_MODULE, "_device_pass", drop_last)
+        monkeypatch.setattr(replay_module, "_device_pass", drop_last)
         with pytest.raises(ReplayError, match="19 payloads for 20 frames"):
             replay(make_frames(duration_s=10), [])
 
@@ -163,6 +167,28 @@ class TestSimConfig:
         config = SimConfig.from_obj({})
         assert config.ocr_resolution is Resolution.MP12
         assert config.stream.bitrate_bps == 500_000
+        assert config == SimConfig()
+        assert SimConfig.from_obj({"planner": {}, "shuffle": {}, "selector": {}}) == SimConfig()
+
+    def test_selector_keys_applied(self):
+        config = SimConfig.from_obj({"selector": {"budget_words": 40, "tree": REFERENCE_TREE_CONFIG}})
+        assert config.selector.budget_words == 40
+        assert config.selector.tree == SelectorConfig().tree
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"sede": 1}, "unknown config key sede"),
+            ({"planner": {"lookbak_ms": 1}}, "unknown config key planner.lookbak_ms"),
+            ({"shuffle": {"enabled": True, "bond": 4}}, "unknown config key shuffle.bond"),
+            ({"selector": {"blur_stage_ms": 1.0}}, "unknown config key selector.blur_stage_ms"),
+            ({"stream": 5}, "config stream must be an object"),
+            ([], "config root must be an object"),
+        ],
+    )
+    def test_unknown_or_malformed_key_rejected(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            SimConfig.from_obj(obj)
 
 
 class TestEmitReport:

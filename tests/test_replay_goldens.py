@@ -1,0 +1,127 @@
+"""Replay goldens: machine and human reports of seeded 2-min traces.
+
+A refactor must keep both reports byte-identical; the machine report
+carries every prompt's digest, so prompts are pinned too.  The cases are
+chosen so that server grouping, ``consolidate`` and ``dedup_prompt_ocr``
+each change something on the way to a prompt.
+
+Regenerate after an intended behaviour change with
+``PYTHONPATH=src python tests/test_replay_goldens.py``.
+"""
+
+import random
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+import wearocr.replay as replay_module
+from wearocr.model import FrameRecord, QueryMode, QueryRecord
+from wearocr.replay import ReplayResult, SimConfig, emit_report, replay
+from wearocr.tracefile import TraceSpec, generate_frames
+
+GOLDEN_DIR = Path(__file__).parent / "goldens"
+MODES = (QueryMode.QA, QueryMode.READOUT, QueryMode.TRANSLATION)
+
+
+def two_minute_trace(seed: int, selection_events: int = 0) -> list[FrameRecord]:
+    return generate_frames(
+        TraceSpec(
+            duration_s=120,
+            fps=2,
+            text_density=0.632,
+            blur_rate=0.02,
+            similarity_run_length=1.912,
+            selection_events=selection_events,
+            seed=seed,
+        )
+    )
+
+
+def revisit(frames: list[FrameRecord], rng: random.Random) -> list[FrameRecord]:
+    """Give 70 % of newly opened scenes the words of one of the last three."""
+    originals: list[tuple[str, ...]] = []
+    words_of: dict[tuple[float, ...], tuple[str, ...]] = {}
+    out = []
+    for frame in frames:
+        if not frame.gt_words:
+            out.append(frame)
+            continue
+        words = words_of.get(frame.scene_sig)
+        if words is None:
+            words = frame.gt_words
+            if originals and rng.random() < 0.7:
+                words = rng.choice(originals[-3:])
+            else:
+                originals.append(words)
+            words_of[frame.scene_sig] = words
+        out.append(replace(frame, gt_words=words))
+    return out
+
+
+def queries(step_ms: int) -> list[QueryRecord]:
+    out = []
+    for i, ts in enumerate(range(step_ms, 120_001, step_ms)):
+        mode = MODES[i % len(MODES)]
+        lang = "French" if mode is QueryMode.TRANSLATION else None
+        out.append(QueryRecord(ts, ts - 1500, "What does the sign say?", mode, lang))
+    return out
+
+
+def run_case(name: str) -> ReplayResult:
+    kind, seed_text = name.rsplit("-s", 1)
+    seed = int(seed_text)
+    if kind == "selections":
+        frames = two_minute_trace(seed, selection_events=3)
+        config = SimConfig(seed=seed, shuffle_delivery=True)
+        return replay(frames, queries(10_000), config)
+    frames = revisit(two_minute_trace(seed), random.Random(seed))
+    return replay(frames, queries(2_000), SimConfig(seed=seed))
+
+
+CASES = ("selections-s2", "revisit-s4", "revisit-s6")
+FORMATS = {"machine": "ndjson", "human": "txt"}
+
+
+def golden_path(name: str, fmt: str) -> Path:
+    return GOLDEN_DIR / f"replay_{name}.{FORMATS[fmt]}"
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_reports_match_goldens(name):
+    report = run_case(name).report
+    for fmt in FORMATS:
+        assert emit_report(report, fmt) == golden_path(name, fmt).read_text(encoding="utf-8")
+
+
+def test_cases_exercise_server_dedup(monkeypatch):
+    counts: Counter[str] = Counter()
+
+    def shrink_counter(key, fn):
+        def wrapper(entries, *args, **kwargs):
+            out = fn(entries, *args, **kwargs)
+            counts[key] += len(entries) - len(out)
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(
+        replay_module, "consolidate", shrink_counter("consolidated", replay_module.consolidate)
+    )
+    monkeypatch.setattr(
+        replay_module, "dedup_prompt_ocr", shrink_counter("deduped", replay_module.dedup_prompt_ocr)
+    )
+    for name in CASES:
+        groups = run_case(name).timeline.groups()
+        counts["grouped"] += sum(len(g.members) - 1 for g in groups)
+    assert counts["grouped"] > 0
+    assert counts["consolidated"] > 0
+    assert counts["deduped"] > 0
+
+
+if __name__ == "__main__":
+    for name in CASES:
+        report = run_case(name).report
+        for fmt in FORMATS:
+            golden_path(name, fmt).write_text(emit_report(report, fmt), encoding="utf-8")

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,6 +144,18 @@ class TestCodec:
         with pytest.raises(wire.CorruptFrameError, match="unknown payload kind"):
             wire.decode(bytes(frame))
 
+    @pytest.mark.parametrize(
+        "spans, reason",
+        [
+            ((), "at least one span"),
+            ((TextSpan("exit", Rect(0.1, 0.1, 0.1, 0.1), math.nan),), "confidence out of range"),
+        ],
+    )
+    def test_invalid_payload_corrupt_at_payload_offset(self, spans, reason):
+        payload = OcrPayload(kind=PayloadKind.TEXT_OCR, frame_ts_ms=5, spans=spans)
+        with pytest.raises(wire.CorruptFrameError, match=reason) as excinfo:
+            wire.decode(wire.encode(wire.WireMessage(1, payload)))
+        assert excinfo.value.offset == 13  # the kind byte
 
     def test_invalid_utf8_string_corrupt_at_string_offset(self):
         msg = wire.WireMessage(
