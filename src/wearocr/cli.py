@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .model import validate_trace
@@ -12,11 +13,13 @@ from .replay import SimConfig, emit_report, replay
 from .tracefile import TraceSpec, read_queries, read_trace, write_generated_trace
 
 
-def _load_config(path: str | None) -> SimConfig:
-    if path is None:
-        return SimConfig()
-    with open(path, encoding="utf-8") as fh:
-        return SimConfig.from_obj(json.load(fh))
+def _load_config(args: argparse.Namespace) -> SimConfig:
+    """``--config`` (defaults when absent) with ``--seed`` applied."""
+    config = SimConfig()
+    if args.config is not None:
+        with open(args.config, encoding="utf-8") as fh:
+            config = SimConfig.from_obj(json.load(fh))
+    return config if args.seed is None else replace(config, seed=args.seed)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -48,10 +51,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     _, frames = read_trace(args.trace)
     queries = read_queries(args.queries) if args.queries else []
-    config = _load_config(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    result = replay(frames, queries, config)
+    result = replay(frames, queries, _load_config(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text(emit_report(result.report, "human"), encoding="utf-8")
@@ -66,10 +66,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     _, frames = read_trace(args.trace)
-    config = _load_config(args.config)
-    if args.seed is not None:
-        config.seed = args.seed
-    result = replay(frames, [], config)
+    result = replay(frames, [], _load_config(args))
     print(emit_report(result.report, args.format), end="")
     return 0
 

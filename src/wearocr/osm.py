@@ -296,21 +296,16 @@ class SessionTimeline:
             raise ValueError("timestamps must be non-empty")
         raw = [self._get_with_source(t) for t in timestamps]
 
-        by_group: dict[int, list[int]] = {}
-        group_index: dict[int, OcrGroup] = {}
+        by_group: dict[OcrGroup, list[int]] = {}
         for i, (payload, source) in enumerate(raw):
             if source is None or payload.kind is not PayloadKind.TEXT_OCR:
                 continue
             group = self.group_of(source)
-            if group is None:
-                continue
-            gid = id(group)
-            group_index[gid] = group
-            by_group.setdefault(gid, []).append(i)
+            if group is not None:
+                by_group.setdefault(group, []).append(i)
 
         results: list[OcrPayload] = [p for p, _ in raw]
-        for gid, indices in by_group.items():
-            group = group_index[gid]
+        for group, indices in by_group.items():
             keep = max(indices, key=lambda i: (results[i].frame_ts_ms, i))
             exemplar = self._payloads[group.exemplar_ts]
             results[keep] = replace(

@@ -10,7 +10,7 @@ merged in chronological order, then the question.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Mapping, Sequence
 
@@ -58,23 +58,27 @@ class PlannerConfig:
     hist_n: int = 2
     ocr_window_ms: int = 30000
 
+    def __post_init__(self) -> None:
+        if self.pre_n < 0 or self.hist_n < 0:
+            raise ValueError("pre_n and hist_n must be non-negative")
+
 
 def plan_frames(
     frame_ts: Sequence[int],
     accepted_ts: frozenset[int] | set[int],
     query: QueryRecord,
     config: PlannerConfig,
-    prior_plans: Sequence[FramePlan] = (),
+    previous: FramePlan | None = None,
 ) -> FramePlan:
     """Choose the frame references for one query.
 
     ``frame_ts`` is the full ascending trace timestamp index,
     ``accepted_ts`` the subset that passed frame selection.  Pre-query
     points sit on a uniform grid across the lookback window, each
-    snapped to the nearest frame at or before it.
+    snapped to the nearest frame at or before it.  ``previous`` is the
+    last query's plan; its historical refs already hold the latest
+    ``hist_n`` refs of every plan before it.
     """
-    if config.pre_n < 0:
-        raise ValueError("pre_n must be non-negative")
     start = query.speech_start_ms
     pre: list[int] = []
     if config.pre_n > 0:
@@ -93,11 +97,8 @@ def plan_frames(
         bisect.bisect_left(frame_ts, start), bisect.bisect_right(frame_ts, query.ts_ms)
     )
     in_query = [ts for ts in frame_ts[speech] if ts in accepted_ts]
-    historical: list[int] = []
-    for plan in prior_plans:
-        historical.extend(plan.pre_query)
-        historical.extend(plan.in_query)
-    historical = sorted(set(historical))[-config.hist_n :] if config.hist_n else []
+    earlier = {*previous.historical, *previous.pre_query, *previous.in_query} if previous else ()
+    historical = sorted(earlier)[-config.hist_n :] if config.hist_n else []
     return FramePlan(
         pre_query=tuple(pre), in_query=tuple(in_query), historical=tuple(historical)
     )

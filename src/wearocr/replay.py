@@ -14,8 +14,9 @@ import hashlib
 import json
 import random
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, fields, is_dataclass, replace
+from enum import Enum
+from typing import Mapping, Sequence
 
 from . import wire
 from .enrich import EnrichmentPipeline, consolidate, normalize_entries
@@ -40,12 +41,12 @@ from .power import (
 from .prompt import (
     FramePlan,
     PlannerConfig,
-    PromptComponent,
     build_prompt,
     dedup_prompt_ocr,
     plan_frames,
 )
 from .selection import (
+    DecisionTree,
     SelectorConfig,
     SelectorState,
     StageReport,
@@ -60,91 +61,89 @@ class ReplayError(RuntimeError):
     pass
 
 
-# Keys ``SimConfig.from_obj`` accepts: a top-level key maps to None, or
-# to the keys its section may hold.
-_CONFIG_KEYS: dict[str, tuple[str, ...] | None] = {
-    "ocr_resolution": None,
-    "seed": None,
-    "session_id": None,
-    "text_similarity_threshold": None,
-    "stream": ("resolution", "fps", "bitrate_bps"),
-    "device": ("fps", "ocr_mode"),
-    "selector": ("tree", "similarity_threshold", "budget_words", "budget_window_ms"),
-    "planner": tuple(f.name for f in fields(PlannerConfig)),
-    "shuffle": ("enabled", "bound"),
-}
+@dataclass(frozen=True)
+class DeviceMode:
+    """Capture rate and OCR mode the device power rows are looked up by."""
+
+    fps: int = 2
+    ocr_mode: OcrMode = OcrMode.SFS_3MP_INPUT
 
 
-def _check_keys(obj: object, known: Iterable[str], path: str = "") -> None:
-    """Raise ``ValueError`` naming the path of a key not in ``known``."""
-    if not isinstance(obj, Mapping):
-        raise ValueError(f"config {path or 'root'} must be an object")
-    for key in obj:
-        if key not in known:
-            raise ValueError(f"unknown config key {path + '.' if path else ''}{key}")
+@dataclass(frozen=True)
+class ShuffleConfig:
+    """Optional delivery reordering: each payload moves fewer than ``bound`` slots."""
+
+    enabled: bool = False
+    bound: int = 8
+
+    def __post_init__(self) -> None:
+        if self.bound < 1:
+            raise ValueError(f"bound must be at least 1, got {self.bound}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
+    """Replay settings: each field is a config JSON key, each dataclass a section."""
+
     ocr_resolution: Resolution = Resolution.MP12
     seed: int = 0
     session_id: int = 1
-    stream: StreamConfig = field(
-        default_factory=lambda: StreamConfig(Resolution.MP3, 2, 500_000)
-    )
-    device_fps: int = 2
-    device_ocr_mode: OcrMode = OcrMode.SFS_3MP_INPUT
-    selector: SelectorConfig = field(default_factory=SelectorConfig)
+    stream: StreamConfig = StreamConfig(Resolution.MP3, 2, 500_000)
+    device: DeviceMode = DeviceMode()
+    selector: SelectorConfig = SelectorConfig()
     text_similarity_threshold: float = 0.8
-    planner: PlannerConfig = field(default_factory=PlannerConfig)
-    shuffle_delivery: bool = False
-    shuffle_bound: int = 8
+    planner: PlannerConfig = PlannerConfig()
+    shuffle: ShuffleConfig = ShuffleConfig()
 
     @classmethod
-    def from_obj(cls, obj: Mapping) -> "SimConfig":
+    def from_obj(cls, obj: object) -> "SimConfig":
         """Config from its JSON object; absent keys keep their defaults.
 
-        An unknown key raises ``ValueError`` naming its path, for example
-        ``planner.lookbak_ms``.
+        Any key or value the dataclasses do not declare raises
+        ``ValueError`` naming its path, for example ``planner.lookbak_ms``.
         """
-        _check_keys(obj, _CONFIG_KEYS)
-        for key, section in _CONFIG_KEYS.items():
-            if section is not None and key in obj:
-                _check_keys(obj[key], section, key)
-        config = cls()
-        if "ocr_resolution" in obj:
-            config.ocr_resolution = Resolution(obj["ocr_resolution"])
-        config.seed = obj.get("seed", config.seed)
-        config.session_id = obj.get("session_id", config.session_id)
-        if "stream" in obj:
-            s = obj["stream"]
-            config.stream = StreamConfig(
-                Resolution(s["resolution"]), s["fps"], s["bitrate_bps"]
-            )
-        if "device" in obj:
-            d = obj["device"]
-            config.device_fps = d.get("fps", config.device_fps)
-            config.device_ocr_mode = OcrMode(d.get("ocr_mode", config.device_ocr_mode))
-        if "selector" in obj:
-            s = dict(obj["selector"])
-            if "tree" in s:
-                s["tree"] = load_tree(s["tree"])
-            config.selector = replace(config.selector, **s)
-        config.text_similarity_threshold = obj.get(
-            "text_similarity_threshold", config.text_similarity_threshold
-        )
-        if "planner" in obj:
-            config.planner = replace(config.planner, **obj["planner"])
-        if "shuffle" in obj:
-            config.shuffle_delivery = obj["shuffle"].get("enabled", config.shuffle_delivery)
-            config.shuffle_bound = obj["shuffle"].get("bound", config.shuffle_bound)
-        return config
+        return _load(cls(), obj, "")
+
+
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
+
+
+def _load(default: object, obj: object, path: str) -> object:
+    """``obj`` read as a value of the type of ``default``.
+
+    A section takes a JSON object whose keys are a subset of its
+    fields; each value is loaded against that field's current value.
+    """
+    try:
+        if isinstance(default, DecisionTree):
+            return load_tree(obj)
+        if isinstance(default, Enum):
+            return type(default)(obj)
+    except ValueError as exc:
+        raise ValueError(f"config {path}: {exc}") from None
+    if not is_dataclass(default):
+        # Exact types, so that a JSON boolean is no int.
+        if type(obj) in _JSON_TYPES[type(default)]:
+            return obj
+        raise ValueError(f"config {path}: {obj!r} is not of type {type(default).__name__}")
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"config {path or 'root'} must be an object")
+    known = {f.name for f in fields(default)}
+    for key, value in obj.items():
+        where = f"{path}.{key}" if path else key
+        if key not in known:
+            raise ValueError(f"unknown config key {where}")
+        loaded = _load(getattr(default, key), value, where)
+        try:
+            default = replace(default, **{key: loaded})
+        except ValueError as exc:
+            raise ValueError(f"config {where}: {exc}") from None
+    return default
 
 
 @dataclass(frozen=True)
 class QueryPrompt:
     query: QueryRecord
-    components: tuple[PromptComponent, ...]
     text: str
 
     def digest(self) -> str:
@@ -159,7 +158,6 @@ class PipelineReport:
     fidelity: float | None
     tokens_recovered: int
     tokens_total: int
-    mean_words_per_text_frame: float
     prompt_digests: tuple[tuple[int, str], ...]
 
 
@@ -238,9 +236,9 @@ def replay(
             )
         )
     payload_msgs = [wire.WireMessage(config.session_id, p) for p in payloads]
-    if config.shuffle_delivery:
+    if config.shuffle.enabled:
         rng = random.Random(config.seed ^ 0x5EED)
-        payload_msgs = _bounded_shuffle(payload_msgs, config.shuffle_bound, rng)
+        payload_msgs = _bounded_shuffle(payload_msgs, config.shuffle.bound, rng)
     messages.extend(payload_msgs)
     messages.append(wire.WireMessage(config.session_id, wire.SessionEnd()))
 
@@ -272,7 +270,7 @@ def replay(
     group_source = {g.group_latest_ts: g.exemplar_ts for g in timeline.groups()}
 
     prompts: list[QueryPrompt] = []
-    prior_plans: list[FramePlan] = []
+    plan: FramePlan | None = None
     fidelity_frames: dict[int, OcrContextEntry] = {}
     for qi, query in enumerate(queries):
         try:
@@ -282,14 +280,11 @@ def replay(
             if enrichment is not None:
                 entries = enrichment.apply(entries)
             entries = dedup_prompt_ocr(entries, config.text_similarity_threshold)
-            plan = plan_frames(frame_ts, accepted_ts, query, config.planner, prior_plans)
-            components, text = build_prompt(
-                query, plan, entries, frame_resolutions=resolutions
-            )
+            plan = plan_frames(frame_ts, accepted_ts, query, config.planner, plan)
+            _, text = build_prompt(query, plan, entries, frame_resolutions=resolutions)
         except ValueError as exc:
             raise ReplayError(f"query {qi}: {exc}") from exc
-        prior_plans.append(plan)
-        prompts.append(QueryPrompt(query=query, components=tuple(components), text=text))
+        prompts.append(QueryPrompt(query=query, text=text))
         for entry in entries:
             source_ts = group_source.get(entry.ts_ms)
             if source_ts is not None and source_ts in frame_by_ts:
@@ -312,11 +307,7 @@ def replay(
     mean_words = sum(text_word_counts) / len(text_word_counts) if text_word_counts else 0.0
     power = session_power_report(
         config.stream,
-        DeviceConfig(
-            fps=config.device_fps,
-            ocr_mode=config.device_ocr_mode,
-            words_per_text_frame=mean_words,
-        ),
+        DeviceConfig(config.device.fps, config.device.ocr_mode, mean_words),
     )
 
     report = PipelineReport(
@@ -326,7 +317,6 @@ def replay(
         fidelity=(recovered / total) if total else None,
         tokens_recovered=recovered,
         tokens_total=total,
-        mean_words_per_text_frame=mean_words,
         prompt_digests=tuple((p.query.ts_ms, p.digest()) for p in prompts),
     )
     return ReplayResult(report=report, prompts=tuple(prompts), timeline=timeline)

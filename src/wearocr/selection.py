@@ -95,14 +95,16 @@ def load_tree(obj: Mapping) -> DecisionTree:
     """Build and validate a DecisionTree from its config mapping.
 
     Raises TreeConfigError naming the path to the offending node on any
-    structural problem: bad feature, dangling child index, or a cycle.
+    structural problem: bad feature or threshold, dangling child, or a cycle.
     """
-    raw_nodes = obj.get("nodes")
+    raw_nodes = obj.get("nodes") if isinstance(obj, Mapping) else None
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise TreeConfigError("nodes: must be a non-empty list")
     nodes: list[TreeNode] = []
     for i, raw in enumerate(raw_nodes):
         path = f"nodes[{i}]"
+        if not isinstance(raw, Mapping):
+            raise TreeConfigError(f"{path}: must be an object")
         if "label" in raw:
             try:
                 nodes.append(TreeNode(label=BlurLabel(raw["label"])))
@@ -114,18 +116,21 @@ def load_tree(obj: Mapping) -> DecisionTree:
             raise TreeConfigError(f"{path}: unknown feature {feature!r}")
         left, right = raw.get("left"), raw.get("right")
         for side, child in (("left", left), ("right", right)):
-            if not isinstance(child, int) or not 0 <= child < len(raw_nodes):
+            if type(child) is not int or not 0 <= child < len(raw_nodes):
                 raise TreeConfigError(f"{path}.{side}: child index {child!r} out of range")
+        threshold = raw.get("threshold")
+        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+            raise TreeConfigError(f"{path}.threshold: {threshold!r} is not a number")
         nodes.append(
             TreeNode(
                 feature_index=_FEATURE_NAMES[feature],
-                threshold=float(raw["threshold"]),
+                threshold=float(threshold),
                 left=left,
                 right=right,
             )
         )
     root = obj.get("root", 0)
-    if not isinstance(root, int) or not 0 <= root < len(nodes):
+    if type(root) is not int or not 0 <= root < len(nodes):
         raise TreeConfigError(f"root: index {root!r} out of range")
 
     # Every walk from the root must terminate at a leaf: reject cycles.
@@ -291,12 +296,13 @@ class SelectionDecision:
         return VERDICT_TO_KIND[self.verdict]
 
 
-@dataclass
+# Minimum detection confidence per class for the ROI gate.
+CLASS_THRESHOLDS = {c: 0.5 for c in DetectionClass}
+
+
+@dataclass(frozen=True)
 class SelectorConfig:
-    tree: DecisionTree = field(default_factory=reference_tree)
-    class_thresholds: dict[DetectionClass, float] = field(
-        default_factory=lambda: {c: 0.5 for c in DetectionClass}
-    )
+    tree: DecisionTree = reference_tree()
     similarity_threshold: float = 0.9
     budget_words: int = 300
     budget_window_ms: int = 10_000
@@ -328,7 +334,7 @@ def process_frame(
     if classify_blur(blur_features(frame), config.tree) is BlurLabel.BLURRY:
         return reject(Verdict.REJECT_BLUR)
 
-    choice = select_roi(frame.detections, config.class_thresholds)
+    choice = select_roi(frame.detections, CLASS_THRESHOLDS)
     if choice is None:
         return reject(Verdict.REJECT_NO_TEXT)
     selected = choice.selection or frame.user_selection

@@ -14,7 +14,7 @@ is order-insensitive by design.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -103,57 +103,37 @@ class WireMessage:
 
     @property
     def msg_type(self) -> int:
-        return {
-            OcrPayload: MSG_OCR_PAYLOAD,
-            VideoSegment: MSG_VIDEO_SEGMENT,
-            SelectionEvent: MSG_SELECTION_EVENT,
-            SessionStart: MSG_SESSION_START,
-            SessionEnd: MSG_SESSION_END,
-        }[type(self.body)]
+        return _MSG_TYPE[type(self.body)]
 
 
+_MSG_TYPE = {
+    OcrPayload: MSG_OCR_PAYLOAD,
+    VideoSegment: MSG_VIDEO_SEGMENT,
+    SelectionEvent: MSG_SELECTION_EVENT,
+    SessionStart: MSG_SESSION_START,
+    SessionEnd: MSG_SESSION_END,
+}
 _U8, _U32, _U64, _F64 = (struct.Struct(fmt) for fmt in (">B", ">I", ">Q", ">d"))
+_TYPE_NAME = {_U8: "u8", _U32: "u32", _U64: "u64", _F64: "f64"}
 
 
 class _Writer:
     def __init__(self) -> None:
         self.parts: list[bytes] = []
 
-    def _bad(self, name: str, kind: str, v: object) -> WireError:
-        offset = 4 + sum(map(len, self.parts))
-        return WireError(f"field {name} cannot be encoded as {kind}: {v!r}", offset)
-
-    def u8(self, v: int, name: str) -> None:
+    def put(self, fmt: struct.Struct, v: int | float, name: str) -> None:
         try:
-            self.parts.append(_U8.pack(v))
+            self.parts.append(fmt.pack(v))
         except struct.error:
-            raise self._bad(name, "u8", v) from None
-
-    def u32(self, v: int, name: str) -> None:
-        try:
-            self.parts.append(_U32.pack(v))
-        except struct.error:
-            raise self._bad(name, "u32", v) from None
-
-    def u64(self, v: int, name: str) -> None:
-        try:
-            self.parts.append(_U64.pack(v))
-        except struct.error:
-            raise self._bad(name, "u64", v) from None
-
-    def f64(self, v: float, name: str) -> None:
-        try:
-            self.parts.append(_F64.pack(v))
-        except struct.error:
-            raise self._bad(name, "f64", v) from None
+            offset = 4 + sum(map(len, self.parts))
+            raise WireError(
+                f"field {name} cannot be encoded as {_TYPE_NAME[fmt]}: {v!r}", offset
+            ) from None
 
     def string(self, s: str, name: str) -> None:
         raw = s.encode("utf-8")
-        self.u32(len(raw), name)
+        self.put(_U32, len(raw), name)
         self.parts.append(raw)
-
-    def join(self) -> bytes:
-        return b"".join(self.parts)
 
 
 class _Reader:
@@ -173,77 +153,67 @@ class _Reader:
         self.pos += n
         return chunk
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack(">d", self.take(8))[0]
+    def get(self, fmt: struct.Struct) -> int | float:
+        return fmt.unpack(self.take(fmt.size))[0]
 
     def string(self) -> str:
-        n = self.u32()
+        n = self.get(_U32)
         try:
             return self.take(n).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorruptFrameError(f"string is not UTF-8: {exc.reason}", self.offset - n) from None
 
-    def rect(self) -> Rect:
-        return Rect(self.f64(), self.f64(), self.f64(), self.f64())
-
 
 def _encode_span(w: _Writer, span: TextSpan) -> None:
     w.string(span.text, "span.text")
     bbox = span.bbox
-    w.f64(bbox.x, "span.bbox.x")
-    w.f64(bbox.y, "span.bbox.y")
-    w.f64(bbox.w, "span.bbox.w")
-    w.f64(bbox.h, "span.bbox.h")
-    w.f64(span.conf, "span.conf")
+    w.put(_F64, bbox.x, "span.bbox.x")
+    w.put(_F64, bbox.y, "span.bbox.y")
+    w.put(_F64, bbox.w, "span.bbox.w")
+    w.put(_F64, bbox.h, "span.bbox.h")
+    w.put(_F64, span.conf, "span.conf")
 
 
 def _decode_span(r: _Reader) -> TextSpan:
-    return TextSpan(text=r.string(), bbox=r.rect(), conf=r.f64())
+    text = r.string()
+    bbox = Rect(r.get(_F64), r.get(_F64), r.get(_F64), r.get(_F64))
+    return TextSpan(text=text, bbox=bbox, conf=r.get(_F64))
 
 
 def encode(msg: WireMessage) -> bytes:
     """The frame for ``msg``; ``WireError`` names a field out of its range."""
     w = _Writer()
-    w.u8(msg.msg_type, "msg_type")
-    w.u64(msg.session_id, "session_id")
+    w.put(_U8, msg.msg_type, "msg_type")
+    w.put(_U64, msg.session_id, "session_id")
     body = msg.body
     if isinstance(body, OcrPayload):
-        w.u8(int(body.kind), "kind")
-        w.u64(body.frame_ts_ms, "frame_ts_ms")
-        w.u8(1 if body.selection else 0, "selection")
+        w.put(_U8, int(body.kind), "kind")
+        w.put(_U64, body.frame_ts_ms, "frame_ts_ms")
+        w.put(_U8, 1 if body.selection else 0, "selection")
         flags = sorted(_FLAG_CODE[f] for f in body.quality_flags)
-        w.u32(len(flags), "quality_flags count")
+        w.put(_U32, len(flags), "quality_flags count")
         for code in flags:
-            w.u8(code, "quality_flag")
-        w.u32(len(body.spans), "spans count")
+            w.put(_U8, code, "quality_flag")
+        w.put(_U32, len(body.spans), "spans count")
         for span in body.spans:
             _encode_span(w, span)
     elif isinstance(body, VideoSegment):
-        w.u64(body.start_ms, "start_ms")
-        w.u64(body.duration_ms, "duration_ms")
-        w.f64(body.fps, "fps")
-        w.u8(_RESOLUTION_CODE[body.resolution], "resolution")
-        w.u64(body.bitrate_bps, "bitrate_bps")
+        w.put(_U64, body.start_ms, "start_ms")
+        w.put(_U64, body.duration_ms, "duration_ms")
+        w.put(_F64, body.fps, "fps")
+        w.put(_U8, _RESOLUTION_CODE[body.resolution], "resolution")
+        w.put(_U64, body.bitrate_bps, "bitrate_bps")
     elif isinstance(body, SelectionEvent):
-        w.u64(body.frame_ts_ms, "frame_ts_ms")
+        w.put(_U64, body.frame_ts_ms, "frame_ts_ms")
     # SessionStart / SessionEnd carry no fields.
-    payload = w.join()
-    return struct.pack(">I", len(payload)) + payload
+    payload = b"".join(w.parts)
+    return _U32.pack(len(payload)) + payload
 
 
 def decode(data: bytes) -> WireMessage:
     if len(data) < 4:
         raise IncompleteFrameError("missing length header", len(data))
-    body_len = struct.unpack(">I", data[:4])[0]
+    body_len = _U32.unpack_from(data)[0]
     if len(data) < 4 + body_len:
         raise IncompleteFrameError("frame shorter than declared length", len(data))
     if len(data) > 4 + body_len:
@@ -251,25 +221,25 @@ def decode(data: bytes) -> WireMessage:
     if body_len < 9:
         raise CorruptFrameError("body too short for header", 4)
     r = _Reader(data[4 : 4 + body_len], base_offset=4)
-    msg_type = r.u8()
-    session_id = r.u64()
+    msg_type = r.get(_U8)
+    session_id = r.get(_U64)
     body: Body
     if msg_type == MSG_OCR_PAYLOAD:
         fields_at = r.offset
-        kind_code = r.u8()
+        kind_code = r.get(_U8)
         try:
             kind = PayloadKind(kind_code)
         except ValueError:
             raise CorruptFrameError(f"unknown payload kind {kind_code}", r.offset - 1) from None
-        frame_ts = r.u64()
-        selection = r.u8() != 0
+        frame_ts = r.get(_U64)
+        selection = r.get(_U8) != 0
         flags = set()
-        for _ in range(r.u32()):
-            code = r.u8()
+        for _ in range(r.get(_U32)):
+            code = r.get(_U8)
             if code not in _CODE_FLAG:
                 raise CorruptFrameError(f"unknown quality flag {code}", r.offset - 1)
             flags.add(_CODE_FLAG[code])
-        spans = tuple(_decode_span(r) for _ in range(r.u32()))
+        spans = tuple(_decode_span(r) for _ in range(r.get(_U32)))
         body = OcrPayload(
             kind=kind, frame_ts_ms=frame_ts, spans=spans,
             selection=selection, quality_flags=frozenset(flags),
@@ -279,13 +249,13 @@ def decode(data: bytes) -> WireMessage:
             raise CorruptFrameError(f"invalid payload: {violations[0]}", fields_at)
     elif msg_type == MSG_VIDEO_SEGMENT:
         fields_at = r.offset
-        start_ms = r.u64()
-        duration_ms = r.u64()
-        fps = r.f64()
-        res_code = r.u8()
+        start_ms = r.get(_U64)
+        duration_ms = r.get(_U64)
+        fps = r.get(_F64)
+        res_code = r.get(_U8)
         if res_code not in _CODE_RESOLUTION:
             raise CorruptFrameError(f"unknown resolution code {res_code}", r.offset - 1)
-        bitrate_bps = r.u64()
+        bitrate_bps = r.get(_U64)
         try:
             body = VideoSegment(
                 start_ms=start_ms, duration_ms=duration_ms, fps=fps,
@@ -294,7 +264,7 @@ def decode(data: bytes) -> WireMessage:
         except ValueError as exc:
             raise CorruptFrameError(f"invalid video segment: {exc}", fields_at) from None
     elif msg_type == MSG_SELECTION_EVENT:
-        body = SelectionEvent(frame_ts_ms=r.u64())
+        body = SelectionEvent(frame_ts_ms=r.get(_U64))
     elif msg_type == MSG_SESSION_START:
         body = SessionStart()
     elif msg_type == MSG_SESSION_END:

@@ -2,6 +2,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wearocr.model import QualityFlag, QueryMode, QueryRecord, Resolution
 from wearocr.osm import OcrContextEntry
@@ -29,6 +31,15 @@ def query(mode=QueryMode.QA, ts=10_000, start=9_000, lang=None, question="What g
     return QueryRecord(
         ts_ms=ts, speech_start_ms=start, question=question, mode=mode, target_lang=lang
     )
+
+
+def oracle_historical(prior_plans, hist_n):
+    """The latest ``hist_n`` refs of all earlier plans, re-collected from each."""
+    historical = []
+    for plan in prior_plans:
+        historical.extend(plan.pre_query)
+        historical.extend(plan.in_query)
+    return tuple(sorted(set(historical))[-hist_n:] if hist_n else [])
 
 
 class TestPlanFrames:
@@ -79,8 +90,33 @@ class TestPlanFrames:
 
     def test_historical_from_prior_plans(self):
         prior = FramePlan(pre_query=(100, 200), in_query=(300,), historical=())
-        plan = plan_frames([100, 200, 300], set(), query(), PlannerConfig(hist_n=2), [prior])
+        plan = plan_frames([100, 200, 300], set(), query(), PlannerConfig(hist_n=2), prior)
         assert plan.historical == (200, 300)
+
+    def test_negative_counts_rejected(self):
+        for bad in ({"pre_n": -1}, {"hist_n": -1}):
+            with pytest.raises(ValueError, match="non-negative"):
+                PlannerConfig(**bad)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        frame_ts=st.lists(st.integers(0, 30_000), max_size=60, unique=True).map(sorted),
+        accepted_mask=st.lists(st.booleans(), min_size=60, max_size=60),
+        spans=st.lists(st.tuples(st.integers(0, 30_000), st.integers(0, 4000)), max_size=12),
+        pre_n=st.integers(0, 5),
+        hist_n=st.integers(0, 6),
+    )
+    def test_chained_historical_matches_all_earlier_plans(
+        self, frame_ts, accepted_mask, spans, pre_n, hist_n
+    ):
+        accepted = {ts for ts, keep in zip(frame_ts, accepted_mask) if keep}
+        config = PlannerConfig(lookback_ms=3000, pre_n=pre_n, hist_n=hist_n)
+        plans: list[FramePlan] = []
+        for start, speech_ms in spans:
+            q = query(ts=start + speech_ms, start=start)
+            plan = plan_frames(frame_ts, accepted, q, config, plans[-1] if plans else None)
+            assert plan.historical == oracle_historical(plans, hist_n)
+            plans.append(plan)
 
 
 class TestRenderOcr:

@@ -7,7 +7,7 @@ import pytest
 import wearocr.replay as replay_module
 from wearocr.enrich import EnrichmentPipeline
 from wearocr.model import FrameRecord, QueryMode, QueryRecord, Resolution
-from wearocr.replay import ReplayError, SimConfig, emit_report, replay
+from wearocr.replay import ReplayError, ShuffleConfig, SimConfig, emit_report, replay
 from wearocr.selection import REFERENCE_TREE_CONFIG, SelectorConfig
 from wearocr.tracefile import TraceSpec, generate_frames
 from wearocr import wire
@@ -69,7 +69,7 @@ class TestReplay:
         frames, queries = make_frames(), make_queries()
         plain = replay(frames, queries, SimConfig(seed=3))
         shuffled = replay(
-            frames, queries, SimConfig(seed=3, shuffle_delivery=True, shuffle_bound=8)
+            frames, queries, SimConfig(seed=3, shuffle=ShuffleConfig(enabled=True, bound=8))
         )
         assert [p.text for p in shuffled.prompts] == [p.text for p in plain.prompts]
         assert shuffled.report.fidelity == plain.report.fidelity
@@ -159,9 +159,9 @@ class TestSimConfig:
         assert config.ocr_resolution is Resolution.MP3
         assert config.seed == 9
         assert config.stream.fps == 30
-        assert config.device_fps == 12
+        assert config.device.fps == 12
         assert config.planner.pre_n == 2
-        assert config.shuffle_delivery and config.shuffle_bound == 4
+        assert config.shuffle.enabled and config.shuffle.bound == 4
 
     def test_defaults(self):
         config = SimConfig.from_obj({})
@@ -169,6 +169,11 @@ class TestSimConfig:
         assert config.stream.bitrate_bps == 500_000
         assert config == SimConfig()
         assert SimConfig.from_obj({"planner": {}, "shuffle": {}, "selector": {}}) == SimConfig()
+
+    def test_partial_section_keeps_defaults(self):
+        config = SimConfig.from_obj({"stream": {"resolution": "MP3"}, "text_similarity_threshold": 1})
+        assert config.stream == SimConfig().stream
+        assert config.text_similarity_threshold == 1
 
     def test_selector_keys_applied(self):
         config = SimConfig.from_obj({"selector": {"budget_words": 40, "tree": REFERENCE_TREE_CONFIG}})
@@ -184,6 +189,20 @@ class TestSimConfig:
             ({"selector": {"blur_stage_ms": 1.0}}, "unknown config key selector.blur_stage_ms"),
             ({"stream": 5}, "config stream must be an object"),
             ([], "config root must be an object"),
+            ({"seed": "x"}, "config seed: 'x' is not of type int"),
+            ({"seed": True}, "config seed: True is not of type int"),
+            ({"seed": 1.5}, "config seed: 1.5 is not of type int"),
+            ({"text_similarity_threshold": "0.8"}, "config text_similarity_threshold: '0.8'"),
+            ({"shuffle": {"enabled": 1}}, "config shuffle.enabled: 1 is not of type bool"),
+            ({"shuffle": {"bound": -3}}, "config shuffle.bound: bound must be at least 1"),
+            ({"planner": {"hist_n": -1}}, "config planner.hist_n: .*non-negative"),
+            ({"device": {"ocr_mode": "bogus"}}, "config device.ocr_mode: 'bogus'"),
+            ({"stream": {"resolution": "MP7"}}, "config stream.resolution: 'MP7'"),
+            ({"selector": {"tree": {"nodes": []}}}, "config selector.tree: nodes"),
+            (
+                {"selector": {"tree": {"nodes": [{"feature": "exposure_us", "left": 0, "right": 0}]}}},
+                r"config selector.tree: nodes\[0\].threshold: None is not a number",
+            ),
         ],
     )
     def test_unknown_or_malformed_key_rejected(self, obj, message):

@@ -18,7 +18,7 @@ import pytest
 
 import wearocr.replay as replay_module
 from wearocr.model import FrameRecord, QueryMode, QueryRecord
-from wearocr.replay import ReplayResult, SimConfig, emit_report, replay
+from wearocr.replay import ReplayResult, ShuffleConfig, SimConfig, emit_report, replay
 from wearocr.tracefile import TraceSpec, generate_frames
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -74,7 +74,7 @@ def run_case(name: str) -> ReplayResult:
     seed = int(seed_text)
     if kind == "selections":
         frames = two_minute_trace(seed, selection_events=3)
-        config = SimConfig(seed=seed, shuffle_delivery=True)
+        config = SimConfig(seed=seed, shuffle=ShuffleConfig(enabled=True))
         return replay(frames, queries(10_000), config)
     frames = revisit(two_minute_trace(seed), random.Random(seed))
     return replay(frames, queries(2_000), SimConfig(seed=seed))

@@ -121,6 +121,26 @@ class TestClassifyBlur:
         with pytest.raises(TreeConfigError, match="unknown feature"):
             load_tree(config)
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ([{"label": "Sharp"}], "nodes: must be a non-empty list"),
+            ({"nodes": [["label", "Sharp"]]}, r"nodes\[0\]: must be an object"),
+            (
+                {"nodes": [{"feature": "exposure_us", "threshold": "1", "left": 1, "right": 1}, {"label": "Sharp"}]},
+                r"nodes\[0\]\.threshold: '1' is not a number",
+            ),
+            (
+                {"nodes": [{"feature": "exposure_us", "threshold": 1, "left": True, "right": 1}, {"label": "Sharp"}]},
+                r"nodes\[0\]\.left: child index True out of range",
+            ),
+            ({"root": False, "nodes": [{"label": "Sharp"}]}, "root: index False out of range"),
+        ],
+    )
+    def test_malformed_config_rejected_with_path(self, config, message):
+        with pytest.raises(TreeConfigError, match=message):
+            load_tree(config)
+
 
 class TestSelectRoi:
     def test_no_detections(self):
