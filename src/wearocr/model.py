@@ -10,9 +10,10 @@ milliseconds (frames, payloads, queries) and integer microseconds
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Sequence
 
 
 class Resolution(str, Enum):
@@ -49,7 +50,7 @@ class QueryMode(str, Enum):
     QA = "Qa"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rect:
     """Axis-aligned rectangle in normalized [0,1] image coordinates."""
 
@@ -80,7 +81,7 @@ class Rect:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImuSample:
     ts_us: int
     gyro: tuple[float, float, float]
@@ -88,10 +89,10 @@ class ImuSample:
 
     def norm6(self) -> float:
         """Euclidean norm of the concatenated 6-dof gyro+accel vector."""
-        return math.sqrt(sum(v * v for v in self.gyro) + sum(v * v for v in self.accel))
+        return math.sqrt(sum(map(mul, self.gyro, self.gyro)) + sum(map(mul, self.accel, self.accel)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     cls: DetectionClass
     bbox: Rect
@@ -99,14 +100,14 @@ class Detection:
     keypoints: tuple[tuple[float, float], ...] | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TextSpan:
     text: str
     bbox: Rect
     conf: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameRecord:
     ts_ms: int
     resolution: Resolution
@@ -118,7 +119,7 @@ class FrameRecord:
     user_selection: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OcrPayload:
     """The device -> server unit: one of five payload types.
 
@@ -149,10 +150,6 @@ class QueryRecord:
     target_lang: str | None = None
 
 
-def _finite(values: Iterable[float]) -> bool:
-    return all(math.isfinite(v) for v in values)
-
-
 def validate_trace(frames: Sequence[FrameRecord]) -> list[str]:
     """Check every frame against the trace invariants.
 
@@ -160,6 +157,7 @@ def validate_trace(frames: Sequence[FrameRecord]) -> list[str]:
     an empty list means the trace is valid.  Violations are data, not
     faults: nothing is raised.
     """
+    isfinite = math.isfinite
     violations: list[str] = []
     sig_dim: int | None = None
     prev_ts: int | None = None
@@ -175,12 +173,12 @@ def validate_trace(frames: Sequence[FrameRecord]) -> list[str]:
             violations.append(
                 f"frame {i}: scene_sig dimension {len(frame.scene_sig)} != {sig_dim}"
             )
-        if not _finite(frame.scene_sig):
+        if not all(map(isfinite, frame.scene_sig)):
             violations.append(f"frame {i}: scene_sig has non-finite component")
         for j, sample in enumerate(frame.imu):
             if sample.ts_us < 0:
                 violations.append(f"frame {i}: imu sample {j} has negative ts_us")
-            if not (_finite(sample.gyro) and _finite(sample.accel)):
+            if not (all(map(isfinite, sample.gyro)) and all(map(isfinite, sample.accel))):
                 violations.append(f"frame {i}: imu sample {j} has non-finite vector")
         for j, det in enumerate(frame.detections):
             if not (0.0 <= det.conf <= 1.0):
@@ -191,9 +189,10 @@ def validate_trace(frames: Sequence[FrameRecord]) -> list[str]:
                 violations.append(
                     f"frame {i}: detection {j} keypoints only legal for HandPointing"
                 )
-        for j, word in enumerate(frame.gt_words):
-            if not word:
-                violations.append(f"frame {i}: gt word {j} is empty")
+        if not all(frame.gt_words):
+            violations.extend(
+                f"frame {i}: gt word {j} is empty" for j, word in enumerate(frame.gt_words) if not word
+            )
     return violations
 
 
@@ -216,9 +215,10 @@ def piecewise_linear(anchors: Sequence[tuple[float, float]], x: float) -> float:
 def validate_payload(payload: OcrPayload) -> list[str]:
     """Invariant check for a single payload (used at wire decode time)."""
     violations: list[str] = []
-    if payload.kind is PayloadKind.TEXT_OCR and not payload.spans:
+    text_ocr = payload.kind is PayloadKind.TEXT_OCR
+    if text_ocr and not payload.spans:
         violations.append("TextOcr payload must carry at least one span")
-    if payload.kind is not PayloadKind.TEXT_OCR and payload.spans:
+    if not text_ocr and payload.spans:
         violations.append("non-TextOcr payload must carry no spans")
     for j, span in enumerate(payload.spans):
         if not span.text:

@@ -243,10 +243,6 @@ class SessionTimeline:
     def groups(self) -> list[OcrGroup]:
         return self._derived().groups
 
-    @property
-    def latest_selection_ts(self) -> int | None:
-        return self._derived().latest_selection
-
     def group_of(self, ts: int) -> OcrGroup | None:
         return self._derived().group_by_ts.get(ts)
 

@@ -46,6 +46,12 @@ class StreamConfig:
     fps: int
     bitrate_bps: int
 
+    def __post_init__(self) -> None:
+        if self.fps < 1:
+            raise ValueError(f"fps must be at least 1, got {self.fps}")
+        if self.bitrate_bps < 1:
+            raise ValueError(f"bitrate_bps must be at least 1, got {self.bitrate_bps}")
+
 
 @dataclass(frozen=True)
 class DeviceConfig:

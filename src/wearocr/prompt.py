@@ -111,12 +111,6 @@ def render_ocr_line(entry: OcrContextEntry) -> str:
     return f"[OCR t={entry.ts_ms}ms flags={flags}] {entry.text}"
 
 
-def render_ocr_block(entries: Sequence[OcrContextEntry]) -> str:
-    """One line per entry, ascending by timestamp; byte-stable."""
-    ordered = sorted(entries, key=lambda e: e.ts_ms)
-    return "\n".join(render_ocr_line(e) for e in ordered)
-
-
 def render_frame_ref(ts_ms: int, resolution: Resolution) -> str:
     return f"[FRAME t={ts_ms}ms res={resolution.value}]"
 

@@ -95,6 +95,14 @@ class SimConfig:
     planner: PlannerConfig = PlannerConfig()
     shuffle: ShuffleConfig = ShuffleConfig()
 
+    def __post_init__(self) -> None:
+        # Mock OCR hashes the seed as a signed 64-bit word; the wire
+        # carries the session id as an unsigned one.
+        if not -(2**63) <= self.seed < 2**63:
+            raise ValueError(f"seed must be in [-2**63, 2**63), got {self.seed}")
+        if not 0 <= self.session_id < 2**64:
+            raise ValueError(f"session_id must be in [0, 2**64), got {self.session_id}")
+
     @classmethod
     def from_obj(cls, obj: object) -> "SimConfig":
         """Config from its JSON object; absent keys keep their defaults.
@@ -175,33 +183,37 @@ def _bounded_shuffle(items: list, bound: int, rng: random.Random) -> list:
     return [item for _, item in keyed]
 
 
+_BLURRY_FLAGS = frozenset({QualityFlag.BLURRY})
+_NO_FLAGS: frozenset[QualityFlag] = frozenset()
+
+
 def _device_pass(
     frames: Sequence[FrameRecord], config: SimConfig, ocr_config: OcrConfig
 ) -> tuple[list, list[OcrPayload]]:
     decisions = []
     payloads = []
     state = SelectorState()
+    selector, resolution = config.selector, config.ocr_resolution
+    run_ocr, reject_blur, no_text = Verdict.RUN_OCR, Verdict.REJECT_BLUR, PayloadKind.NO_TEXT
     for index, frame in enumerate(frames):
         try:
-            decision, kind, state = process_frame(frame, state, config.selector)
+            decision, kind, state = process_frame(frame, state, selector)
         except ValueError as exc:
             raise ReplayError(f"frame {index}: {exc}") from exc
         decisions.append(decision)
+        verdict = decision.verdict
         spans: tuple = ()
-        if decision.verdict is Verdict.RUN_OCR:
-            spans = run_mock_ocr(
-                frame.gt_words, config.ocr_resolution, decision.roi, ocr_config, frame.ts_ms
-            ).spans
+        if verdict is run_ocr:
+            spans = run_mock_ocr(frame.gt_words, resolution, decision.roi, ocr_config, frame.ts_ms).spans
             if not spans:
-                kind = PayloadKind.NO_TEXT
-        blurry = decision.verdict is Verdict.REJECT_BLUR
+                kind = no_text
         payloads.append(
             OcrPayload(
-                kind=kind,
-                frame_ts_ms=frame.ts_ms,
-                spans=spans,
-                selection=decision.selection or frame.user_selection,
-                quality_flags=frozenset({QualityFlag.BLURRY}) if blurry else frozenset(),
+                kind,
+                frame.ts_ms,
+                spans,
+                decision.selection or frame.user_selection,
+                _BLURRY_FLAGS if verdict is reject_blur else _NO_FLAGS,
             )
         )
     return decisions, payloads
@@ -247,9 +259,9 @@ def replay(
     for msg in messages:
         frame = wire.encode(msg)
         ledger = wire.account(ledger, msg, frame)
-        received = wire.decode(frame)
-        if isinstance(received.body, OcrPayload):
-            timeline.ingest(received.body)
+        body = wire.decode(frame).body
+        if isinstance(body, OcrPayload):
+            timeline.ingest(body)
 
     # One payload per frame, and one message per payload plus the session
     # start, end and (for a non-empty trace) video segment.

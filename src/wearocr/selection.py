@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, ROUND_HALF_DOWN, Decimal
 from enum import Enum
+from operator import mul
 from typing import Mapping, Sequence
 
 from .model import Detection, DetectionClass, FrameRecord, PayloadKind, Rect
@@ -53,7 +54,7 @@ class TreeConfigError(ValueError):
     """Malformed decision-tree configuration; raised at load, never at classify."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlurFeatures:
     motion_energy: float
     exposure_us: int
@@ -81,13 +82,10 @@ class DecisionTree:
 
     def classify(self, features: BlurFeatures) -> BlurLabel:
         values = (features.motion_energy, float(features.exposure_us))
-        node = self.nodes[self.root]
-        while not node.is_leaf:
-            if values[node.feature_index] < node.threshold:
-                node = self.nodes[node.left]
-            else:
-                node = self.nodes[node.right]
-        assert node.label is not None
+        nodes = self.nodes
+        node = nodes[self.root]
+        while node.label is None:
+            node = nodes[node.left if values[node.feature_index] < node.threshold else node.right]
         return node.label
 
 
@@ -176,27 +174,36 @@ def blur_features(frame: FrameRecord) -> BlurFeatures:
     energy = 0.0
     for sample in frame.imu:
         if start_us <= sample.ts_us <= end_us:
-            energy = max(energy, sample.norm6())
-    return BlurFeatures(motion_energy=energy, exposure_us=frame.exposure_us)
+            norm = sample.norm6()
+            if norm > energy:
+                energy = norm
+    return BlurFeatures(energy, frame.exposure_us)
 
 
 def classify_blur(features: BlurFeatures, tree: DecisionTree) -> BlurLabel:
     return tree.classify(features)
 
 
+def signature_norm(v: Sequence[float]) -> float:
+    """Euclidean norm of a scene signature, summed in component order."""
+    return math.sqrt(sum(map(mul, v, v)))
+
+
 def scene_similarity(a: Sequence[float], b: Sequence[float]) -> float:
     """Cosine similarity; 0.0 when either vector is all-zero."""
+    return _cosine(a, signature_norm(a), b, signature_norm(b))
+
+
+def _cosine(a: Sequence[float], na: float, b: Sequence[float], nb: float) -> float:
+    """Cosine similarity of ``a`` and ``b`` given their norms ``na`` and ``nb``."""
     if len(a) != len(b):
         raise ValueError(f"scene signature dimension mismatch: {len(a)} vs {len(b)}")
-    dot = sum(x * y for x, y in zip(a, b))
-    na = math.sqrt(sum(x * x for x in a))
-    nb = math.sqrt(sum(y * y for y in b))
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return dot / (na * nb)
+    return sum(map(mul, a, b)) / (na * nb)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoiChoice:
     roi: Rect
     selection: bool
@@ -285,7 +292,7 @@ def select_roi(
     return RoiChoice(roi=best[1], selection=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SelectionDecision:
     verdict: Verdict
     roi: Rect | None
@@ -295,6 +302,17 @@ class SelectionDecision:
     def payload_kind(self) -> PayloadKind:
         return VERDICT_TO_KIND[self.verdict]
 
+
+def _rejection(verdict: Verdict, selection: bool = False) -> tuple[SelectionDecision, PayloadKind]:
+    return SelectionDecision(verdict, None, selection), VERDICT_TO_KIND[verdict]
+
+
+# A rejection carries nothing of its frame, so all frames rejected by one
+# gate share one immutable decision (the budget gate keeps the mark).
+_REJECT_BLUR = _rejection(Verdict.REJECT_BLUR)
+_REJECT_NO_TEXT = _rejection(Verdict.REJECT_NO_TEXT)
+_REJECT_SIMILAR = _rejection(Verdict.REJECT_SIMILAR)
+_REJECT_BUDGET = (_rejection(Verdict.REJECT_BUDGET), _rejection(Verdict.REJECT_BUDGET, True))
 
 # Minimum detection confidence per class for the ROI gate.
 CLASS_THRESHOLDS = {c: 0.5 for c in DetectionClass}
@@ -311,6 +329,9 @@ class SelectorConfig:
 @dataclass
 class SelectorState:
     last_accepted_sig: tuple[float, ...] | None = None
+    # signature_norm(last_accepted_sig): each similarity test then sums
+    # only the new frame's squares.
+    last_accepted_norm: float = 0.0
     # (ts_ms, word count) of accepted frames inside the budget window.
     window: deque = field(default_factory=deque)
 
@@ -327,31 +348,29 @@ def process_frame(
 
     Frames must be presented in trace order; the state is single-writer.
     """
-    def reject(verdict: Verdict, selection: bool = False) -> tuple[SelectionDecision, PayloadKind, SelectorState]:
-        decision = SelectionDecision(verdict=verdict, roi=None, selection=selection)
-        return decision, decision.payload_kind, state
-
     if classify_blur(blur_features(frame), config.tree) is BlurLabel.BLURRY:
-        return reject(Verdict.REJECT_BLUR)
+        return (*_REJECT_BLUR, state)
 
     choice = select_roi(frame.detections, CLASS_THRESHOLDS)
     if choice is None:
-        return reject(Verdict.REJECT_NO_TEXT)
+        return (*_REJECT_NO_TEXT, state)
     selected = choice.selection or frame.user_selection
 
+    sig = frame.scene_sig
+    norm = None
     if not selected and state.last_accepted_sig is not None:
-        sim = scene_similarity(frame.scene_sig, state.last_accepted_sig)
+        norm = signature_norm(sig)
+        sim = _cosine(sig, norm, state.last_accepted_sig, state.last_accepted_norm)
         if sim >= config.similarity_threshold:
-            return reject(Verdict.REJECT_SIMILAR)
+            return (*_REJECT_SIMILAR, state)
 
-    words = len(frame.gt_words)
     if state.window_words(frame.ts_ms, config.budget_window_ms) >= config.budget_words:
-        return reject(Verdict.REJECT_BUDGET, selection=selected)
+        return (*_REJECT_BUDGET[selected], state)
 
-    state.last_accepted_sig = frame.scene_sig
-    state.window.append((frame.ts_ms, words))
-    decision = SelectionDecision(verdict=Verdict.RUN_OCR, roi=choice.roi, selection=selected)
-    return decision, decision.payload_kind, state
+    state.last_accepted_sig = sig
+    state.last_accepted_norm = signature_norm(sig) if norm is None else norm
+    state.window.append((frame.ts_ms, len(frame.gt_words)))
+    return SelectionDecision(Verdict.RUN_OCR, choice.roi, selected), PayloadKind.TEXT_OCR, state
 
 
 @dataclass(frozen=True)
@@ -391,10 +410,11 @@ def pct_change(count: int, base: int) -> float:
 def stage_report(decisions: Sequence[SelectionDecision]) -> StageReport:
     """Surviving frame counts after each gate, budget rejections aside."""
     n = len(decisions)
-    blur = sum(1 for d in decisions if d.verdict is Verdict.REJECT_BLUR)
-    no_text = sum(1 for d in decisions if d.verdict is Verdict.REJECT_NO_TEXT)
-    similar = sum(1 for d in decisions if d.verdict is Verdict.REJECT_SIMILAR)
-    budget = sum(1 for d in decisions if d.verdict is Verdict.REJECT_BUDGET)
+    verdicts = Counter(d.verdict for d in decisions)
+    blur = verdicts[Verdict.REJECT_BLUR]
+    no_text = verdicts[Verdict.REJECT_NO_TEXT]
+    similar = verdicts[Verdict.REJECT_SIMILAR]
+    budget = verdicts[Verdict.REJECT_BUDGET]
     return StageReport(
         input_count=n,
         after_blur=n - blur,

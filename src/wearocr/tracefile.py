@@ -103,17 +103,23 @@ class TraceSpec:
 def generate_frames(spec: TraceSpec) -> list[FrameRecord]:
     """Deterministic synthetic trace; see module docstring for the scheme."""
     rng = random.Random(spec.seed)
+    # Each ``rng.uniform(a, b)`` is written out as CPython defines it,
+    # ``a + (b - a) * rng.random()``, with ``b - a`` folded and a zero ``a``
+    # dropped: the same draws in the same order give the same floats.
+    uniform01 = rng.random
     count = int(spec.duration_s * spec.fps)
     frames: list[FrameRecord] = []
     scene_index = 0
     scene_sig: tuple[float, ...] | None = None
     scene_words: tuple[str, ...] = ()
     prev_ts = -1
+    imu_offsets_us = (0, spec.exposure_us // 3, 2 * spec.exposure_us // 3)
+    text_detections = (Detection(DetectionClass.TEXT_OBJECT, Rect(0.3, 0.3, 0.4, 0.3), 0.9),)
 
     def fresh_sig() -> tuple[float, ...]:
         # One-hot cycling plus jitter: consecutive scenes stay far below
         # any reasonable cosine similarity threshold.
-        base = [rng.uniform(-0.05, 0.05) for _ in range(spec.sig_dim)]
+        base = [-0.05 + 0.1 * uniform01() for _ in range(spec.sig_dim)]
         base[scene_index % spec.sig_dim] += 1.0
         return tuple(base)
 
@@ -121,14 +127,14 @@ def generate_frames(spec: TraceSpec) -> list[FrameRecord]:
         ts_ms = max(prev_ts + 1, round(i * 1000.0 / spec.fps))
         prev_ts = ts_ms
         start_us = ts_ms * 1000
-        blurry = rng.random() < spec.blur_rate
-        has_text = rng.random() < spec.text_density
+        blurry = uniform01() < spec.blur_rate
+        has_text = uniform01() < spec.text_density
         # A text frame either repeats the current scene (rejected by the
         # similarity gate downstream) or opens a fresh one.  Only sharp
         # fresh frames advance the scene: the selector accepts exactly
         # those, keeping its last-accepted signature in lockstep with
         # the generator's current scene.
-        similar = has_text and bool(scene_words) and rng.random() < spec.similar_rate
+        similar = has_text and bool(scene_words) and uniform01() < spec.similar_rate
         if has_text and not similar and not blurry:
             scene_index += 1
             n_words = rng.randint(spec.words_min, spec.words_max)
@@ -139,36 +145,20 @@ def generate_frames(spec: TraceSpec) -> list[FrameRecord]:
             scene_sig = fresh_sig()
             scene_words = ()
 
-        motion = 30.0 + rng.uniform(0.0, 5.0) if blurry else rng.uniform(0.0, 0.5)
-        imu = tuple(
-            ImuSample(
-                ts_us=start_us + j * spec.exposure_us // 3,
-                gyro=(motion, 0.0, 0.0),
-                accel=(0.0, 0.0, rng.uniform(-0.1, 0.1)),
-            )
-            for j in range(3)
-        )
-        detections: tuple[Detection, ...] = ()
-        gt_words: tuple[str, ...] = ()
-        if has_text:
-            detections = (
-                Detection(
-                    cls=DetectionClass.TEXT_OBJECT,
-                    bbox=Rect(0.3, 0.3, 0.4, 0.3),
-                    conf=0.9,
-                ),
-            )
-            gt_words = scene_words
+        gyro = (30.0 + 5.0 * uniform01() if blurry else 0.5 * uniform01(), 0.0, 0.0)
+        imu = tuple([
+            ImuSample(start_us + offset, gyro, (0.0, 0.0, -0.1 + 0.2 * uniform01()))
+            for offset in imu_offsets_us
+        ])
         frames.append(
             FrameRecord(
-                ts_ms=ts_ms,
-                resolution=spec.resolution,
-                exposure_us=spec.exposure_us,
-                imu=imu,
-                detections=detections,
-                scene_sig=scene_sig,
-                gt_words=gt_words,
-                user_selection=False,
+                ts_ms,
+                spec.resolution,
+                spec.exposure_us,
+                imu,
+                text_detections if has_text else (),
+                scene_sig,
+                scene_words if has_text else (),
             )
         )
 
@@ -208,25 +198,22 @@ def frame_to_obj(frame: FrameRecord) -> dict:
 
 def frame_from_obj(obj: dict) -> FrameRecord:
     return FrameRecord(
-        ts_ms=obj["ts_ms"],
-        resolution=Resolution(obj["resolution"]),
-        exposure_us=obj["exposure_us"],
-        imu=tuple(
-            ImuSample(ts_us=s[0], gyro=tuple(s[1]), accel=tuple(s[2]))
-            for s in obj["imu"]
-        ),
-        detections=tuple(
+        obj["ts_ms"],
+        Resolution(obj["resolution"]),
+        obj["exposure_us"],
+        tuple([ImuSample(ts_us, tuple(gyro), tuple(accel)) for ts_us, gyro, accel in obj["imu"]]),
+        tuple([
             Detection(
-                cls=DetectionClass(d["cls"]),
-                bbox=Rect(*d["bbox"]),
-                conf=d["conf"],
-                keypoints=tuple(tuple(k) for k in d["keypoints"]) if "keypoints" in d else None,
+                DetectionClass(d["cls"]),
+                Rect(*d["bbox"]),
+                d["conf"],
+                tuple([tuple(k) for k in d["keypoints"]]) if "keypoints" in d else None,
             )
             for d in obj["detections"]
-        ),
-        scene_sig=tuple(obj["scene_sig"]),
-        gt_words=tuple(obj["gt_words"]),
-        user_selection=obj["user_selection"],
+        ]),
+        tuple(obj["scene_sig"]),
+        tuple(obj["gt_words"]),
+        obj["user_selection"],
     )
 
 
@@ -290,10 +277,19 @@ def write_generated_trace(path: str | Path, spec: TraceSpec) -> list[FrameRecord
 
 
 def _parse_line(path: str | Path, lineno: int, line: str) -> dict:
+    # Lines are decoded with surrogateescape, so a byte that is not
+    # UTF-8 shows up here as a lone surrogate, which cannot re-encode.
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise TraceFormatError(
+                f"{path}:{lineno}: not UTF-8 at character {exc.start + 1}"
+            ) from None
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError(f"{path}:{lineno}: not JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        raise TraceFormatError(f"{path}:{lineno}: not JSON: {getattr(exc, 'msg', exc)}") from None
     if not isinstance(obj, dict):
         raise TraceFormatError(f"{path}:{lineno}: expected an object, got {type(obj).__name__}")
     return obj
@@ -304,10 +300,10 @@ def _read_lines(
 ) -> tuple[dict, list[T]]:
     """Header and converted records; bad input raises ``TraceFormatError``
     as ``path:line: ...`` and the file is closed on every path."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header_line = fh.readline()
         if not header_line:
-            raise TraceFormatError(f"{path}: empty file, missing header")
+            raise TraceFormatError(f"{path}:1: empty file, missing header")
         header = _parse_line(path, 1, header_line)
         if header.get("format") != expected_format:
             raise TraceFormatError(
@@ -317,7 +313,7 @@ def _read_lines(
             raise TraceFormatError(f"{path}:1: unsupported version {header.get('version')!r}")
         records = []
         for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
+            if line.isspace():
                 continue
             obj = _parse_line(path, lineno, line)
             try:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .model import OcrPayload, PayloadKind, QualityFlag, Rect, Resolution, TextSpan, validate_payload
 
@@ -96,7 +95,7 @@ class SessionEnd:
 Body = OcrPayload | VideoSegment | SelectionEvent | SessionStart | SessionEnd
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WireMessage:
     session_id: int
     body: Body
@@ -115,168 +114,176 @@ _MSG_TYPE = {
 }
 _U8, _U32, _U64, _F64 = (struct.Struct(fmt) for fmt in (">B", ">I", ">Q", ">d"))
 _TYPE_NAME = {_U8: "u8", _U32: "u32", _U64: "u64", _F64: "f64"}
+_CODE_KIND = {int(k): k for k in PayloadKind}
 
 
-class _Writer:
-    def __init__(self) -> None:
-        self.parts: list[bytes] = []
+class _Layout:
+    """A fixed run of named fields, packed and unpacked by one precompiled
+    ``struct.Struct``.  On failure the fields are checked one by one, so
+    the error names the first field at fault and that field's offset."""
 
-    def put(self, fmt: struct.Struct, v: int | float, name: str) -> None:
+    def __init__(self, *fields: tuple[str, struct.Struct]):
+        self.fields = fields
+        self.struct = struct.Struct(">" + "".join(fmt.format[1:] for _, fmt in fields))
+        self.size = self.struct.size
+
+    def pack(self, parts: list[bytes], *values: int | float) -> None:
+        """Append the fields to ``parts``, the frame body so far."""
         try:
-            self.parts.append(fmt.pack(v))
+            parts.append(self.struct.pack(*values))
         except struct.error:
-            offset = 4 + sum(map(len, self.parts))
-            raise WireError(
-                f"field {name} cannot be encoded as {_TYPE_NAME[fmt]}: {v!r}", offset
-            ) from None
+            offset = 4 + sum(map(len, parts))
+            for (name, fmt), value in zip(self.fields, values):
+                try:
+                    fmt.pack(value)
+                except struct.error:
+                    raise WireError(
+                        f"field {name} cannot be encoded as {_TYPE_NAME[fmt]}: {value!r}", offset
+                    ) from None
+                offset += fmt.size
+            raise
 
-    def string(self, s: str, name: str) -> None:
-        raw = s.encode("utf-8")
-        self.put(_U32, len(raw), name)
-        self.parts.append(raw)
-
-
-class _Reader:
-    def __init__(self, data: bytes, base_offset: int):
-        self.data = data
-        self.pos = 0
-        self.base = base_offset
-
-    @property
-    def offset(self) -> int:
-        return self.base + self.pos
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CorruptFrameError("body truncated", self.offset)
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def get(self, fmt: struct.Struct) -> int | float:
-        return fmt.unpack(self.take(fmt.size))[0]
-
-    def string(self) -> str:
-        n = self.get(_U32)
-        try:
-            return self.take(n).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorruptFrameError(f"string is not UTF-8: {exc.reason}", self.offset - n) from None
+    def unpack(self, data: bytes, pos: int) -> tuple:
+        """The fields at ``pos``; a frame that ends first is corrupt at the
+        first field past its end."""
+        if pos + self.size > len(data):
+            for _, fmt in self.fields:
+                if pos + fmt.size > len(data):
+                    raise CorruptFrameError("body truncated", pos)
+                pos += fmt.size
+        return self.struct.unpack_from(data, pos)
 
 
-def _encode_span(w: _Writer, span: TextSpan) -> None:
-    w.string(span.text, "span.text")
-    bbox = span.bbox
-    w.put(_F64, bbox.x, "span.bbox.x")
-    w.put(_F64, bbox.y, "span.bbox.y")
-    w.put(_F64, bbox.w, "span.bbox.w")
-    w.put(_F64, bbox.h, "span.bbox.h")
-    w.put(_F64, span.conf, "span.conf")
-
-
-def _decode_span(r: _Reader) -> TextSpan:
-    text = r.string()
-    bbox = Rect(r.get(_F64), r.get(_F64), r.get(_F64), r.get(_F64))
-    return TextSpan(text=text, bbox=bbox, conf=r.get(_F64))
+# Every frame starts with its length (u32) and this header.
+_HEAD = _Layout(("msg_type", _U8), ("session_id", _U64))
+# OcrPayload: the kind, then fixed fields, flag codes (u8 each) and spans.
+_KIND = _Layout(("kind", _U8))
+_OCR_FIELDS = _Layout(("frame_ts_ms", _U64), ("selection", _U8), ("quality_flags count", _U32))
+_SPANS_COUNT = _Layout(("spans count", _U32))
+# A span: text length, UTF-8 text, then box and confidence.
+_TEXT_LENGTH = _Layout(("span.text", _U32))
+_SPAN_BOX = _Layout(*((f"span.{name}", _F64) for name in ("bbox.x", "bbox.y", "bbox.w", "bbox.h", "conf")))
+# VideoSegment; decode checks the resolution code before the bitrate.
+_VIDEO_FIELDS = _Layout(("start_ms", _U64), ("duration_ms", _U64), ("fps", _F64), ("resolution", _U8))
+_BITRATE = _Layout(("bitrate_bps", _U64))
+_SELECTION_FIELDS = _Layout(("frame_ts_ms", _U64))
+# What encode packs in one go, up to the first variable-length field.
+_OCR_HEAD = _Layout(*_HEAD.fields, ("kind", _U8), ("frame_ts_ms", _U64), ("selection", _U8))
+_VIDEO_HEAD = _Layout(*_HEAD.fields, *_VIDEO_FIELDS.fields, *_BITRATE.fields)
+_SELECTION_HEAD = _Layout(*_HEAD.fields, *_SELECTION_FIELDS.fields)
 
 
 def encode(msg: WireMessage) -> bytes:
     """The frame for ``msg``; ``WireError`` names a field out of its range."""
-    w = _Writer()
-    w.put(_U8, msg.msg_type, "msg_type")
-    w.put(_U64, msg.session_id, "session_id")
     body = msg.body
-    if isinstance(body, OcrPayload):
-        w.put(_U8, int(body.kind), "kind")
-        w.put(_U64, body.frame_ts_ms, "frame_ts_ms")
-        w.put(_U8, 1 if body.selection else 0, "selection")
-        flags = sorted(_FLAG_CODE[f] for f in body.quality_flags)
-        w.put(_U32, len(flags), "quality_flags count")
-        for code in flags:
-            w.put(_U8, code, "quality_flag")
-        w.put(_U32, len(body.spans), "spans count")
+    msg_type = msg.msg_type
+    parts: list[bytes] = []
+    if msg_type == MSG_OCR_PAYLOAD:
+        _OCR_HEAD.pack(
+            parts, msg_type, msg.session_id, int(body.kind), body.frame_ts_ms,
+            1 if body.selection else 0,
+        )
+        codes = sorted([_FLAG_CODE[f] for f in body.quality_flags])
+        parts.append(_U32.pack(len(codes)) + bytes(codes) + _U32.pack(len(body.spans)))
         for span in body.spans:
-            _encode_span(w, span)
-    elif isinstance(body, VideoSegment):
-        w.put(_U64, body.start_ms, "start_ms")
-        w.put(_U64, body.duration_ms, "duration_ms")
-        w.put(_F64, body.fps, "fps")
-        w.put(_U8, _RESOLUTION_CODE[body.resolution], "resolution")
-        w.put(_U64, body.bitrate_bps, "bitrate_bps")
-    elif isinstance(body, SelectionEvent):
-        w.put(_U64, body.frame_ts_ms, "frame_ts_ms")
-    # SessionStart / SessionEnd carry no fields.
-    payload = b"".join(w.parts)
-    return _U32.pack(len(payload)) + payload
+            raw = span.text.encode("utf-8")
+            _TEXT_LENGTH.pack(parts, len(raw))
+            parts.append(raw)
+            bbox = span.bbox
+            _SPAN_BOX.pack(parts, bbox.x, bbox.y, bbox.w, bbox.h, span.conf)
+    elif msg_type == MSG_VIDEO_SEGMENT:
+        _VIDEO_HEAD.pack(
+            parts, msg_type, msg.session_id, body.start_ms, body.duration_ms, body.fps,
+            _RESOLUTION_CODE[body.resolution], body.bitrate_bps,
+        )
+    elif msg_type == MSG_SELECTION_EVENT:
+        _SELECTION_HEAD.pack(parts, msg_type, msg.session_id, body.frame_ts_ms)
+    else:  # SessionStart / SessionEnd carry no fields.
+        _HEAD.pack(parts, msg_type, msg.session_id)
+    frame_body = b"".join(parts)
+    return _U32.pack(len(frame_body)) + frame_body
 
 
 def decode(data: bytes) -> WireMessage:
-    if len(data) < 4:
-        raise IncompleteFrameError("missing length header", len(data))
+    size = len(data)
+    if size < 4:
+        raise IncompleteFrameError("missing length header", size)
     body_len = _U32.unpack_from(data)[0]
-    if len(data) < 4 + body_len:
-        raise IncompleteFrameError("frame shorter than declared length", len(data))
-    if len(data) > 4 + body_len:
+    if size < 4 + body_len:
+        raise IncompleteFrameError("frame shorter than declared length", size)
+    if size > 4 + body_len:
         raise CorruptFrameError("trailing bytes after frame", 4 + body_len)
     if body_len < 9:
         raise CorruptFrameError("body too short for header", 4)
-    r = _Reader(data[4 : 4 + body_len], base_offset=4)
-    msg_type = r.get(_U8)
-    session_id = r.get(_U64)
+    # From here on the frame ends exactly where its body does.
+    msg_type, session_id = _HEAD.unpack(data, 4)
+    pos = 4 + _HEAD.size
     body: Body
     if msg_type == MSG_OCR_PAYLOAD:
-        fields_at = r.offset
-        kind_code = r.get(_U8)
-        try:
-            kind = PayloadKind(kind_code)
-        except ValueError:
-            raise CorruptFrameError(f"unknown payload kind {kind_code}", r.offset - 1) from None
-        frame_ts = r.get(_U64)
-        selection = r.get(_U8) != 0
-        flags = set()
-        for _ in range(r.get(_U32)):
-            code = r.get(_U8)
+        fields_at = pos
+        (kind_code,) = _KIND.unpack(data, pos)
+        kind = _CODE_KIND.get(kind_code)
+        if kind is None:
+            raise CorruptFrameError(f"unknown payload kind {kind_code}", pos)
+        frame_ts, selection, n_flags = _OCR_FIELDS.unpack(data, pos + 1)
+        pos += 1 + _OCR_FIELDS.size
+        codes = data[pos : pos + n_flags]
+        for i, code in enumerate(codes):
             if code not in _CODE_FLAG:
-                raise CorruptFrameError(f"unknown quality flag {code}", r.offset - 1)
-            flags.add(_CODE_FLAG[code])
-        spans = tuple(_decode_span(r) for _ in range(r.get(_U32)))
+                raise CorruptFrameError(f"unknown quality flag {code}", pos + i)
+        if len(codes) < n_flags:
+            raise CorruptFrameError("body truncated", pos + len(codes))
+        pos += n_flags
+        (n_spans,) = _SPANS_COUNT.unpack(data, pos)
+        pos += _SPANS_COUNT.size
+        spans = []
+        for _ in range(n_spans):
+            (n,) = _TEXT_LENGTH.unpack(data, pos)
+            pos += _TEXT_LENGTH.size
+            if pos + n > size:
+                raise CorruptFrameError("body truncated", pos)
+            try:
+                text = data[pos : pos + n].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorruptFrameError(f"string is not UTF-8: {exc.reason}", pos) from None
+            pos += n
+            x, y, w, h, conf = _SPAN_BOX.unpack(data, pos)
+            pos += _SPAN_BOX.size
+            spans.append(TextSpan(text, Rect(x, y, w, h), conf))
         body = OcrPayload(
-            kind=kind, frame_ts_ms=frame_ts, spans=spans,
-            selection=selection, quality_flags=frozenset(flags),
+            kind, frame_ts, tuple(spans), selection != 0, frozenset([_CODE_FLAG[c] for c in codes])
         )
         violations = validate_payload(body)
         if violations:
             raise CorruptFrameError(f"invalid payload: {violations[0]}", fields_at)
     elif msg_type == MSG_VIDEO_SEGMENT:
-        fields_at = r.offset
-        start_ms = r.get(_U64)
-        duration_ms = r.get(_U64)
-        fps = r.get(_F64)
-        res_code = r.get(_U8)
+        fields_at = pos
+        start_ms, duration_ms, fps, res_code = _VIDEO_FIELDS.unpack(data, pos)
+        pos += _VIDEO_FIELDS.size
         if res_code not in _CODE_RESOLUTION:
-            raise CorruptFrameError(f"unknown resolution code {res_code}", r.offset - 1)
-        bitrate_bps = r.get(_U64)
+            raise CorruptFrameError(f"unknown resolution code {res_code}", pos - 1)
+        (bitrate_bps,) = _BITRATE.unpack(data, pos)
+        pos += _BITRATE.size
         try:
-            body = VideoSegment(
-                start_ms=start_ms, duration_ms=duration_ms, fps=fps,
-                resolution=_CODE_RESOLUTION[res_code], bitrate_bps=bitrate_bps,
-            )
+            body = VideoSegment(start_ms, duration_ms, fps, _CODE_RESOLUTION[res_code], bitrate_bps)
         except ValueError as exc:
             raise CorruptFrameError(f"invalid video segment: {exc}", fields_at) from None
     elif msg_type == MSG_SELECTION_EVENT:
-        body = SelectionEvent(frame_ts_ms=r.get(_U64))
+        (frame_ts,) = _SELECTION_FIELDS.unpack(data, pos)
+        pos += _SELECTION_FIELDS.size
+        body = SelectionEvent(frame_ts)
     elif msg_type == MSG_SESSION_START:
         body = SessionStart()
     elif msg_type == MSG_SESSION_END:
         body = SessionEnd()
     else:
         raise UnsupportedTypeError(f"unsupported message type {msg_type}", 4)
-    if r.pos != body_len:
-        raise CorruptFrameError("body length mismatch", r.offset)
-    return WireMessage(session_id=session_id, body=body)
+    if pos != size:
+        raise CorruptFrameError("body length mismatch", pos)
+    return WireMessage(session_id, body)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UplinkLedger:
     """Exact per-session bit accounting for the simulated uplink."""
 
@@ -285,41 +292,14 @@ class UplinkLedger:
     message_count: int = 0
 
 
-def account(
-    ledger: UplinkLedger, msg: WireMessage, frame: bytes | None = None
-) -> UplinkLedger:
-    """Charge one message to the ledger.
+def account(ledger: UplinkLedger, msg: WireMessage, frame: bytes) -> UplinkLedger:
+    """Charge one message, whose encoding is ``frame``, to the ledger.
 
-    Every message is charged its encoded length in bits; ``frame`` is
-    ``encode(msg)`` when the caller already has it.  A video segment
+    Every message is charged its encoded length in bits.  A video segment
     additionally charges its simulated stream (bitrate x duration); the
     descriptor itself only counts its bytes.
     """
-    if frame is None:
-        frame = encode(msg)
     video = ledger.video_bits
     if isinstance(msg.body, VideoSegment):
         video += Fraction(msg.body.bitrate_bps * msg.body.duration_ms, 1000)
-    return UplinkLedger(
-        video_bits=video,
-        payload_bits=ledger.payload_bits + len(frame) * 8,
-        message_count=ledger.message_count + 1,
-    )
-
-
-def account_all(ledger: UplinkLedger, msgs: Iterable[WireMessage]) -> UplinkLedger:
-    for msg in msgs:
-        ledger = account(ledger, msg)
-    return ledger
-
-
-def total_bits(ledger: UplinkLedger) -> Fraction:
-    return ledger.video_bits + ledger.payload_bits
-
-
-def merge(a: UplinkLedger, b: UplinkLedger) -> UplinkLedger:
-    return UplinkLedger(
-        video_bits=a.video_bits + b.video_bits,
-        payload_bits=a.payload_bits + b.payload_bits,
-        message_count=a.message_count + b.message_count,
-    )
+    return UplinkLedger(video, ledger.payload_bits + len(frame) * 8, ledger.message_count + 1)

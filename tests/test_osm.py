@@ -100,7 +100,6 @@ class TestIngestAndGrouping:
         timeline.ingest(text_payload(15, "GATE B12", selection=True))
         groups = timeline.groups()
         assert len(groups) == 2
-        assert timeline.latest_selection_ts == 15
 
     def test_dissimilar_payloads_stay_apart(self):
         timeline = SessionTimeline()

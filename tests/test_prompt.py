@@ -16,7 +16,6 @@ from wearocr.prompt import (
     dedup_prompt_ocr,
     plan_frames,
     render_frame_ref,
-    render_ocr_block,
     render_ocr_line,
 )
 
@@ -134,12 +133,6 @@ class TestRenderOcr:
 
     def test_selected_suffix(self):
         assert "flags=none;selected]" in render_ocr_line(entry(9, "x", selected=True))
-
-    def test_block_ascending_and_stable(self):
-        entries = [entry(300, "later"), entry(100, "earlier")]
-        block = render_ocr_block(entries)
-        assert block == "[OCR t=100ms flags=none] earlier\n[OCR t=300ms flags=none] later"
-        assert render_ocr_block(entries) == block
 
     def test_frame_ref_format(self):
         assert render_frame_ref(2500, Resolution.MP12) == "[FRAME t=2500ms res=MP12]"

@@ -11,7 +11,6 @@ from wearocr.replay import ReplayError, ShuffleConfig, SimConfig, emit_report, r
 from wearocr.selection import REFERENCE_TREE_CONFIG, SelectorConfig
 from wearocr.tracefile import TraceSpec, generate_frames
 from wearocr import wire
-from wearocr.wire import total_bits
 
 
 def make_frames(seed=5, duration_s=60):
@@ -82,7 +81,7 @@ class TestReplay:
         assert ledger.video_bits == 500_000 * duration_ms / 1000
         # SessionStart + VideoSegment + one payload per frame + SessionEnd.
         assert ledger.message_count == len(frames) + 3
-        assert total_bits(ledger) > ledger.video_bits
+        assert ledger.payload_bits > 0
 
     def test_power_uses_configured_rows(self):
         result = replay(make_frames(), [])
@@ -203,11 +202,25 @@ class TestSimConfig:
                 {"selector": {"tree": {"nodes": [{"feature": "exposure_us", "left": 0, "right": 0}]}}},
                 r"config selector.tree: nodes\[0\].threshold: None is not a number",
             ),
+            ({"seed": 2**63}, r"config seed: seed must be in \[-2\*\*63, 2\*\*63\)"),
+            ({"seed": -(2**63) - 1}, "config seed: seed must be in"),
+            ({"stream": {"bitrate_bps": 0}}, "config stream.bitrate_bps: bitrate_bps must be at least 1"),
+            ({"stream": {"fps": 0}}, "config stream.fps: fps must be at least 1"),
+            ({"session_id": -1}, r"config session_id: session_id must be in \[0, 2\*\*64\)"),
+            ({"session_id": 2**64}, "config session_id: session_id must be in"),
         ],
     )
     def test_unknown_or_malformed_key_rejected(self, obj, message):
         with pytest.raises(ValueError, match=message):
             SimConfig.from_obj(obj)
+
+    def test_integer_range_bounds_accepted(self):
+        stream = SimConfig.from_obj({"stream": {"fps": 1, "bitrate_bps": 1}}).stream
+        assert (stream.fps, stream.bitrate_bps) == (1, 1)
+        for seed, session_id in ((-(2**63), 0), (2**63 - 1, 2**64 - 1)):
+            config = SimConfig.from_obj({"seed": seed, "session_id": session_id})
+            result = replay(make_frames(duration_s=5), make_queries()[:1], config)
+            assert result.report.ledger.message_count == 13
 
 
 class TestEmitReport:

@@ -1,14 +1,33 @@
+import functools
 import json
+import re
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wearocr import tracefile
-from wearocr.model import QueryMode, QueryRecord, validate_trace
+from wearocr.model import (
+    Detection,
+    DetectionClass,
+    FrameRecord,
+    ImuSample,
+    QueryMode,
+    QueryRecord,
+    Rect,
+    Resolution,
+    validate_trace,
+)
 from wearocr.tracefile import (
     FORMAT_VERSION,
     TRACE_FORMAT,
     TraceFormatError,
     TraceSpec,
+    frame_from_obj,
+    frame_to_obj,
     generate_frames,
     read_queries,
     read_trace,
@@ -170,3 +189,109 @@ class TestFileRoundTrip:
             fh.write("[1, 2]\n")
         with pytest.raises(TraceFormatError, match=r"queries\.ndjson:2: expected an object"):
             read_queries(path)
+
+    def test_non_utf8_byte_names_the_line(self, tmp_path):
+        path = tmp_path / "trace.ndjson"
+        write_trace(path, generate_frames(SPEC))
+        data = bytearray(path.read_bytes())
+        third_line = data.index(b"\n", data.index(b"\n") + 1) + 1
+        data[third_line + 5] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceFormatError, match=r"trace\.ndjson:3: not UTF-8 at character 6"):
+            read_trace(path)
+
+    def test_non_utf8_query_header_names_line_one(self, tmp_path):
+        path = tmp_path / "queries.ndjson"
+        path.write_bytes(b'{"format":"wearocr-\xc3\x28queries","version":1}\n')
+        with pytest.raises(TraceFormatError, match=r"queries\.ndjson:1: not UTF-8"):
+            read_queries(path)
+
+
+# -- frames through the trace format ------------------------------------------
+
+finite = st.floats(allow_nan=False)
+points = st.tuples(finite, finite)
+
+
+def detections():
+    return st.builds(
+        Detection,
+        st.sampled_from(list(DetectionClass)),
+        st.builds(Rect, finite, finite, finite, finite),
+        finite,
+        st.one_of(st.none(), st.lists(points, max_size=4).map(tuple)),
+    )
+
+
+def frames():
+    vec3 = st.tuples(finite, finite, finite)
+    return st.builds(
+        FrameRecord,
+        st.integers(min_value=0, max_value=2**53),
+        st.sampled_from(list(Resolution)),
+        st.integers(min_value=0, max_value=2**40),
+        st.lists(st.builds(ImuSample, st.integers(min_value=0, max_value=2**53), vec3, vec3), max_size=4).map(tuple),
+        st.lists(detections(), max_size=3).map(tuple),
+        st.lists(finite, max_size=16).map(tuple),
+        st.lists(st.text(max_size=8), max_size=5).map(tuple),
+        st.booleans(),
+    )
+
+
+@given(frames())
+@settings(max_examples=150)
+def test_frame_round_trips_through_obj_and_json(frame):
+    obj = frame_to_obj(frame)
+    assert frame_from_obj(obj) == frame
+    assert frame_from_obj(json.loads(json.dumps(obj))) == frame
+
+
+# -- mutated and truncated files -------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def valid_files() -> dict[str, bytes]:
+    """A short trace with text, hand and keypoint detections, and its queries."""
+    frames = generate_frames(SPEC)[:6]
+    frames[1] = replace(
+        frames[1],
+        detections=(
+            Detection(DetectionClass.HAND_POINTING, Rect(0.1, 0.1, 0.2, 0.2), 0.8, ((0.1, 0.2), (0.3, 0.4))),
+            Detection(DetectionClass.HAND_HOLDING, Rect(0.5, 0.5, 0.2, 0.2), 0.7),
+        ),
+    )
+    queries = [
+        QueryRecord(1_000, 500, "What gate?", QueryMode.QA),
+        QueryRecord(2_000, 1_500, "Traduis ça", QueryMode.TRANSLATION, "Español"),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_trace(Path(tmp) / "f", frames)
+        trace = (Path(tmp) / "f").read_bytes()
+        write_queries(Path(tmp) / "f", queries)
+        return {"trace": trace, "queries": (Path(tmp) / "f").read_bytes()}
+
+
+READERS = {"trace": read_trace, "queries": read_queries}
+# Bytes that keep JSON structure plausible, so edits reach the records.
+JSONISH = st.sampled_from(b'0123456789-.eE"[]{},: \ntruefalsn')
+
+
+@given(
+    st.sampled_from(sorted(READERS)),
+    st.lists(st.tuples(st.integers(min_value=0), st.one_of(st.integers(0, 255), JSONISH)), max_size=4),
+    st.one_of(st.none(), st.integers(min_value=0)),
+)
+@settings(max_examples=400, deadline=None)
+def test_mutated_or_truncated_files_raise_only_trace_format_errors(kind, edits, cut):
+    data = bytearray(valid_files()[kind])
+    for position, value in edits:
+        data[position % len(data)] = value
+    if cut is not None:
+        data = data[: cut % (len(data) + 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{kind}.ndjson"
+        path.write_bytes(bytes(data))
+        try:
+            READERS[kind](path)
+        except TraceFormatError as exc:
+            assert re.match(re.escape(str(path)) + r":\d+: ", str(exc)), str(exc)

@@ -1,11 +1,12 @@
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wearocr import wire
-from wearocr.model import OcrPayload, PayloadKind, QualityFlag, Rect, Resolution, TextSpan
+from wearocr.model import OcrPayload, PayloadKind, QualityFlag, Rect, Resolution, TextSpan, validate_payload
 
 # Golden frame for the documented wire layout: a two-span text payload
 # with a selection mark and two quality flags.  Must never change.
@@ -221,6 +222,258 @@ class TestCodec:
         assert isinstance(decoded, wire.WireMessage)
 
 
+# -- field-by-field reference codec ---------------------------------------
+#
+# A reference codec with one ``struct`` call per field, each with its own
+# range check (writer) or truncation check (reader).  ``wire`` packs and
+# unpacks whole runs of fields at once; these properties hold it to the
+# same bytes, the same decoded messages and the same error texts and
+# offsets as this reference.
+
+_ORACLE_U8, _ORACLE_U32, _ORACLE_U64, _ORACLE_F64 = (
+    struct.Struct(fmt) for fmt in (">B", ">I", ">Q", ">d")
+)
+_ORACLE_TYPE_NAME = {_ORACLE_U8: "u8", _ORACLE_U32: "u32", _ORACLE_U64: "u64", _ORACLE_F64: "f64"}
+_ORACLE_MSG_TYPE = {
+    OcrPayload: 1, wire.VideoSegment: 2, wire.SelectionEvent: 3, wire.SessionStart: 4, wire.SessionEnd: 5,
+}
+_ORACLE_RESOLUTION = {Resolution.MP3: 1, Resolution.MP5: 2, Resolution.MP12: 3}
+_ORACLE_FLAG = {
+    QualityFlag.BLURRY: 1, QualityFlag.UPSIDE_DOWN: 2, QualityFlag.CROPPED: 3, QualityFlag.POOR_LIGHTING: 4,
+}
+
+
+class OracleWriter:
+    def __init__(self):
+        self.parts = []
+
+    def put(self, fmt, v, name):
+        try:
+            self.parts.append(fmt.pack(v))
+        except struct.error:
+            offset = 4 + sum(map(len, self.parts))
+            raise wire.WireError(
+                f"field {name} cannot be encoded as {_ORACLE_TYPE_NAME[fmt]}: {v!r}", offset
+            ) from None
+
+    def string(self, s, name):
+        raw = s.encode("utf-8")
+        self.put(_ORACLE_U32, len(raw), name)
+        self.parts.append(raw)
+
+
+def oracle_encode(msg):
+    w = OracleWriter()
+    w.put(_ORACLE_U8, _ORACLE_MSG_TYPE[type(msg.body)], "msg_type")
+    w.put(_ORACLE_U64, msg.session_id, "session_id")
+    body = msg.body
+    if isinstance(body, OcrPayload):
+        w.put(_ORACLE_U8, int(body.kind), "kind")
+        w.put(_ORACLE_U64, body.frame_ts_ms, "frame_ts_ms")
+        w.put(_ORACLE_U8, 1 if body.selection else 0, "selection")
+        flags = sorted(_ORACLE_FLAG[f] for f in body.quality_flags)
+        w.put(_ORACLE_U32, len(flags), "quality_flags count")
+        for code in flags:
+            w.put(_ORACLE_U8, code, "quality_flag")
+        w.put(_ORACLE_U32, len(body.spans), "spans count")
+        for span in body.spans:
+            w.string(span.text, "span.text")
+            w.put(_ORACLE_F64, span.bbox.x, "span.bbox.x")
+            w.put(_ORACLE_F64, span.bbox.y, "span.bbox.y")
+            w.put(_ORACLE_F64, span.bbox.w, "span.bbox.w")
+            w.put(_ORACLE_F64, span.bbox.h, "span.bbox.h")
+            w.put(_ORACLE_F64, span.conf, "span.conf")
+    elif isinstance(body, wire.VideoSegment):
+        w.put(_ORACLE_U64, body.start_ms, "start_ms")
+        w.put(_ORACLE_U64, body.duration_ms, "duration_ms")
+        w.put(_ORACLE_F64, body.fps, "fps")
+        w.put(_ORACLE_U8, _ORACLE_RESOLUTION[body.resolution], "resolution")
+        w.put(_ORACLE_U64, body.bitrate_bps, "bitrate_bps")
+    elif isinstance(body, wire.SelectionEvent):
+        w.put(_ORACLE_U64, body.frame_ts_ms, "frame_ts_ms")
+    payload = b"".join(w.parts)
+    return _ORACLE_U32.pack(len(payload)) + payload
+
+
+class OracleReader:
+    def __init__(self, data, base_offset):
+        self.data = data
+        self.pos = 0
+        self.base = base_offset
+
+    @property
+    def offset(self):
+        return self.base + self.pos
+
+    def take(self, n):
+        if self.pos + n > len(self.data):
+            raise wire.CorruptFrameError("body truncated", self.offset)
+        chunk = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return chunk
+
+    def get(self, fmt):
+        return fmt.unpack(self.take(fmt.size))[0]
+
+    def string(self):
+        n = self.get(_ORACLE_U32)
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise wire.CorruptFrameError(f"string is not UTF-8: {exc.reason}", self.offset - n) from None
+
+
+def oracle_decode(data):
+    code_flag = {v: k for k, v in _ORACLE_FLAG.items()}
+    code_resolution = {v: k for k, v in _ORACLE_RESOLUTION.items()}
+    if len(data) < 4:
+        raise wire.IncompleteFrameError("missing length header", len(data))
+    body_len = _ORACLE_U32.unpack_from(data)[0]
+    if len(data) < 4 + body_len:
+        raise wire.IncompleteFrameError("frame shorter than declared length", len(data))
+    if len(data) > 4 + body_len:
+        raise wire.CorruptFrameError("trailing bytes after frame", 4 + body_len)
+    if body_len < 9:
+        raise wire.CorruptFrameError("body too short for header", 4)
+    r = OracleReader(data[4 : 4 + body_len], base_offset=4)
+    msg_type = r.get(_ORACLE_U8)
+    session_id = r.get(_ORACLE_U64)
+    if msg_type == 1:
+        fields_at = r.offset
+        kind_code = r.get(_ORACLE_U8)
+        try:
+            kind = PayloadKind(kind_code)
+        except ValueError:
+            raise wire.CorruptFrameError(f"unknown payload kind {kind_code}", r.offset - 1) from None
+        frame_ts = r.get(_ORACLE_U64)
+        selection = r.get(_ORACLE_U8) != 0
+        flags = set()
+        for _ in range(r.get(_ORACLE_U32)):
+            code = r.get(_ORACLE_U8)
+            if code not in code_flag:
+                raise wire.CorruptFrameError(f"unknown quality flag {code}", r.offset - 1)
+            flags.add(code_flag[code])
+        spans = []
+        for _ in range(r.get(_ORACLE_U32)):
+            text = r.string()
+            bbox = Rect(r.get(_ORACLE_F64), r.get(_ORACLE_F64), r.get(_ORACLE_F64), r.get(_ORACLE_F64))
+            spans.append(TextSpan(text=text, bbox=bbox, conf=r.get(_ORACLE_F64)))
+        body = OcrPayload(
+            kind=kind, frame_ts_ms=frame_ts, spans=tuple(spans),
+            selection=selection, quality_flags=frozenset(flags),
+        )
+        violations = validate_payload(body)
+        if violations:
+            raise wire.CorruptFrameError(f"invalid payload: {violations[0]}", fields_at)
+    elif msg_type == 2:
+        fields_at = r.offset
+        start_ms = r.get(_ORACLE_U64)
+        duration_ms = r.get(_ORACLE_U64)
+        fps = r.get(_ORACLE_F64)
+        res_code = r.get(_ORACLE_U8)
+        if res_code not in code_resolution:
+            raise wire.CorruptFrameError(f"unknown resolution code {res_code}", r.offset - 1)
+        bitrate_bps = r.get(_ORACLE_U64)
+        try:
+            body = wire.VideoSegment(
+                start_ms=start_ms, duration_ms=duration_ms, fps=fps,
+                resolution=code_resolution[res_code], bitrate_bps=bitrate_bps,
+            )
+        except ValueError as exc:
+            raise wire.CorruptFrameError(f"invalid video segment: {exc}", fields_at) from None
+    elif msg_type == 3:
+        body = wire.SelectionEvent(frame_ts_ms=r.get(_ORACLE_U64))
+    elif msg_type == 4:
+        body = wire.SessionStart()
+    elif msg_type == 5:
+        body = wire.SessionEnd()
+    else:
+        raise wire.UnsupportedTypeError(f"unsupported message type {msg_type}", 4)
+    if r.pos != body_len:
+        raise wire.CorruptFrameError("body length mismatch", r.offset)
+    return wire.WireMessage(session_id=session_id, body=body)
+
+
+def codec_outcome(fn, arg):
+    """What ``fn(arg)`` returns, or the type, text and offset of its error.
+
+    Values are compared by ``repr`` so that a decoded NaN matches itself.
+    """
+    try:
+        return "value", repr(fn(arg))
+    except wire.WireError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+def wide_ints():
+    # Mostly in range, often just outside a u8/u64 field's range.
+    return st.one_of(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.sampled_from([-1, 256, 2**64, -(2**63)]),
+        st.integers(min_value=-(2**70), max_value=2**70),
+    )
+
+
+def loose_messages():
+    """Messages whose integer and float fields may not fit the layout."""
+    loose_float = st.one_of(st.floats(), st.sampled_from(["high", None]))
+    span = st.builds(
+        TextSpan, text=texts(),
+        bbox=st.builds(Rect, loose_float, loose_float, loose_float, loose_float),
+        conf=loose_float,
+    )
+    payload = st.builds(
+        OcrPayload,
+        kind=st.sampled_from(list(PayloadKind)),
+        frame_ts_ms=wide_ints(),
+        spans=st.lists(span, max_size=3).map(tuple),
+        selection=st.booleans(),
+        quality_flags=st.frozensets(st.sampled_from(list(QualityFlag))),
+    )
+    positive = st.one_of(st.integers(min_value=1, max_value=2**64 - 1), st.just(2**64))
+    segment_body = st.builds(
+        wire.VideoSegment, start_ms=wide_ints(), duration_ms=positive, fps=st.floats(),
+        resolution=st.sampled_from(list(Resolution)), bitrate_bps=positive,
+    )
+    body = st.one_of(
+        payload, segment_body, st.builds(wire.SelectionEvent, frame_ts_ms=wide_ints()),
+        st.just(wire.SessionStart()), st.just(wire.SessionEnd()),
+    )
+    return st.builds(wire.WireMessage, session_id=wide_ints(), body=body)
+
+
+class TestAgainstFieldByFieldCodec:
+    @given(messages())
+    @settings(max_examples=300)
+    def test_encode_bytes_match(self, msg):
+        assert wire.encode(msg) == oracle_encode(msg)
+
+    @given(loose_messages())
+    @settings(max_examples=500)
+    def test_encode_errors_match(self, msg):
+        assert codec_outcome(wire.encode, msg) == codec_outcome(oracle_encode, msg)
+
+    @given(
+        messages(),
+        st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)), max_size=3),
+        st.one_of(st.none(), st.integers(min_value=0)),
+        st.booleans(),
+    )
+    @settings(max_examples=500)
+    def test_decode_of_mutated_frames_matches(self, msg, edits, cut, relabel):
+        frame = bytearray(wire.encode(msg))
+        for position, value in edits:
+            frame[position % len(frame)] = value
+        if cut is not None:
+            frame = frame[: cut % (len(frame) + 1)]
+        if relabel and len(frame) >= 4:
+            # Declare the length the frame now has, so decoding runs into
+            # the cut inside the body.
+            frame[:4] = (len(frame) - 4).to_bytes(4, "big")
+        frame = bytes(frame)
+        assert codec_outcome(wire.decode, frame) == codec_outcome(oracle_decode, frame)
+
+
 def segment(duration_ms, bitrate_bps):
     return wire.WireMessage(
         1,
@@ -231,9 +484,15 @@ def segment(duration_ms, bitrate_bps):
     )
 
 
+def charge(ledger, *msgs):
+    for msg in msgs:
+        ledger = wire.account(ledger, msg, wire.encode(msg))
+    return ledger
+
+
 class TestLedger:
     def test_500kbps_60s_segment(self):
-        ledger = wire.account(wire.UplinkLedger(), segment(60_000, 500_000))
+        ledger = charge(wire.UplinkLedger(), segment(60_000, 500_000))
         assert ledger.video_bits == 30_000_000
 
     def test_zero_duration_rejected_by_invariant(self):
@@ -243,16 +502,10 @@ class TestLedger:
                 resolution=Resolution.MP3, bitrate_bps=500_000,
             )
 
-    def test_account_with_frame_equals_encoding_itself(self):
-        msg = segment(1000, 500_000)
-        assert wire.account(wire.UplinkLedger(), msg, wire.encode(msg)) == wire.account(
-            wire.UplinkLedger(), msg
-        )
-
     def test_payload_bits_additive(self):
         msg = wire.WireMessage(1, OcrPayload(kind=PayloadKind.NO_TEXT, frame_ts_ms=9))
-        once = wire.account(wire.UplinkLedger(), msg)
-        twice = wire.account(once, msg)
+        once = charge(wire.UplinkLedger(), msg)
+        twice = charge(once, msg)
         assert twice.payload_bits == 2 * once.payload_bits
         assert twice.message_count == 2
 
@@ -260,10 +513,14 @@ class TestLedger:
     @settings(max_examples=50)
     def test_concatenation_equals_sum(self, msgs, split):
         split = min(split, len(msgs))
-        whole = wire.account_all(wire.UplinkLedger(), msgs)
-        left = wire.account_all(wire.UplinkLedger(), msgs[:split])
-        right = wire.account_all(wire.UplinkLedger(), msgs[split:])
-        assert wire.merge(left, right) == whole
+        whole = charge(wire.UplinkLedger(), *msgs)
+        left = charge(wire.UplinkLedger(), *msgs[:split])
+        right = charge(wire.UplinkLedger(), *msgs[split:])
+        assert whole == wire.UplinkLedger(
+            left.video_bits + right.video_bits,
+            left.payload_bits + right.payload_bits,
+            left.message_count + right.message_count,
+        )
 
     def test_hybrid_cheaper_than_full_stream(self):
         # One-second session, default budget: low-res stream plus every
@@ -279,8 +536,6 @@ class TestLedger:
             )
             for i in range(2)
         ]
-        hybrid = wire.account_all(
-            wire.UplinkLedger(), [segment(1000, 500_000), *payload_msgs]
-        )
-        full = wire.account(wire.UplinkLedger(), segment(1000, 3_000_000))
-        assert wire.total_bits(hybrid) < wire.total_bits(full)
+        hybrid = charge(wire.UplinkLedger(), segment(1000, 500_000), *payload_msgs)
+        full = charge(wire.UplinkLedger(), segment(1000, 3_000_000))
+        assert hybrid.video_bits + hybrid.payload_bits < full.video_bits + full.payload_bits
