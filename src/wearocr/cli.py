@@ -9,8 +9,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from .model import validate_trace
-from .replay import SimConfig, emit_report, replay
-from .tracefile import TraceSpec, read_queries, read_trace, write_generated_trace
+from .replay import ReplayError, SimConfig, emit_report, replay
+from .tracefile import TraceFormatError, TraceSpec, read_queries, read_trace, write_generated_trace
+
+
+class InputError(Exception):
+    """A config file or option value that the program rejects."""
 
 
 def _load_config(args: argparse.Namespace) -> SimConfig:
@@ -18,20 +22,31 @@ def _load_config(args: argparse.Namespace) -> SimConfig:
     config = SimConfig()
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
-            config = SimConfig.from_obj(json.load(fh))
-    return config if args.seed is None else replace(config, seed=args.seed)
+            try:
+                config = SimConfig.from_obj(json.load(fh))
+            except ValueError as exc:
+                raise InputError(f"{args.config}: {exc}") from None
+    if args.seed is None:
+        return config
+    try:
+        return replace(config, seed=args.seed)
+    except ValueError as exc:
+        raise InputError(f"--seed: {exc}") from None
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    spec = TraceSpec(
-        duration_s=args.duration_s,
-        fps=args.fps,
-        text_density=args.text_density,
-        blur_rate=args.blur_rate,
-        similarity_run_length=args.similarity_run_length,
-        selection_events=args.selection_events,
-        seed=args.seed,
-    )
+    try:
+        spec = TraceSpec(
+            duration_s=args.duration_s,
+            fps=args.fps,
+            text_density=args.text_density,
+            blur_rate=args.blur_rate,
+            similarity_run_length=args.similarity_run_length,
+            selection_events=args.selection_events,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     frames = write_generated_trace(args.trace, spec)
     print(f"wrote {len(frames)} frames to {args.trace}")
     return 0
@@ -113,8 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; bad input is reported on one line and exits 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (InputError, TraceFormatError, ReplayError, OSError) as exc:
+        print(f"wearocr: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,11 +9,18 @@ milliseconds (frames, payloads, queries) and integer microseconds
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from operator import mul
 from typing import Sequence
+
+
+# The one JSON form of every file the program writes (traces, queries,
+# machine reports): sorted keys, compact separators, and each float as
+# ``float.__repr__`` (NaN and infinities as ``NaN``/``Infinity``).
+canonical_json = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
 class Resolution(str, Enum):
@@ -161,19 +168,24 @@ def validate_trace(frames: Sequence[FrameRecord]) -> list[str]:
     violations: list[str] = []
     sig_dim: int | None = None
     prev_ts: int | None = None
+    # Frames of one scene often share one signature tuple (the generator
+    # and ``read_trace`` both do this); a tuple is checked once.
+    checked_sig: tuple[float, ...] | None = None
+    sig_finite = True
     for i, frame in enumerate(frames):
         if prev_ts is not None and frame.ts_ms <= prev_ts:
             violations.append(f"frame {i}: non-increasing timestamp at index {i}")
         prev_ts = frame.ts_ms
         if frame.exposure_us <= 0:
             violations.append(f"frame {i}: exposure_us must be positive")
+        sig = frame.scene_sig
         if sig_dim is None:
-            sig_dim = len(frame.scene_sig)
-        elif len(frame.scene_sig) != sig_dim:
-            violations.append(
-                f"frame {i}: scene_sig dimension {len(frame.scene_sig)} != {sig_dim}"
-            )
-        if not all(map(isfinite, frame.scene_sig)):
+            sig_dim = len(sig)
+        elif len(sig) != sig_dim:
+            violations.append(f"frame {i}: scene_sig dimension {len(sig)} != {sig_dim}")
+        if sig is not checked_sig:
+            checked_sig, sig_finite = sig, all(map(isfinite, sig))
+        if not sig_finite:
             violations.append(f"frame {i}: scene_sig has non-finite component")
         for j, sample in enumerate(frame.imu):
             if sample.ts_us < 0:

@@ -11,7 +11,6 @@ multipliers, and text fidelity.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from collections import Counter
 from dataclasses import dataclass, fields, is_dataclass, replace
@@ -27,6 +26,7 @@ from .model import (
     QualityFlag,
     QueryRecord,
     Resolution,
+    canonical_json,
     validate_trace,
 )
 from .ocr import OcrConfig, run_mock_ocr
@@ -369,12 +369,7 @@ def emit_report(report: PipelineReport, fmt: str = "human") -> str:
             "tokens_total": report.tokens_total,
             "prompt_digests": [list(d) for d in report.prompt_digests],
         }
-        return (
-            json.dumps(header, separators=(",", ":"), sort_keys=True)
-            + "\n"
-            + json.dumps(body, separators=(",", ":"), sort_keys=True)
-            + "\n"
-        )
+        return canonical_json(header) + "\n" + canonical_json(body) + "\n"
     if fmt != "human":
         raise ValueError(f"unknown report format {fmt!r}")
 

@@ -332,13 +332,19 @@ class SelectorState:
     # signature_norm(last_accepted_sig): each similarity test then sums
     # only the new frame's squares.
     last_accepted_norm: float = 0.0
-    # (ts_ms, word count) of accepted frames inside the budget window.
+    # (ts_ms, word count) of accepted frames inside the budget window,
+    # and the sum of those word counts.
     window: deque = field(default_factory=deque)
+    window_total: int = 0
 
     def window_words(self, now_ms: int, window_ms: int) -> int:
         while self.window and self.window[0][0] <= now_ms - window_ms:
-            self.window.popleft()
-        return sum(words for _, words in self.window)
+            self.window_total -= self.window.popleft()[1]
+        return self.window_total
+
+    def add_words(self, ts_ms: int, words: int) -> None:
+        self.window.append((ts_ms, words))
+        self.window_total += words
 
 
 def process_frame(
@@ -369,7 +375,7 @@ def process_frame(
 
     state.last_accepted_sig = sig
     state.last_accepted_norm = signature_norm(sig) if norm is None else norm
-    state.window.append((frame.ts_ms, len(frame.gt_words)))
+    state.add_words(frame.ts_ms, len(frame.gt_words))
     return SelectionDecision(Verdict.RUN_OCR, choice.roi, selected), PayloadKind.TEXT_OCR, state
 
 

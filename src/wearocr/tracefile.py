@@ -28,6 +28,7 @@ from .model import (
     QueryRecord,
     Rect,
     Resolution,
+    canonical_json,
 )
 
 TRACE_FORMAT = "wearocr-trace"
@@ -172,48 +173,210 @@ def generate_frames(spec: TraceSpec) -> list[FrameRecord]:
 
 # -- serialization --------------------------------------------------------
 
+# A frame line: the frame's object form with its keys in sorted order,
+# each slot filled with one value's ``canonical_json`` text.
+_FRAME_LINE = (
+    '{"detections":%s,"exposure_us":%s,"gt_words":%s,"imu":%s,'
+    '"resolution":%s,"scene_sig":%s,"ts_ms":%s,"user_selection":%s}\n'
+)
 
-def frame_to_obj(frame: FrameRecord) -> dict:
-    return {
-        "ts_ms": frame.ts_ms,
-        "resolution": frame.resolution.value,
-        "exposure_us": frame.exposure_us,
-        "imu": [
-            [s.ts_us, list(s.gyro), list(s.accel)] for s in frame.imu
-        ],
-        "detections": [
-            {
-                "cls": d.cls.value,
-                "bbox": [d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h],
-                "conf": d.conf,
-                **({"keypoints": [list(k) for k in d.keypoints]} if d.keypoints is not None else {}),
-            }
-            for d in frame.detections
-        ],
-        "scene_sig": list(frame.scene_sig),
-        "gt_words": list(frame.gt_words),
-        "user_selection": frame.user_selection,
+_NUMBER = frozenset((int, float))
+_FLOAT = frozenset((float,))
+_STRING = frozenset((str,))
+_RESOLUTIONS = {r.value: r for r in Resolution}
+_CLASSES = {c.value: c for c in DetectionClass}
+_MODES = {m.value: m for m in QueryMode}
+
+
+def _detections_json(detections: Sequence[Detection]) -> str:
+    return canonical_json([
+        {
+            "cls": d.cls.value,
+            "bbox": [d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h],
+            "conf": d.conf,
+            **({"keypoints": d.keypoints} if d.keypoints is not None else {}),
+        }
+        for d in detections
+    ])
+
+
+def _memoized(encode: Callable[[object], str]) -> Callable[[object], str]:
+    """``encode`` memoized by object identity.  The memo holds each object
+    it has seen, so no other object can take over its ``id``."""
+    memo: dict[int, tuple[object, str]] = {}
+
+    def cached(obj: object) -> str:
+        entry = memo.get(id(obj))
+        if entry is None:
+            entry = memo[id(obj)] = (obj, encode(obj))
+        return entry[1]
+
+    return cached
+
+
+def write_trace(
+    path: str | Path,
+    frames: Sequence[FrameRecord],
+    sig_dim: int = DEFAULT_SIG_DIM,
+    stats: dict | None = None,
+) -> None:
+    """Write a header line, then one ``canonical_json`` line per frame.
+
+    Each value is encoded on its own into a fixed line template.  Values
+    that frames share (a generated trace shares one signature, word
+    tuple and detection tuple between the frames of a scene) are encoded
+    once per object; frames are immutable, so the text cannot go stale.
+    """
+    header = {
+        "format": TRACE_FORMAT,
+        "version": FORMAT_VERSION,
+        "sig_dim": sig_dim,
+        "frame_count": len(frames),
     }
-
-
-def frame_from_obj(obj: dict) -> FrameRecord:
-    return FrameRecord(
-        obj["ts_ms"],
-        Resolution(obj["resolution"]),
-        obj["exposure_us"],
-        tuple([ImuSample(ts_us, tuple(gyro), tuple(accel)) for ts_us, gyro, accel in obj["imu"]]),
-        tuple([
-            Detection(
-                DetectionClass(d["cls"]),
-                Rect(*d["bbox"]),
-                d["conf"],
-                tuple([tuple(k) for k in d["keypoints"]]) if "keypoints" in d else None,
+    if stats:
+        header["stats"] = stats
+    encode = canonical_json
+    shared = _memoized(encode)
+    detections = _memoized(_detections_json)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(encode(header) + "\n")
+        for frame in frames:
+            fh.write(
+                _FRAME_LINE
+                % (
+                    detections(frame.detections),
+                    encode(frame.exposure_us),
+                    shared(frame.gt_words),
+                    encode([[s.ts_us, s.gyro, s.accel] for s in frame.imu]),
+                    shared(frame.resolution.value),
+                    shared(frame.scene_sig),
+                    encode(frame.ts_ms),
+                    shared(frame.user_selection),
+                )
             )
-            for d in obj["detections"]
-        ]),
-        tuple(obj["scene_sig"]),
-        tuple(obj["gt_words"]),
-        obj["user_selection"],
+
+
+def _field_error(field: str, expected: str, value: object, got: str | None = None) -> TraceFormatError:
+    """A record field of the wrong JSON type; the reader adds path:line."""
+    return TraceFormatError(f"field {field}: expected {expected}, got {got or type(value).__name__}")
+
+
+def _length(value: object) -> str | None:
+    """What a list of the wrong length is called in an error."""
+    return f"list of {len(value)}" if type(value) is list else None
+
+
+def _list_error(field: str, value: object, items: frozenset, length: int | None = None) -> TraceFormatError:
+    """What is wrong with ``value`` where ``field`` wants a JSON array
+    (of ``length`` items, when given) of items typed in ``items``."""
+    item_name = "string" if items is _STRING else "number"
+    if type(value) is not list or (length is not None and len(value) != length):
+        array = "list of" if length is None else f"list of {length}"
+        return _field_error(field, f"{array} {item_name}s", value, _length(value))
+    k = next(k for k, item in enumerate(value) if type(item) not in items)
+    return _field_error(f"{field}[{k}]", item_name, value[k])
+
+
+def _enum_error(field: str, members: dict, value: object) -> TraceFormatError:
+    if type(value) is not str:
+        return _field_error(field, "string", value)
+    return _field_error(field, f"one of {', '.join(members)}", value, repr(value))
+
+
+def _imu_error(sample: object, j: int) -> TraceFormatError:
+    if type(sample) is not list or len(sample) != 3:
+        return _field_error(f"imu[{j}]", "[ts_us, gyro, accel]", sample, _length(sample))
+    ts_us, gyro, accel = sample
+    if type(ts_us) is not int:
+        return _field_error(f"imu[{j}].ts_us", "integer", ts_us)
+    if type(gyro) is not list or len(gyro) != 3 or not _NUMBER.issuperset(map(type, gyro)):
+        return _list_error(f"imu[{j}].gyro", gyro, _NUMBER, 3)
+    return _list_error(f"imu[{j}].accel", accel, _NUMBER, 3)
+
+
+def _detection(d: object, j: int) -> Detection:
+    if type(d) is not dict:
+        raise _field_error(f"detections[{j}]", "object", d)
+    cls, bbox, conf = d["cls"], d["bbox"], d["conf"]
+    if type(cls) is not str or cls not in _CLASSES:
+        raise _enum_error(f"detections[{j}].cls", _CLASSES, cls)
+    if type(bbox) is not list or len(bbox) != 4 or not _NUMBER.issuperset(map(type, bbox)):
+        raise _list_error(f"detections[{j}].bbox", bbox, _NUMBER, 4)
+    if type(conf) not in _NUMBER:
+        raise _field_error(f"detections[{j}].conf", "number", conf)
+    keypoints = None
+    if "keypoints" in d:
+        keypoints = d["keypoints"]
+        if type(keypoints) is not list:
+            raise _field_error(f"detections[{j}].keypoints", "list", keypoints)
+        for i, k in enumerate(keypoints):
+            if type(k) is not list or len(k) != 2 or not _NUMBER.issuperset(map(type, k)):
+                raise _list_error(f"detections[{j}].keypoints[{i}]", k, _NUMBER, 2)
+        keypoints = tuple([tuple(k) for k in keypoints])
+    return Detection(_CLASSES[cls], Rect(*bbox), conf, keypoints)
+
+
+def frame_from_obj(obj: dict, shared_sig: tuple[float, ...] = ()) -> FrameRecord:
+    """The frame a parsed trace line describes.  A missing field raises
+    ``KeyError``; a field of the wrong JSON type raises ``TraceFormatError``.
+
+    ``scene_sig`` is ``shared_sig`` itself when the two are equal; the
+    caller passes only a signature for which equal means identical
+    (``_equal_is_identical``).  Frames are immutable, so the frames of
+    one scene can share the tuple.
+    """
+    ts_ms, resolution, exposure_us = obj["ts_ms"], obj["resolution"], obj["exposure_us"]
+    imu, detections, sig = obj["imu"], obj["detections"], obj["scene_sig"]
+    gt_words, user_selection = obj["gt_words"], obj["user_selection"]
+    if type(ts_ms) is not int:
+        raise _field_error("ts_ms", "integer", ts_ms)
+    if type(resolution) is not str or resolution not in _RESOLUTIONS:
+        raise _enum_error("resolution", _RESOLUTIONS, resolution)
+    if type(exposure_us) is not int:
+        raise _field_error("exposure_us", "integer", exposure_us)
+    if type(imu) is not list:
+        raise _field_error("imu", "list", imu)
+    if type(detections) is not list:
+        raise _field_error("detections", "list", detections)
+    if type(sig) is not list:
+        raise _field_error("scene_sig", "list of numbers", sig)
+    if type(gt_words) is not list or not _STRING.issuperset(map(type, gt_words)):
+        raise _list_error("gt_words", gt_words, _STRING)
+    if type(user_selection) is not bool:
+        raise _field_error("user_selection", "boolean", user_selection)
+
+    samples = []
+    try:
+        for ts_us, gyro, accel in imu:
+            if (
+                type(ts_us) is not int
+                or type(gyro) is not list
+                or type(accel) is not list
+                or len(gyro) != 3
+                or len(accel) != 3
+                or not _NUMBER.issuperset(map(type, [*gyro, *accel]))
+            ):
+                break
+            samples.append(ImuSample(ts_us, tuple(gyro), tuple(accel)))
+    except (TypeError, ValueError):  # a sample that does not unpack into three
+        pass
+    if len(samples) != len(imu):
+        raise _imu_error(imu[len(samples)], len(samples))
+
+    sig = tuple(sig)
+    if sig == shared_sig:
+        sig = shared_sig
+    elif not _NUMBER.issuperset(map(type, sig)):
+        raise _list_error("scene_sig", list(sig), _NUMBER)
+    return FrameRecord(
+        ts_ms,
+        _RESOLUTIONS[resolution],
+        exposure_us,
+        tuple(samples),
+        tuple([_detection(d, j) for j, d in enumerate(detections)]) if detections else (),
+        sig,
+        tuple(gt_words),
+        user_selection,
     )
 
 
@@ -230,37 +393,20 @@ def query_to_obj(query: QueryRecord) -> dict:
 
 
 def query_from_obj(obj: dict) -> QueryRecord:
-    return QueryRecord(
-        ts_ms=obj["ts_ms"],
-        speech_start_ms=obj["speech_start_ms"],
-        question=obj["question"],
-        mode=QueryMode(obj["mode"]),
-        target_lang=obj.get("target_lang"),
-    )
-
-
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
-
-
-def write_trace(
-    path: str | Path,
-    frames: Sequence[FrameRecord],
-    sig_dim: int = DEFAULT_SIG_DIM,
-    stats: dict | None = None,
-) -> None:
-    header = {
-        "format": TRACE_FORMAT,
-        "version": FORMAT_VERSION,
-        "sig_dim": sig_dim,
-        "frame_count": len(frames),
-    }
-    if stats:
-        header["stats"] = stats
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump(header) + "\n")
-        for frame in frames:
-            fh.write(_dump(frame_to_obj(frame)) + "\n")
+    """The query a parsed query line describes; errors as ``frame_from_obj``."""
+    ts_ms, speech_start_ms, question, mode = obj["ts_ms"], obj["speech_start_ms"], obj["question"], obj["mode"]
+    target_lang = obj.get("target_lang")
+    if type(ts_ms) is not int:
+        raise _field_error("ts_ms", "integer", ts_ms)
+    if type(speech_start_ms) is not int:
+        raise _field_error("speech_start_ms", "integer", speech_start_ms)
+    if type(question) is not str:
+        raise _field_error("question", "string", question)
+    if type(mode) is not str or mode not in _MODES:
+        raise _enum_error("mode", _MODES, mode)
+    if target_lang is not None and type(target_lang) is not str:
+        raise _field_error("target_lang", "string or null", target_lang)
+    return QueryRecord(ts_ms, speech_start_ms, question, _MODES[mode], target_lang)
 
 
 def write_generated_trace(path: str | Path, spec: TraceSpec) -> list[FrameRecord]:
@@ -318,20 +464,40 @@ def _read_lines(
             obj = _parse_line(path, lineno, line)
             try:
                 records.append(convert(obj))
+            except TraceFormatError as exc:
+                raise TraceFormatError(f"{path}:{lineno}: {exc}") from None
             except (KeyError, IndexError, TypeError, ValueError) as exc:
                 raise TraceFormatError(f"{path}:{lineno}: bad record: {exc!r}") from None
     return header, records
 
 
+def _equal_is_identical(sig: tuple) -> bool:
+    """Whether a signature equal to ``sig`` has its bits and types: true
+    when every component is a float and none is a whole number, because
+    ``-0.0 == 0.0`` and ``1 == 1.0`` (and NaN equals only itself)."""
+    return _FLOAT.issuperset(map(type, sig)) and not any(map(float.is_integer, sig))
+
+
 def read_trace(path: str | Path) -> tuple[dict, list[FrameRecord]]:
-    return _read_lines(path, TRACE_FORMAT, frame_from_obj)
+    """Header and frames; consecutive frames with equal signatures share
+    one ``scene_sig`` tuple where ``_equal_is_identical`` allows it."""
+    shared_sig: tuple[float, ...] = ()
+
+    def convert(obj: dict) -> FrameRecord:
+        nonlocal shared_sig
+        frame = frame_from_obj(obj, shared_sig)
+        if frame.scene_sig is not shared_sig:
+            shared_sig = frame.scene_sig if _equal_is_identical(frame.scene_sig) else ()
+        return frame
+
+    return _read_lines(path, TRACE_FORMAT, convert)
 
 
 def write_queries(path: str | Path, queries: Sequence[QueryRecord]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump({"format": QUERY_FORMAT, "version": FORMAT_VERSION}) + "\n")
+        fh.write(canonical_json({"format": QUERY_FORMAT, "version": FORMAT_VERSION}) + "\n")
         for query in queries:
-            fh.write(_dump(query_to_obj(query)) + "\n")
+            fh.write(canonical_json(query_to_obj(query)) + "\n")
 
 
 def read_queries(path: str | Path) -> list[QueryRecord]:

@@ -58,9 +58,70 @@ def test_generate_validate_replay_report(inputs, tmp_path, capsys):
     assert json.loads(printed.splitlines()[0]) == {"format": "wearocr-report", "version": 1}
 
 
-def test_config_typo_names_its_path(inputs, tmp_path):
+def error_of(capsys, argv: list[str]) -> str:
+    """The one-line error ``main`` prints for ``argv``, which must exit 2."""
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("wearocr: error: ") and err.count("\n") == 1, err
+    return err[len("wearocr: error: "):-1]
+
+
+def test_config_typo_names_its_path(inputs, tmp_path, capsys):
     trace, _, _ = inputs
     config = tmp_path / "typo.json"
     config.write_text(json.dumps({"planner": {"lookbak_ms": 4000}}), encoding="utf-8")
-    with pytest.raises(ValueError, match="unknown config key planner.lookbak_ms"):
-        main(["report", "--trace", str(trace), "--config", str(config)])
+    assert error_of(capsys, ["report", "--trace", str(trace), "--config", str(config)]) == (
+        f"{config}: unknown config key planner.lookbak_ms"
+    )
+
+
+def test_malformed_config_json_is_an_error(inputs, tmp_path, capsys):
+    trace, _, _ = inputs
+    config = tmp_path / "broken.json"
+    config.write_text('{"seed": ', encoding="utf-8")
+    message = error_of(capsys, ["report", "--trace", str(trace), "--config", str(config)])
+    assert message.startswith(f"{config}: Expecting value")
+
+
+def test_out_of_range_seed_is_an_error(inputs, capsys):
+    trace, _, _ = inputs
+    assert error_of(capsys, ["report", "--trace", str(trace), "--seed", "9223372036854775808"]) == (
+        "--seed: seed must be in [-2**63, 2**63), got 9223372036854775808"
+    )
+
+
+def test_bad_trace_line_is_an_error(inputs, capsys):
+    trace, queries, _ = inputs
+    lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[2] = lines[2].replace('"ts_ms":500,', '"ts_ms":"x",')
+    trace.write_text("".join(lines), encoding="utf-8")
+    expected = f"{trace}:3: field ts_ms: expected integer, got str"
+    for command in (["validate"], ["report"], ["replay", "--queries", str(queries), "--out", str(trace.parent / "o")]):
+        assert error_of(capsys, [command[0], "--trace", str(trace), *command[1:]]) == expected
+
+
+def test_bad_query_line_and_missing_file_are_errors(inputs, tmp_path, capsys):
+    trace, queries, _ = inputs
+    with open(queries, "a", encoding="utf-8") as fh:
+        fh.write('{"mode":"Qa","question":7,"speech_start_ms":1,"ts_ms":2}\n')
+    out = str(tmp_path / "o")
+    assert error_of(capsys, ["replay", "--trace", str(trace), "--queries", str(queries), "--out", out]) == (
+        f"{queries}:5: field question: expected string, got int"
+    )
+    missing = tmp_path / "missing.ndjson"
+    assert "No such file or directory" in error_of(capsys, ["validate", "--trace", str(missing)])
+
+
+def test_invalid_trace_and_generator_values_are_errors(tmp_path, capsys):
+    trace = tmp_path / "trace.ndjson"
+    assert error_of(capsys, ["generate", "--trace", str(trace), "--blur-rate", "1.5"]) == (
+        "blur_rate must be in [0,1], got 1.5"
+    )
+    assert not trace.exists()
+    assert main(["generate", "--trace", str(trace), "--duration-s", "2"]) == 0
+    lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+    trace.write_text(lines[0] + lines[2] + lines[1], encoding="utf-8")
+    assert error_of(capsys, ["report", "--trace", str(trace)]) == (
+        "invalid trace: frame 1: non-increasing timestamp at index 1"
+    )

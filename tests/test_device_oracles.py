@@ -197,3 +197,4 @@ def test_process_frame_with_cached_norm_matches_oracle(data):
             return
         assert got[1][:2] == want[1]
         assert state.last_accepted_sig == oracle_state.last_sig
+        assert state.window_total == sum(words for _, words in state.window)

@@ -15,7 +15,7 @@ from wearocr.model import (
     validate_payload,
     validate_trace,
 )
-from wearocr.tracefile import frame_from_obj, frame_to_obj
+from wearocr.tracefile import read_trace, write_trace
 
 
 def make_frame(ts_ms=100, **overrides):
@@ -60,6 +60,15 @@ def test_scene_sig_dimension_mismatch_reported():
     assert any("scene_sig dimension" in v for v in validate_trace(frames))
 
 
+def test_non_finite_signature_reported_on_every_frame_sharing_it():
+    bad_sig = (1.0, math.nan) + (0.0,) * 14
+    frames = [make_frame(100, scene_sig=bad_sig), make_frame(200, scene_sig=bad_sig), make_frame(300)]
+    frames.append(make_frame(400, scene_sig=frames[0].scene_sig))
+    assert validate_trace(frames) == [
+        f"frame {i}: scene_sig has non-finite component" for i in (0, 1, 3)
+    ]
+
+
 def test_keypoints_only_on_hand_pointing():
     bad = make_frame(
         detections=(
@@ -90,7 +99,7 @@ def test_text_payload_needs_spans():
     assert validate_payload(OcrPayload(kind=PayloadKind.TEXT_OCR, frame_ts_ms=1))
 
 
-def test_frame_roundtrip_through_trace_format():
+def test_frame_roundtrip_through_trace_format(tmp_path):
     frame = make_frame(
         detections=(
             Detection(
@@ -104,7 +113,8 @@ def test_frame_roundtrip_through_trace_format():
         scene_sig=tuple(math.sin(i) for i in range(16)),
         user_selection=True,
     )
-    assert frame_from_obj(frame_to_obj(frame)) == frame
+    write_trace(tmp_path / "trace.ndjson", [frame])
+    assert read_trace(tmp_path / "trace.ndjson")[1] == [frame]
 
 
 def test_imu_norm6():

@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import re
 import tempfile
 from dataclasses import replace
@@ -27,7 +28,6 @@ from wearocr.tracefile import (
     TraceFormatError,
     TraceSpec,
     frame_from_obj,
-    frame_to_obj,
     generate_frames,
     read_queries,
     read_trace,
@@ -35,6 +35,32 @@ from wearocr.tracefile import (
     write_queries,
     write_trace,
 )
+
+
+def frame_to_obj(frame: FrameRecord) -> dict:
+    """The object form of a frame line, built field by field: the oracle
+    for ``write_trace``, whose lines must equal its canonical JSON."""
+    return {
+        "ts_ms": frame.ts_ms,
+        "resolution": frame.resolution.value,
+        "exposure_us": frame.exposure_us,
+        "imu": [
+            [s.ts_us, list(s.gyro), list(s.accel)] for s in frame.imu
+        ],
+        "detections": [
+            {
+                "cls": d.cls.value,
+                "bbox": [d.bbox.x, d.bbox.y, d.bbox.w, d.bbox.h],
+                "conf": d.conf,
+                **({"keypoints": [list(k) for k in d.keypoints]} if d.keypoints is not None else {}),
+            }
+            for d in frame.detections
+        ],
+        "scene_sig": list(frame.scene_sig),
+        "gt_words": list(frame.gt_words),
+        "user_selection": frame.user_selection,
+    }
+
 
 SPEC = TraceSpec(
     duration_s=30,
@@ -244,6 +270,232 @@ def test_frame_round_trips_through_obj_and_json(frame):
     obj = frame_to_obj(frame)
     assert frame_from_obj(obj) == frame
     assert frame_from_obj(json.loads(json.dumps(obj))) == frame
+
+
+# -- the writer against the object-form oracle ---------------------------------
+
+# Every float, including NaN, infinities, signed zeros and subnormals.
+any_float = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]))
+# Text with quotes, backslashes, control and non-ASCII characters.
+words_text = st.text(alphabet=st.sampled_from('ab "\\\n\x00\u00e9\u6771\u2028\U0001f600'), max_size=6)
+
+
+def any_detections():
+    return st.lists(
+        st.builds(
+            Detection,
+            st.sampled_from(list(DetectionClass)),
+            st.builds(Rect, any_float, any_float, any_float, any_float),
+            any_float,
+            st.one_of(st.none(), st.lists(st.tuples(any_float, any_float), max_size=3).map(tuple)),
+        ),
+        max_size=2,
+    ).map(tuple)
+
+
+@st.composite
+def frame_lists(draw):
+    """Frames whose signatures, words and detections come from small pools,
+    so that one object is shared by several frames, mixed with equal
+    copies that are distinct objects."""
+    pools = {
+        "scene_sig": draw(st.lists(st.lists(any_float, max_size=4).map(tuple), min_size=1, max_size=3)),
+        "gt_words": draw(st.lists(st.lists(words_text, max_size=3).map(tuple), min_size=1, max_size=3)),
+        "detections": draw(st.lists(any_detections(), min_size=1, max_size=3)),
+    }
+    vec3 = st.tuples(any_float, any_float, any_float)
+    frames = []
+    for ts_ms in range(draw(st.integers(0, 6))):
+        shared = {}
+        for name, pool in pools.items():
+            value = draw(st.sampled_from(pool))
+            shared[name] = tuple(list(value)) if draw(st.booleans()) else value
+        imu = draw(st.lists(st.builds(ImuSample, st.integers(0, 2**53), vec3, vec3), max_size=3).map(tuple))
+        resolution = draw(st.sampled_from(list(Resolution)))
+        frames.append(FrameRecord(ts_ms, resolution, 8000, imu, user_selection=draw(st.booleans()), **shared))
+    return frames
+
+
+def oracle_trace_bytes(frames, stats=None) -> bytes:
+    """``write_trace``'s file as one ``json.dumps`` of each line's object form."""
+    header = {"format": TRACE_FORMAT, "version": FORMAT_VERSION, "sig_dim": 16, "frame_count": len(frames)}
+    if stats:
+        header["stats"] = stats
+    lines = [header] + [frame_to_obj(frame) for frame in frames]
+    return "".join(json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n" for obj in lines).encode()
+
+
+@given(frame_lists(), st.one_of(st.none(), st.dictionaries(words_text, any_float, max_size=2)))
+@settings(max_examples=200, deadline=None)
+def test_write_trace_equals_object_form_oracle(frames, stats):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.ndjson"
+        write_trace(path, frames, stats=stats)
+        assert path.read_bytes() == oracle_trace_bytes(frames, stats)
+
+
+def float_bits(value):
+    """``value`` with every float replaced by its ``float.hex``."""
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, (tuple, list)):
+        return [float_bits(item) for item in value]
+    if isinstance(value, (FrameRecord, ImuSample, Detection, Rect)):
+        return [float_bits(getattr(value, name)) for name in type(value).__slots__]
+    return value
+
+
+@given(frame_lists())
+@settings(max_examples=200, deadline=None)
+def test_read_trace_returns_written_frames_bit_for_bit(frames):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.ndjson"
+        write_trace(path, frames)
+        back = read_trace(path)[1]
+    assert float_bits(back) == float_bits(frames)
+    for before, after in zip(back, back[1:]):
+        sig = after.scene_sig
+        same_bits = float_bits(sig) == float_bits(before.scene_sig)
+        # No component is a whole number (such as -0.0 or 1.0) or NaN.
+        fractional = all(math.isinf(x) or (math.isfinite(x) and x != math.floor(x)) for x in sig)
+        if same_bits and fractional:
+            assert sig is before.scene_sig
+        if sig is before.scene_sig:
+            assert same_bits
+
+
+def test_signed_zeros_and_integers_are_not_merged(tmp_path):
+    frame = FrameRecord(0, Resolution.MP12, 8000, (), (), (0.0, 1.0), ())
+    frames = [frame, replace(frame, ts_ms=1, scene_sig=(-0.0, 1.0)), replace(frame, ts_ms=2, scene_sig=(-0.0, 1.0))]
+    path = tmp_path / "trace.ndjson"
+    write_trace(path, frames)
+    back = read_trace(path)[1]
+    assert [float_bits(f.scene_sig) for f in back] == [float_bits(f.scene_sig) for f in frames]
+    assert back[1].scene_sig is not back[0].scene_sig
+    assert back[2].scene_sig is not back[1].scene_sig
+
+    frames = [replace(frame, scene_sig=(2.0, 1.0)), replace(frame, ts_ms=1, scene_sig=(2, 1)), replace(frame, ts_ms=2, scene_sig=(2, 1.0))]
+    write_trace(path, frames)
+    back = read_trace(path)[1]
+    assert [list(map(type, f.scene_sig)) for f in back] == [[float, float], [int, int], [int, float]]
+    assert back[1].scene_sig is not back[0].scene_sig
+    write_trace(tmp_path / "again.ndjson", back)
+    assert (tmp_path / "again.ndjson").read_bytes() == path.read_bytes()
+
+
+def test_equal_signatures_are_shared_after_reading(tmp_path):
+    frames = generate_frames(SPEC)
+    path = tmp_path / "trace.ndjson"
+    write_trace(path, frames)
+    back = read_trace(path)[1]
+    assert back == frames
+    # The generator shares one tuple between the frames of a scene.
+    assert len({id(f.scene_sig) for f in back}) == len({id(f.scene_sig) for f in frames}) < len(frames)
+
+
+# -- field types -------------------------------------------------------------------
+
+
+def _set(path, value):
+    def mutate(obj):
+        *parents, last = path
+        for key in parents:
+            obj = obj[key]
+        obj[last] = value
+
+    return mutate
+
+
+FRAME_FIELD_CASES = [
+    (("ts_ms",), "x", "field ts_ms: expected integer, got str"),
+    (("ts_ms",), 1.5, "field ts_ms: expected integer, got float"),
+    (("ts_ms",), True, "field ts_ms: expected integer, got bool"),
+    (("resolution",), 12, "field resolution: expected string, got int"),
+    (("resolution",), "MP7", "field resolution: expected one of MP3, MP5, MP12, got 'MP7'"),
+    (("exposure_us",), None, "field exposure_us: expected integer, got NoneType"),
+    (("imu",), "abc", "field imu: expected list, got str"),
+    (("imu", 0), "abc", "field imu[0]: expected [ts_us, gyro, accel], got str"),
+    (("imu", 1), [1, [0.0, 0.0, 0.0]], "field imu[1]: expected [ts_us, gyro, accel], got list of 2"),
+    (("imu", 1, 0), 1.5, "field imu[1].ts_us: expected integer, got float"),
+    (("imu", 0, 1), "xyz", "field imu[0].gyro: expected list of 3 numbers, got str"),
+    (("imu", 0, 1), [1.0, 2.0], "field imu[0].gyro: expected list of 3 numbers, got list of 2"),
+    (("imu", 0, 1, 0), True, "field imu[0].gyro[0]: expected number, got bool"),
+    (("imu", 2, 2, 1), "0.5", "field imu[2].accel[1]: expected number, got str"),
+    (("detections",), {}, "field detections: expected list, got dict"),
+    (("detections", 0), [], "field detections[0]: expected object, got list"),
+    (("detections", 0, "cls"), "Foot", "field detections[0].cls: expected one of HandPointing, HandHolding, "
+     "OtherHandInteraction, TextObject, got 'Foot'"),
+    (("detections", 0, "cls"), None, "field detections[0].cls: expected string, got NoneType"),
+    (("detections", 0, "bbox"), [0.1], "field detections[0].bbox: expected list of 4 numbers, got list of 1"),
+    (("detections", 1, "bbox", 2), None, "field detections[1].bbox[2]: expected number, got NoneType"),
+    (("detections", 1, "conf"), "high", "field detections[1].conf: expected number, got str"),
+    (("detections", 0, "keypoints"), "x", "field detections[0].keypoints: expected list, got str"),
+    (("detections", 0, "keypoints", 1), [0.3], "field detections[0].keypoints[1]: expected list of 2 numbers, got list of 1"),
+    (("detections", 1, "keypoints"), None, "field detections[1].keypoints: expected list, got NoneType"),
+    (("scene_sig",), "abc", "field scene_sig: expected list of numbers, got str"),
+    (("scene_sig", 3), "x", "field scene_sig[3]: expected number, got str"),
+    (("scene_sig", 0), [1.0], "field scene_sig[0]: expected number, got list"),
+    (("gt_words",), "word", "field gt_words: expected list of strings, got str"),
+    (("gt_words", 1), 5, "field gt_words[1]: expected string, got int"),
+    (("user_selection",), 0, "field user_selection: expected boolean, got int"),
+]
+
+
+def _frame_line_obj() -> dict:
+    frame = generate_frames(SPEC)[1]
+    frame = replace(
+        frame,
+        detections=(
+            Detection(DetectionClass.HAND_POINTING, Rect(0.1, 0.1, 0.2, 0.2), 0.8, ((0.1, 0.2), (0.3, 0.4))),
+            Detection(DetectionClass.TEXT_OBJECT, Rect(0.5, 0.5, 0.2, 0.2), 0.7),
+        ),
+        gt_words=("exit", "gate"),
+    )
+    return frame_to_obj(frame)
+
+
+@pytest.mark.parametrize(("path", "value", "message"), FRAME_FIELD_CASES)
+def test_wrongly_typed_frame_field_names_the_field(tmp_path, path, value, message):
+    obj = _frame_line_obj()
+    assert frame_from_obj(obj) is not None
+    _set(path, value)(obj)
+    header = {"format": TRACE_FORMAT, "version": FORMAT_VERSION}
+    trace = tmp_path / "trace.ndjson"
+    trace.write_text(json.dumps(header) + "\n" + json.dumps(_frame_line_obj()) + "\n" + json.dumps(obj) + "\n")
+    with pytest.raises(TraceFormatError) as info:
+        read_trace(trace)
+    assert str(info.value) == f"{trace}:3: {message}"
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "message"),
+    [
+        ("ts_ms", "10", "field ts_ms: expected integer, got str"),
+        ("speech_start_ms", 9.5, "field speech_start_ms: expected integer, got float"),
+        ("question", ["What?"], "field question: expected string, got list"),
+        ("mode", "Chat", "field mode: expected one of Readout, Translation, Qa, got 'Chat'"),
+        ("mode", 1, "field mode: expected string, got int"),
+        ("target_lang", 3, "field target_lang: expected string or null, got int"),
+    ],
+)
+def test_wrongly_typed_query_field_names_the_field(tmp_path, field, value, message):
+    path = tmp_path / "queries.ndjson"
+    write_queries(path, [QueryRecord(10_000, 9_000, "What gate?", QueryMode.TRANSLATION, "French")])
+    obj = json.loads(path.read_text().splitlines()[1])
+    obj[field] = value
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj) + "\n")
+    with pytest.raises(TraceFormatError) as info:
+        read_queries(path)
+    assert str(info.value) == f"{path}:3: {message}"
+
+
+def test_null_target_lang_reads_as_none(tmp_path):
+    path = tmp_path / "queries.ndjson"
+    write_queries(path, [])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"mode":"Qa","question":"?","speech_start_ms":1,"target_lang":null,"ts_ms":2}\n')
+    assert read_queries(path) == [QueryRecord(2, 1, "?", QueryMode.QA)]
 
 
 # -- mutated and truncated files -------------------------------------------------
