@@ -12,7 +12,7 @@ import re
 from dataclasses import replace
 from typing import Callable, Sequence
 
-from .osm import OcrContextEntry, text_similarity
+from .osm import OcrContextEntry, _jaccard, token_set
 
 log = logging.getLogger(__name__)
 
@@ -28,36 +28,45 @@ def normalize(text: str) -> str:
 
 
 def normalize_entries(entries: Sequence[OcrContextEntry]) -> list[OcrContextEntry]:
-    return [replace(e, text=normalize(e.text)) for e in entries]
+    """Entries with normalized text; an entry already normal is kept as is."""
+    return [e if (text := normalize(e.text)) == e.text else replace(e, text=text) for e in entries]
 
 
 def consolidate(
     entries: Sequence[OcrContextEntry], gap_ms: int = 5000, threshold: float = 0.8
 ) -> list[OcrContextEntry]:
-    """Merge adjacent near-duplicate entries close in time.
+    """Merge adjacent near-duplicate entries close in time, in one pass.
 
-    Two neighbours merge when their text similarity reaches the
-    threshold and their timestamps are at most ``gap_ms`` apart; the
-    merged entry sits at the later timestamp and keeps the longer text.
-    Never reorders, never grows the list; idempotent.
+    Each entry is compared with the last output entry, which may itself
+    be a merge: the two merge when their text similarity reaches the
+    threshold and their timestamps are at most ``gap_ms`` apart.  The
+    merged entry sits at the later timestamp and keeps the longer text
+    (the earlier one on a tie).  Never reorders, never grows the list.
+
+    Not idempotent: a merge that lengthens the text can make it match
+    the entry before it, which only a second pass would merge.
     """
     out: list[OcrContextEntry] = []
+    last: frozenset[str] = frozenset()  # token set of out[-1].text
     for entry in entries:
-        if (
-            out
-            and entry.ts_ms - out[-1].ts_ms <= gap_ms
-            and text_similarity([out[-1].text], [entry.text]) >= threshold
-        ):
-            prev = out[-1]
-            longer = prev.text if len(prev.text) >= len(entry.text) else entry.text
-            out[-1] = OcrContextEntry(
-                ts_ms=entry.ts_ms,
-                text=longer,
-                quality_flags=prev.quality_flags | entry.quality_flags,
-                is_selection=prev.is_selection or entry.is_selection,
-            )
-        else:
-            out.append(entry)
+        tokens = token_set(entry.text)
+        if out and entry.ts_ms - out[-1].ts_ms <= gap_ms:
+            common = len(last & tokens)
+            if _jaccard(common, len(last) + len(tokens) - common) >= threshold:
+                prev = out[-1]
+                if len(prev.text) >= len(entry.text):
+                    longer = prev.text
+                else:
+                    longer, last = entry.text, tokens
+                out[-1] = OcrContextEntry(
+                    ts_ms=entry.ts_ms,
+                    text=longer,
+                    quality_flags=prev.quality_flags | entry.quality_flags,
+                    is_selection=prev.is_selection or entry.is_selection,
+                )
+                continue
+        out.append(entry)
+        last = tokens
     return out
 
 

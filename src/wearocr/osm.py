@@ -26,11 +26,20 @@ DEFAULT_TEXT_SIMILARITY_THRESHOLD = 0.8
 _EMPTY_KEY = -1
 
 
+def token_set(text: str) -> frozenset[str]:
+    """The lowercase whitespace-separated tokens of ``text``.
+
+    Near-duplicate tests that compare one text with many keep its token
+    set and compare sets with ``_jaccard(common, len(a) + len(b) - common)``,
+    ``common = len(a & b)``: the integers and the division of
+    ``text_similarity``, so the same decisions.
+    """
+    return frozenset(text.lower().split())
+
+
 def _tokens(texts: Iterable[str]) -> frozenset[str]:
-    out: set[str] = set()
-    for text in texts:
-        out.update(text.lower().split())
-    return frozenset(out)
+    # A space neither joins two tokens nor changes how a text lowercases.
+    return token_set(" ".join(texts))
 
 
 def _jaccard(shared: int, union: int) -> float:
@@ -101,10 +110,9 @@ class _Views:
 
     valid_ts: list[int]
     groups: list[OcrGroup]
-    latest_selection: int | None
     group_by_ts: dict[int, OcrGroup]
-    by_latest: list[OcrGroup]  # ascending group_latest_ts
-    latest_keys: list[int]  # group_latest_ts of by_latest
+    latest_keys: list[int]  # ascending group_latest_ts
+    entries: list[OcrContextEntry]  # one per group, in latest_keys order
 
 
 class SessionTimeline:
@@ -132,16 +140,28 @@ class SessionTimeline:
             all_ts = sorted(self._payloads)
             groups = self._build_groups(all_ts)
             selection_ts = [ts for ts in all_ts if self._payloads[ts].selection]
+            latest_selection = max(selection_ts) if selection_ts else None
             by_latest = sorted(groups, key=lambda g: g.group_latest_ts)
+            entries = []
+            for group in by_latest:
+                latest = group.group_latest_ts
+                exemplar = self._payloads[group.exemplar_ts]
+                entries.append(
+                    OcrContextEntry(
+                        ts_ms=latest,
+                        text=exemplar.text(),
+                        quality_flags=exemplar.quality_flags,
+                        is_selection=group.is_selection and latest == latest_selection,
+                    )
+                )
             self._cache = _Views(
                 valid_ts=[
                     ts for ts in all_ts if self._payloads[ts].is_valid_for_retrieval()
                 ],
                 groups=groups,
-                latest_selection=max(selection_ts) if selection_ts else None,
                 group_by_ts={ts: g for g in groups for ts in g.members},
-                by_latest=by_latest,
                 latest_keys=[g.group_latest_ts for g in by_latest],
+                entries=entries,
             )
         return self._cache
 
@@ -348,16 +368,4 @@ class SessionTimeline:
         views = self._derived()
         start = bisect.bisect_left(views.latest_keys, lo)
         stop = bisect.bisect_right(views.latest_keys, hi)
-        entries = []
-        for group in views.by_latest[start:stop]:
-            latest = group.group_latest_ts
-            exemplar = self._payloads[group.exemplar_ts]
-            entries.append(
-                OcrContextEntry(
-                    ts_ms=latest,
-                    text=exemplar.text(),
-                    quality_flags=exemplar.quality_flags,
-                    is_selection=group.is_selection and latest == views.latest_selection,
-                )
-            )
-        return entries
+        return views.entries[start:stop]

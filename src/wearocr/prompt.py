@@ -15,7 +15,7 @@ from enum import IntEnum
 from typing import Mapping, Sequence
 
 from .model import QueryMode, QueryRecord, Resolution
-from .osm import OcrContextEntry, text_similarity
+from .osm import OcrContextEntry, _jaccard, token_set
 
 READOUT_PREAMBLE = "Read this word by word, spell out license plates character by character"
 TRANSLATION_PREAMBLE_TEMPLATE = "Translate this word by word into {language}"
@@ -31,7 +31,7 @@ class ComponentKind(IntEnum):
     QUESTION = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PromptComponent:
     kind: ComponentKind
     ts_ms: int
@@ -124,15 +124,16 @@ def dedup_prompt_ocr(
     deduplicated away.  Idempotent.
     """
     retained: list[OcrContextEntry] = []
+    retained_tokens: list[frozenset[str]] = []
     for entry in entries:
-        if entry.is_selection:
-            retained.append(entry)
-            continue
-        if any(
-            text_similarity([entry.text], [kept.text]) >= threshold for kept in retained
+        tokens = token_set(entry.text)
+        if not entry.is_selection and any(
+            _jaccard(common := len(tokens & kept), len(tokens) + len(kept) - common) >= threshold
+            for kept in retained_tokens
         ):
             continue
         retained.append(entry)
+        retained_tokens.append(tokens)
     return retained
 
 

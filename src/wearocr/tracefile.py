@@ -13,6 +13,7 @@ fields are synthesized to force that outcome through the real pipeline.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 from dataclasses import dataclass, replace
@@ -186,6 +187,9 @@ _STRING = frozenset((str,))
 _RESOLUTIONS = {r.value: r for r in Resolution}
 _CLASSES = {c.value: c for c in DetectionClass}
 _MODES = {m.value: m for m in QueryMode}
+_FRAME_FIELDS = ("detections", "exposure_us", "gt_words", "imu", "resolution", "scene_sig", "ts_ms", "user_selection")
+_DETECTION_FIELDS = ("cls", "bbox", "conf", "keypoints")
+_QUERY_FIELDS = ("ts_ms", "speech_start_ms", "question", "mode", "target_lang")
 
 
 def _detections_json(detections: Sequence[Detection]) -> str:
@@ -283,6 +287,12 @@ def _enum_error(field: str, members: dict, value: object) -> TraceFormatError:
     return _field_error(field, f"one of {', '.join(members)}", value, repr(value))
 
 
+def _unknown_field(obj: dict, known: tuple[str, ...], where: str = "") -> TraceFormatError:
+    """A record holding a key outside ``known``: the first such key, named."""
+    key = next(k for k in obj if k not in known)
+    return TraceFormatError(f"unknown field {where}{key}")
+
+
 def _imu_error(sample: object, j: int) -> TraceFormatError:
     if type(sample) is not list or len(sample) != 3:
         return _field_error(f"imu[{j}]", "[ts_us, gyro, accel]", sample, _length(sample))
@@ -298,6 +308,8 @@ def _detection(d: object, j: int) -> Detection:
     if type(d) is not dict:
         raise _field_error(f"detections[{j}]", "object", d)
     cls, bbox, conf = d["cls"], d["bbox"], d["conf"]
+    if len(d) != (4 if "keypoints" in d else 3):
+        raise _unknown_field(d, _DETECTION_FIELDS, f"detections[{j}].")
     if type(cls) is not str or cls not in _CLASSES:
         raise _enum_error(f"detections[{j}].cls", _CLASSES, cls)
     if type(bbox) is not list or len(bbox) != 4 or not _NUMBER.issuperset(map(type, bbox)):
@@ -318,7 +330,8 @@ def _detection(d: object, j: int) -> Detection:
 
 def frame_from_obj(obj: dict, shared_sig: tuple[float, ...] = ()) -> FrameRecord:
     """The frame a parsed trace line describes.  A missing field raises
-    ``KeyError``; a field of the wrong JSON type raises ``TraceFormatError``.
+    ``KeyError``; an unknown field or a field of the wrong JSON type
+    raises ``TraceFormatError``.
 
     ``scene_sig`` is ``shared_sig`` itself when the two are equal; the
     caller passes only a signature for which equal means identical
@@ -328,6 +341,9 @@ def frame_from_obj(obj: dict, shared_sig: tuple[float, ...] = ()) -> FrameRecord
     ts_ms, resolution, exposure_us = obj["ts_ms"], obj["resolution"], obj["exposure_us"]
     imu, detections, sig = obj["imu"], obj["detections"], obj["scene_sig"]
     gt_words, user_selection = obj["gt_words"], obj["user_selection"]
+    # Every field is present, so any further key is an unknown one.
+    if len(obj) != len(_FRAME_FIELDS):
+        raise _unknown_field(obj, _FRAME_FIELDS)
     if type(ts_ms) is not int:
         raise _field_error("ts_ms", "integer", ts_ms)
     if type(resolution) is not str or resolution not in _RESOLUTIONS:
@@ -396,6 +412,8 @@ def query_from_obj(obj: dict) -> QueryRecord:
     """The query a parsed query line describes; errors as ``frame_from_obj``."""
     ts_ms, speech_start_ms, question, mode = obj["ts_ms"], obj["speech_start_ms"], obj["question"], obj["mode"]
     target_lang = obj.get("target_lang")
+    if len(obj) != (5 if "target_lang" in obj else 4):
+        raise _unknown_field(obj, _QUERY_FIELDS)
     if type(ts_ms) is not int:
         raise _field_error("ts_ms", "integer", ts_ms)
     if type(speech_start_ms) is not int:
@@ -480,7 +498,12 @@ def _equal_is_identical(sig: tuple) -> bool:
 
 def read_trace(path: str | Path) -> tuple[dict, list[FrameRecord]]:
     """Header and frames; consecutive frames with equal signatures share
-    one ``scene_sig`` tuple where ``_equal_is_identical`` allows it."""
+    one ``scene_sig`` tuple where ``_equal_is_identical`` allows it.
+
+    The cyclic garbage collector is paused while the file is parsed:
+    frames hold no reference cycles, and each full collection would walk
+    every frame read so far again.
+    """
     shared_sig: tuple[float, ...] = ()
 
     def convert(obj: dict) -> FrameRecord:
@@ -490,7 +513,13 @@ def read_trace(path: str | Path) -> tuple[dict, list[FrameRecord]]:
             shared_sig = frame.scene_sig if _equal_is_identical(frame.scene_sig) else ()
         return frame
 
-    return _read_lines(path, TRACE_FORMAT, convert)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_lines(path, TRACE_FORMAT, convert)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def write_queries(path: str | Path, queries: Sequence[QueryRecord]) -> None:

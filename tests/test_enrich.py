@@ -36,6 +36,11 @@ class TestNormalize:
         out = normalize_entries(entries)
         assert out == [replace(entries[0], text="a b")]
 
+    def test_normalize_entries_keeps_normal_entries(self):
+        entries = [entry(10, "a b"), entry(20, "")]
+        out = normalize_entries(entries)
+        assert all(o is e for o, e in zip(out, entries)) and len(out) == 2
+
 
 class TestConsolidate:
     def test_near_duplicates_merge_at_later_ts(self):
@@ -91,6 +96,16 @@ class TestConsolidate:
             assert len(out) <= len(entries)
             assert [e.ts_ms for e in out] == sorted(e.ts_ms for e in out)
             assert consolidate(out) == out
+
+
+    def test_single_pass_merge_can_leave_a_merge_for_a_second_pass(self):
+        # "a b c d" does not match "a b c d e f" (4/6), but merging it with
+        # "a b c d e" keeps the longer text, which does (5/6); only a
+        # second pass merges that.
+        entries = [entry(0, "a b c d e f"), entry(1000, "a b c d"), entry(2000, "a b c d e")]
+        once = consolidate(entries)
+        assert once == [entry(0, "a b c d e f"), entry(2000, "a b c d e")]
+        assert consolidate(once) == [entry(2000, "a b c d e f")]
 
 
 class TestPipeline:

@@ -1,4 +1,5 @@
 import functools
+import gc
 import json
 import math
 import re
@@ -488,6 +489,68 @@ def test_wrongly_typed_query_field_names_the_field(tmp_path, field, value, messa
     with pytest.raises(TraceFormatError) as info:
         read_queries(path)
     assert str(info.value) == f"{path}:3: {message}"
+
+
+def _trace_with_line(tmp_path, obj) -> Path:
+    trace = tmp_path / "trace.ndjson"
+    header = {"format": TRACE_FORMAT, "version": FORMAT_VERSION}
+    trace.write_text(json.dumps(header) + "\n" + json.dumps(obj) + "\n")
+    return trace
+
+
+def test_unknown_frame_field_is_rejected(tmp_path):
+    obj = _frame_line_obj()
+    obj["userSelection"] = True
+    trace = _trace_with_line(tmp_path, obj)
+    with pytest.raises(TraceFormatError) as info:
+        read_trace(trace)
+    assert str(info.value) == f"{trace}:2: unknown field userSelection"
+
+
+def test_unknown_detection_field_is_rejected(tmp_path):
+    obj = _frame_line_obj()
+    obj["detections"][1]["colour"] = "red"
+    trace = _trace_with_line(tmp_path, obj)
+    with pytest.raises(TraceFormatError) as info:
+        read_trace(trace)
+    assert str(info.value) == f"{trace}:2: unknown field detections[1].colour"
+
+
+def test_unknown_query_field_is_rejected(tmp_path):
+    path = tmp_path / "queries.ndjson"
+    write_queries(path, [])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"mode":"Translation","question":"?","speech_start_ms":1,"target_language":"French","ts_ms":2}\n')
+    with pytest.raises(TraceFormatError) as info:
+        read_queries(path)
+    assert str(info.value) == f"{path}:2: unknown field target_language"
+
+
+def _set_collector(enabled: bool) -> None:
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("valid", [True, False])
+def test_read_trace_restores_collector_state(tmp_path, enabled, valid):
+    obj = _frame_line_obj()
+    if not valid:
+        obj["ts_ms"] = "x"
+    trace = _trace_with_line(tmp_path, obj)
+    was_enabled = gc.isenabled()
+    try:
+        _set_collector(enabled)
+        if valid:
+            read_trace(trace)
+        else:
+            with pytest.raises(TraceFormatError):
+                read_trace(trace)
+        assert gc.isenabled() is enabled
+    finally:
+        _set_collector(was_enabled)
 
 
 def test_null_target_lang_reads_as_none(tmp_path):
