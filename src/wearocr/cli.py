@@ -67,15 +67,16 @@ def cmd_replay(args: argparse.Namespace) -> int:
     _, frames = read_trace(args.trace)
     queries = read_queries(args.queries) if args.queries else []
     result = replay(frames, queries, _load_config(args))
+    human = emit_report(result.report, "human")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.txt").write_text(emit_report(result.report, "human"), encoding="utf-8")
+    (out / "report.txt").write_text(human, encoding="utf-8")
     (out / "report.ndjson").write_text(
         emit_report(result.report, "machine"), encoding="utf-8"
     )
     for i, prompt in enumerate(result.prompts):
         (out / f"prompt_{i:03d}.txt").write_text(prompt.text + "\n", encoding="utf-8")
-    print(emit_report(result.report, "human"), end="")
+    print(human, end="")
     return 0
 
 

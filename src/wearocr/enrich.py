@@ -12,7 +12,7 @@ import re
 from dataclasses import replace
 from typing import Callable, Sequence
 
-from .osm import OcrContextEntry, _jaccard, token_set
+from .osm import OcrContextEntry, near_duplicate, token_set
 
 log = logging.getLogger(__name__)
 
@@ -51,8 +51,7 @@ def consolidate(
     for entry in entries:
         tokens = token_set(entry.text)
         if out and entry.ts_ms - out[-1].ts_ms <= gap_ms:
-            common = len(last & tokens)
-            if _jaccard(common, len(last) + len(tokens) - common) >= threshold:
+            if near_duplicate(len(last & tokens), len(last), len(tokens), threshold):
                 prev = out[-1]
                 if len(prev.text) >= len(entry.text):
                     longer = prev.text

@@ -16,41 +16,41 @@ from __future__ import annotations
 import bisect
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .model import OcrPayload, PayloadKind, QualityFlag, QueryRecord
 
 DEFAULT_TEXT_SIMILARITY_THRESHOLD = 0.8
 
-# Index key of the empty token set; token ranks are non-negative.
-_EMPTY_KEY = -1
+# Index key of the sets no token prefix covers: the empty set and, at
+# theta <= 0 where every pair matches, every set.  Ranks are >= 0.
+_ANY_KEY = -1
 
 
 def token_set(text: str) -> frozenset[str]:
     """The lowercase whitespace-separated tokens of ``text``.
 
     Near-duplicate tests that compare one text with many keep its token
-    set and compare sets with ``_jaccard(common, len(a) + len(b) - common)``,
-    ``common = len(a & b)``: the integers and the division of
-    ``text_similarity``, so the same decisions.
+    set and decide with ``near_duplicate(len(a & b), len(a), len(b), theta)``.
     """
     return frozenset(text.lower().split())
 
 
-def _tokens(texts: Iterable[str]) -> frozenset[str]:
-    # A space neither joins two tokens nor changes how a text lowercases.
-    return token_set(" ".join(texts))
+def near_duplicate(common: int, size_a: int, size_b: int, theta: float) -> bool:
+    """Whether two token sets sharing ``common`` tokens have Jaccard similarity >= ``theta``.
 
-
-def _jaccard(shared: int, union: int) -> float:
-    """Jaccard similarity from overlap and union sizes; 1.0 for two empty sets."""
-    return shared / union if union else 1.0
+    The union has ``size_a + size_b - common`` tokens; two empty sets
+    have similarity 1.0.  Every near-duplicate decision is made here.
+    """
+    union = size_a + size_b - common
+    return (common / union if union else 1.0) >= theta
 
 
 def text_similarity(a: Sequence[str], b: Sequence[str]) -> float:
     """Jaccard similarity of lowercase token sets; 1.0 when both are empty."""
-    ta, tb = _tokens(a), _tokens(b)
-    return _jaccard(len(ta & tb), len(ta | tb))
+    ta, tb = token_set(" ".join(a)), token_set(" ".join(b))
+    union = len(ta | tb)
+    return len(ta & tb) / union if union else 1.0
 
 
 def payload_similarity(a: OcrPayload, b: OcrPayload) -> float:
@@ -75,14 +75,13 @@ def select_exemplar(members: Sequence[OcrPayload]) -> int:
 
 
 def _min_overlap(size: int, theta: float) -> int:
-    """Fewest shared tokens ``i`` with ``i / size >= theta``; ``size + 1`` if none.
+    """Fewest tokens a near-duplicate of a set of ``size`` shares with it; ``size + 1`` if none.
 
-    Two sets at Jaccard >= theta share at least this many tokens when
-    either of them has ``size`` tokens.  The search uses the same float
-    division as the exact test, so filters built on it never reject a
-    pair that test accepts.
+    A set sharing ``i`` tokens matches best when it holds just those
+    ``i``, with the union ``size``; any larger union lowers the
+    similarity.
     """
-    return next((i for i in range(size + 1) if i / size >= theta), size + 1)
+    return next((i for i in range(size + 1) if near_duplicate(i, size, i, theta)), size + 1)
 
 
 @dataclass(frozen=True)
@@ -176,11 +175,11 @@ class SessionTimeline:
         # string; a set of n tokens matching at theta shares at least
         # _min_overlap(n) of them, so two matching sets share a token
         # within their n - _min_overlap(n) + 1 lowest ranks ("prefix").
-        # The index maps each prefix token of a group's current exemplar
-        # to the group.  Candidates pass a size filter and the exact test
-        # in creation order; the first match wins, as in a full scan.  At
-        # theta <= 0 every group matches, so the first open one is the
-        # only candidate.
+        # The index maps each key of a group's current exemplar to the
+        # group.  Candidates pass a size filter and the exact test in
+        # creation order; the first match wins, as in a full scan.  Both
+        # filters are near_duplicate itself at the best case for the
+        # sizes, so neither rejects a pair the exact test accepts.
         theta = self.theta_text
         text = [
             self._payloads[ts]
@@ -192,7 +191,7 @@ class SessionTimeline:
         # small tuples rather than a set per payload.
         shared: dict[str, str] = {}
         tokens: dict[int, tuple] = {
-            p.frame_ts_ms: tuple(shared.setdefault(t, t) for t in _tokens(s.text for s in p.spans))
+            p.frame_ts_ms: tuple(shared.setdefault(t, t) for t in token_set(p.text()))
             for p in text
             if not p.selection
         }
@@ -201,63 +200,54 @@ class SessionTimeline:
         for ts, toks in tokens.items():
             tokens[ts] = tuple(sorted(map(rank.__getitem__, toks)))
         max_size = max(map(len, tokens.values()), default=0)
-        need = [0] + [_min_overlap(n, theta) for n in range(1, max_size + 1)]
-        # Size filter: fits[a] holds the exemplar sizes b with
-        # theta*a <= b <= a/theta, in the exact test's arithmetic.
+        need = [_min_overlap(n, theta) for n in range(max_size + 1)]
+        # Size filter: fits[a] holds the exemplar sizes b that a set of
+        # a tokens can match, at best by sharing min(a, b) of them.
         fits = [
-            frozenset(b for b in range(max_size + 1) if min(a, b) >= need[max(a, b)])
+            frozenset(b for b in range(max_size + 1) if near_duplicate(min(a, b), a, b, theta))
             for a in range(max_size + 1)
         ]
 
-        def prefix(ts: int) -> tuple[int, ...]:
+        def keys(ts: int) -> tuple[int, ...]:
             toks = tokens[ts]
-            return toks[: len(toks) - need[len(toks)] + 1] if toks else (_EMPTY_KEY,)
+            return toks[: len(toks) - need[len(toks)] + 1] if theta > 0 and toks else (_ANY_KEY,)
 
         member_lists: list[list[int]] = []
         exemplars: list[int] = []
-        selection_flags: list[bool] = []
         index: dict[int, set[int]] = {}
-        first_open: int | None = None
         for payload in text:
             ts = payload.frame_ts_ms
             match = None
             if not payload.selection:
                 toks = tokens[ts]
-                if theta <= 0:
-                    candidates = [] if first_open is None else [first_open]
-                else:
-                    candidates = sorted(set().union(*(index.get(k, ()) for k in prefix(ts))))
                 mine = set(toks)
                 sizes = fits[len(toks)]
-                for gi in candidates:
+                for gi in sorted(set().union(*(index.get(k, ()) for k in keys(ts)))):
                     other = tokens[exemplars[gi]]
-                    if len(other) in sizes:
-                        common = len(mine.intersection(other))
-                        if _jaccard(common, len(toks) + len(other) - common) >= theta:
-                            match = gi
-                            break
+                    if len(other) in sizes and near_duplicate(
+                        len(mine.intersection(other)), len(toks), len(other), theta
+                    ):
+                        match = gi
+                        break
             if match is None:
                 gi = len(member_lists)
                 member_lists.append([ts])
                 exemplars.append(ts)
-                selection_flags.append(payload.selection)
                 if not payload.selection:
-                    for k in prefix(ts):
+                    for k in keys(ts):
                         index.setdefault(k, set()).add(gi)
-                    if first_open is None:
-                        first_open = gi
                 continue
             member_lists[match].append(ts)
             old = exemplars[match]
             if _exemplar_key(payload) > _exemplar_key(self._payloads[old]):
-                for k in prefix(old):
+                for k in keys(old):
                     index[k].discard(match)
-                for k in prefix(ts):
+                for k in keys(ts):
                     index.setdefault(k, set()).add(match)
                 exemplars[match] = ts
         return [
-            OcrGroup(members=tuple(m), exemplar_ts=e, is_selection=s)
-            for m, e, s in zip(member_lists, exemplars, selection_flags)
+            OcrGroup(members=tuple(m), exemplar_ts=e, is_selection=self._payloads[e].selection)
+            for m, e in zip(member_lists, exemplars)
         ]
 
     def groups(self) -> list[OcrGroup]:

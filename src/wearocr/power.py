@@ -12,6 +12,7 @@ count across the {0, 30, 100} anchors and clamps above 100 words.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -60,8 +61,8 @@ class DeviceConfig:
     words_per_text_frame: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.words_per_text_frame < 0:
-            raise ValueError("words_per_text_frame must be non-negative")
+        if not self.words_per_text_frame >= 0:  # NaN too
+            raise ValueError(f"words_per_text_frame must be non-negative, got {self.words_per_text_frame}")
 
 
 def _load_raw() -> bytes:
@@ -77,15 +78,16 @@ class PowerAnchors:
         for row in data["stream"]["rows"]:
             key = (Resolution(row["resolution"]), row["fps"], row["bitrate_bps"])
             self.stream_rows[key] = float(row["multiplier"])
-        self.device_flat: dict[tuple[int, OcrMode], float] = {}
-        self.device_words: dict[tuple[int, OcrMode], list[tuple[int, float]]] = {}
+        # Word anchors per device row, in file order; a flat row is the
+        # one anchor (0 words, multiplier).
+        self.device_rows: dict[tuple[int, OcrMode], list[tuple[int, float]]] = {}
         for row in data["device"]["rows"]:
             key = (row["fps"], OcrMode(row["ocr_mode"]))
             if "words" in row:
                 anchors = sorted((int(w), float(m)) for w, m in row["words"].items())
-                self.device_words[key] = anchors
             else:
-                self.device_flat[key] = float(row["multiplier"])
+                anchors = [(0, float(row["multiplier"]))]
+            self.device_rows[key] = anchors
 
     def stream_multiplier(self, config: StreamConfig) -> float:
         key = (config.resolution, config.fps, config.bitrate_bps)
@@ -100,30 +102,20 @@ class PowerAnchors:
             ) from None
 
     def device_multiplier(self, config: DeviceConfig) -> float:
-        key = (config.fps, config.ocr_mode)
-        if key in self.device_flat:
-            return self.device_flat[key]
-        if key not in self.device_words:
-            rows = ", ".join(
-                f"({fps} fps, {mode.value})"
-                for fps, mode in list(self.device_flat) + list(self.device_words)
-            )
+        try:
+            anchors = self.device_rows[(config.fps, config.ocr_mode)]
+        except KeyError:
+            rows = ", ".join(f"({fps} fps, {mode.value})" for fps, mode in self.device_rows)
             raise NoAnchorError(
                 f"no device anchor for ({config.fps} fps, {config.ocr_mode.value}); "
                 f"anchored rows: {rows}"
             ) from None
-        anchors = self.device_words[key]
         return piecewise_linear(anchors, min(config.words_per_text_frame, anchors[-1][0]))
 
 
-_DEFAULT_ANCHORS: PowerAnchors | None = None
-
-
+@functools.cache
 def default_anchors() -> PowerAnchors:
-    global _DEFAULT_ANCHORS
-    if _DEFAULT_ANCHORS is None:
-        _DEFAULT_ANCHORS = PowerAnchors()
-    return _DEFAULT_ANCHORS
+    return PowerAnchors()
 
 
 def relative_power(

@@ -15,7 +15,7 @@ from enum import IntEnum
 from typing import Mapping, Sequence
 
 from .model import QueryMode, QueryRecord, Resolution
-from .osm import OcrContextEntry, _jaccard, token_set
+from .osm import OcrContextEntry, near_duplicate, token_set
 
 READOUT_PREAMBLE = "Read this word by word, spell out license plates character by character"
 TRANSLATION_PREAMBLE_TEMPLATE = "Translate this word by word into {language}"
@@ -128,7 +128,7 @@ def dedup_prompt_ocr(
     for entry in entries:
         tokens = token_set(entry.text)
         if not entry.is_selection and any(
-            _jaccard(common := len(tokens & kept), len(tokens) + len(kept) - common) >= threshold
+            near_duplicate(len(tokens & kept), len(tokens), len(kept), threshold)
             for kept in retained_tokens
         ):
             continue
@@ -171,12 +171,13 @@ def build_prompt(
     middle: list[PromptComponent] = []
     for turn in history:
         middle.append(PromptComponent(ComponentKind.HISTORY_TURN, turn.ts_ms, turn.body))
-    for ts in sorted(set(plan.historical) | set(plan.pre_query) | set(plan.in_query)):
+    # The stable (ts, kind) sort below orders everything: frame refs have unique timestamps.
+    for ts in {*plan.historical, *plan.pre_query, *plan.in_query}:
         res = resolutions.get(ts, default_resolution)
         middle.append(
             PromptComponent(ComponentKind.FRAME_REF, ts, render_frame_ref(ts, res))
         )
-    for entry in sorted(ocr_entries, key=lambda e: e.ts_ms):
+    for entry in ocr_entries:
         middle.append(
             PromptComponent(ComponentKind.OCR_BLOCK, entry.ts_ms, render_ocr_line(entry))
         )

@@ -33,9 +33,11 @@ from .ocr import OcrConfig, run_mock_ocr
 from .osm import OcrContextEntry, SessionTimeline
 from .power import (
     DeviceConfig,
+    NoAnchorError,
     OcrMode,
     SessionPowerReport,
     StreamConfig,
+    relative_power,
     session_power_report,
 )
 from .prompt import (
@@ -226,6 +228,15 @@ def replay(
     enrichment: EnrichmentPipeline | None = None,
 ) -> ReplayResult:
     config = config or SimConfig()
+    # The power report needs both table rows: look them up before the device pass.
+    try:
+        relative_power(config.stream)
+    except NoAnchorError as exc:
+        raise ReplayError(f"config stream: {exc}") from None
+    try:
+        relative_power(DeviceConfig(config.device.fps, config.device.ocr_mode))
+    except NoAnchorError as exc:
+        raise ReplayError(f"config device: {exc}") from None
     violations = validate_trace(frames)
     if violations:
         raise ReplayError(f"invalid trace: {violations[0]}")

@@ -1,5 +1,10 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -84,6 +89,35 @@ def test_malformed_config_json_is_an_error(inputs, tmp_path, capsys):
     assert message.startswith(f"{config}: Expecting value")
 
 
+@pytest.mark.parametrize(
+    "section,expected",
+    [
+        (
+            "stream",
+            "config stream: no streaming anchor for StreamConfig(resolution=<Resolution.MP3: 'MP3'>, fps=3, "
+            "bitrate_bps=500000); anchored rows: (MP12, 30 fps, 3000000 bps), (MP3, 30 fps, 1000000 bps), "
+            "(MP3, 12 fps, 1000000 bps), (MP3, 2 fps, 500000 bps)",
+        ),
+        (
+            "device",
+            "config device: no device anchor for (3 fps, Sfs3MpInput); anchored rows: (12 fps, NoOcr), "
+            "(2 fps, NoOcr), (12 fps, OcrAllFrames), (12 fps, OcrSampled2fps), (2 fps, OcrAllFrames), "
+            "(2 fps, Sfs12MpInput), (2 fps, Sfs3MpInput)",
+        ),
+    ],
+)
+def test_unanchored_config_is_an_error_before_any_frame(inputs, tmp_path, capsys, monkeypatch, section, expected):
+    trace, _, _ = inputs
+    config = tmp_path / "unanchored.json"
+    config.write_text(json.dumps({section: {"fps": 3}}), encoding="utf-8")
+
+    def unreached(*args):
+        raise AssertionError("device pass reached")
+
+    monkeypatch.setattr(importlib.import_module("wearocr.replay"), "_device_pass", unreached)
+    assert error_of(capsys, ["report", "--trace", str(trace), "--config", str(config)]) == expected
+
+
 def test_out_of_range_seed_is_an_error(inputs, capsys):
     trace, _, _ = inputs
     assert error_of(capsys, ["report", "--trace", str(trace), "--seed", "9223372036854775808"]) == (
@@ -125,3 +159,37 @@ def test_invalid_trace_and_generator_values_are_errors(tmp_path, capsys):
     assert error_of(capsys, ["report", "--trace", str(trace)]) == (
         "invalid trace: frame 1: non-increasing timestamp at index 1"
     )
+
+
+def test_replay_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # String hashing, and so the iteration order of sets and dicts of
+    # strings, changes with PYTHONHASHSEED; no output byte may.
+    trace, queries = tmp_path / "trace.ndjson", tmp_path / "queries.ndjson"
+    assert main([
+        "generate", "--trace", str(trace), "--duration-s", "120",
+        "--selection-events", "3", "--seed", "5",
+    ]) == 0
+    write_queries(queries, [
+        QueryRecord(ts, ts - 1500, question, mode, lang)
+        for ts, question, mode, lang in [
+            (20_000, "What does the sign say?", QueryMode.QA, None),
+            (45_000, "Read this to me", QueryMode.READOUT, None),
+            (70_000, "Translate this", QueryMode.TRANSLATION, "French"),
+            (95_000, "What did I point at?", QueryMode.QA, None),
+            (119_000, "What is written here?", QueryMode.QA, None),
+        ]
+    ])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"out-{seed}"
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "wearocr.cli", "replay", "--trace", str(trace),
+             "--queries", str(queries), "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(outputs[0]) == [*(f"prompt_{i:03d}.txt" for i in range(5)), "report.ndjson", "report.txt"]
+    assert outputs[0] == outputs[1]

@@ -1,7 +1,7 @@
 """The per-query path against its pairwise ``text_similarity`` form.
 
 ``consolidate`` and ``dedup_prompt_ocr`` compute each text's token set
-once and test the sets with ``_jaccard(common, len(a) + len(b) - common)``.
+once and test the sets with ``near_duplicate(len(a & b), len(a), len(b), theta)``.
 The oracles below are the straightforward forms that call
 ``text_similarity`` on every pair, re-tokenizing both texts each time;
 the properties require ``==``, so every merge and drop decision, and
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from wearocr.enrich import consolidate
 from wearocr.model import OcrPayload, PayloadKind, QualityFlag, QueryMode, QueryRecord, Rect, TextSpan
-from wearocr.osm import OcrContextEntry, SessionTimeline, _tokens, text_similarity, token_set
+from wearocr.osm import OcrContextEntry, SessionTimeline, text_similarity, token_set
 from wearocr.prompt import dedup_prompt_ocr
 
 # -- oracles ----------------------------------------------------------------
@@ -131,7 +131,7 @@ def _chain(*texts):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_text, max_size=4))
 def test_tokens_of_several_texts_are_the_union_of_each(texts):
-    assert _tokens(texts) == frozenset().union(*map(token_set, texts))
+    assert token_set(" ".join(texts)) == frozenset().union(*map(token_set, texts))
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wearocr.model import OcrPayload, PayloadKind, QualityFlag, QueryMode, QueryRecord, Rect, TextSpan
@@ -9,6 +9,8 @@ from wearocr.osm import (
     OcrContextEntry,
     OcrGroup,
     SessionTimeline,
+    _min_overlap,
+    near_duplicate,
     payload_similarity,
     select_exemplar,
     text_similarity,
@@ -451,21 +453,56 @@ class TestGroupingEdgeCases:
         assert len(groups) == 10
 
 
-_VOCAB = ["gate", "b12", "exit", "menu", "open", "closed", "Platform", "six",
-          "north", "SALE", "zone", "a7"]
-_span_text = st.one_of(
-    st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=3).map(" ".join),
-    st.sampled_from(["", " ", " \t\n "]),
-)
+_WORDS = ["gate", "b12", "exit", "menu", "open", "closed", "Platform", "six", "north", "SALE",
+          "zone", "a7", "track", "level", "floor", "lift", "stairs", "toilet", "cafe", "bus",
+          "taxi", "metro", "ticket", "office", "pharmacy", "bank", "hotel", "street", "road", "east",
+          "west", "south", "push", "pull", "stop", "slow", "danger", "wet", "paint", "Room"]
+# One-character variants ("gate" / "gatf", "b12" / "b13"), as an OCR
+# misread gives: distinct tokens of the same length.
+_VOCAB = _WORDS + [w[:-1] + chr(ord(w[-1]) + 1) for w in _WORDS]
+
+
+class TestNearDuplicateRule:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        a=st.frozensets(st.sampled_from(_VOCAB).map(str.lower), max_size=12),
+        keep=st.integers(0, 12),
+        extra=st.frozensets(st.sampled_from(_VOCAB).map(str.lower), max_size=3),
+        theta=st.sampled_from([-1, 0, 0.5, 0.8, 1, 1.5]),
+    )
+    # Two empty sets are identical: they match at theta = 1, not above.
+    @example(a=frozenset(), keep=0, extra=frozenset(), theta=1)
+    @example(a=frozenset(), keep=0, extra=frozenset(), theta=1.5)
+    def test_matches_similarity_and_no_filter_rejects_a_match(self, a, keep, extra, theta):
+        # b shares up to ``keep`` tokens with a, so pairs often match.
+        b = frozenset(sorted(a)[:keep]) | extra
+        common = len(a & b)
+        match = near_duplicate(common, len(a), len(b), theta)
+        assert match == (text_similarity([" ".join(a)], [" ".join(b)]) >= theta)
+        if match:
+            # The size filter's test, and the prefix filter's overlap bound.
+            assert near_duplicate(min(len(a), len(b)), len(a), len(b), theta)
+            for size in filter(None, (len(a), len(b))):
+                assert common >= _min_overlap(size, theta)
+
+
+# Each example draws its words from a few of the vocabulary's, so that
+# payloads share tokens and match at every threshold.
+_span_words = st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=16, unique=True)
 _kinds = st.sampled_from(
     [PayloadKind.TEXT_OCR] * 6 + [k for k in PayloadKind if k is not PayloadKind.TEXT_OCR]
 )
 
 
 @st.composite
-def _payload(draw):
+def _payload(draw, words):
+    # Up to 4 spans of up to 3 tokens: up to 12 tokens per payload.
+    span_text = st.one_of(
+        st.lists(st.sampled_from(words), min_size=1, max_size=3).map(" ".join),
+        st.sampled_from(["", " ", " \t\n "]),
+    )
     kind = draw(_kinds)
-    texts = draw(st.lists(_span_text, max_size=4)) if kind is PayloadKind.TEXT_OCR else []
+    texts = draw(st.lists(span_text, max_size=4)) if kind is PayloadKind.TEXT_OCR else []
     return spans_payload(
         draw(st.integers(0, 80)),
         texts,
@@ -478,8 +515,8 @@ def _payload(draw):
 class TestIndexedGroupingOracle:
     @settings(max_examples=300, deadline=None)
     @given(
-        ingested=st.lists(_payload(), max_size=40),
-        theta=st.sampled_from([0.0, 0.5, 0.8, 1.0]),
+        ingested=_span_words.flatmap(lambda words: st.lists(_payload(words), max_size=40)),
+        theta=st.sampled_from([-0.5, 0.0, 0.5, 0.8, 1.0, 1.5]),
         queries=st.lists(st.tuples(st.integers(-5, 90), st.integers(1, 50)), max_size=4),
         data=st.data(),
     )

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,15 @@ class TestDeviceAnchors:
     def test_negative_words_rejected(self):
         with pytest.raises(ValueError):
             DeviceConfig(2, OcrMode.SFS_3MP_INPUT, -1)
+
+    def test_nan_words_rejected(self):
+        with pytest.raises(ValueError, match="non-negative, got nan"):
+            DeviceConfig(2, OcrMode.SFS_3MP_INPUT, float("nan"))
+
+    @pytest.mark.parametrize("words", [0, 30, 250])
+    def test_flat_rows_ignore_words(self, words):
+        for config, expected in DEVICE_FLAT_ROWS:
+            assert relative_power(replace(config, words_per_text_frame=words)) == expected
 
     @pytest.mark.parametrize("fps,mode,table", DEVICE_WORD_ROWS)
     @given(a=st.floats(min_value=0, max_value=200), b=st.floats(min_value=0, max_value=200))
