@@ -64,9 +64,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    config = _load_config(args)  # before the trace: a config error costs no read
     _, frames = read_trace(args.trace)
     queries = read_queries(args.queries) if args.queries else []
-    result = replay(frames, queries, _load_config(args))
+    result = replay(frames, queries, config)
     human = emit_report(result.report, "human")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -81,8 +82,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    config = _load_config(args)
     _, frames = read_trace(args.trace)
-    result = replay(frames, [], _load_config(args))
+    result = replay(frames, [], config)
     print(emit_report(result.report, args.format), end="")
     return 0
 

@@ -8,7 +8,6 @@ in through a hook registry and default to the identity.
 from __future__ import annotations
 
 import logging
-import re
 from dataclasses import replace
 from typing import Callable, Sequence
 
@@ -16,15 +15,22 @@ from .osm import OcrContextEntry, near_duplicate, token_set
 
 log = logging.getLogger(__name__)
 
-_CONTROL = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
-_WS = re.compile(r"\s+")
+# Deleted by ``normalize``: the C0 controls but tab and newline, and DEL.
+_CONTROL = dict.fromkeys([*range(0x09), *range(0x0B, 0x20), 0x7F])
 
 EnrichmentHook = Callable[[list[OcrContextEntry]], list[OcrContextEntry]]
 
 
 def normalize(text: str) -> str:
-    """Trim, collapse whitespace, strip control characters; idempotent."""
-    return _WS.sub(" ", _CONTROL.sub("", text)).strip()
+    """Trim, collapse whitespace, strip control characters; idempotent.
+
+    Whitespace is what ``str.split()`` splits on, the same set as the
+    regular expression ``\\s``; every character ``_CONTROL`` deletes is
+    non-printable, so printable text skips the deletion.
+    """
+    if not text.isprintable():
+        text = text.translate(_CONTROL)
+    return " ".join(text.split())
 
 
 def normalize_entries(entries: Sequence[OcrContextEntry]) -> list[OcrContextEntry]:

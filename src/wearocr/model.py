@@ -9,6 +9,8 @@ milliseconds (frames, payloads, queries) and integer microseconds
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import math
 from dataclasses import dataclass
@@ -21,6 +23,24 @@ from typing import Sequence
 # machine reports): sorted keys, compact separators, and each float as
 # ``float.__repr__`` (NaN and infinities as ``NaN``/``Infinity``).
 canonical_json = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+
+@contextlib.contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector, then restore its earlier state.
+
+    For code that builds O(frames) long-lived frozen values: they hold
+    no reference cycles, yet every full collection would walk all of
+    them again.  Nested use and errors leave the caller's state as it
+    was.  The pause is process-wide, not per thread.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class Resolution(str, Enum):

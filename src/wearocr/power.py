@@ -69,20 +69,31 @@ def _load_raw() -> bytes:
     return resources.files("wearocr.data").joinpath(_ANCHOR_RESOURCE).read_bytes()
 
 
+def _first_row(first_rows: dict, key: tuple, section: str, index: int) -> None:
+    """Record row ``index`` as the first with ``key``; a repeated key raises."""
+    first = first_rows.setdefault(key, index)
+    if first != index:
+        raise ValueError(f"power anchors {section} row {index} repeats the key of row {first}")
+
+
 class PowerAnchors:
     def __init__(self, raw: bytes | None = None):
         raw = raw if raw is not None else _load_raw()
         self.checksum = hashlib.sha256(raw).hexdigest()
         data = json.loads(raw)
+        # First row index per key; stream keys have three parts, device keys two.
+        first_rows: dict[tuple, int] = {}
         self.stream_rows: dict[tuple[Resolution, int, int], float] = {}
-        for row in data["stream"]["rows"]:
+        for i, row in enumerate(data["stream"]["rows"]):
             key = (Resolution(row["resolution"]), row["fps"], row["bitrate_bps"])
+            _first_row(first_rows, key, "stream", i)
             self.stream_rows[key] = float(row["multiplier"])
         # Word anchors per device row, in file order; a flat row is the
         # one anchor (0 words, multiplier).
         self.device_rows: dict[tuple[int, OcrMode], list[tuple[int, float]]] = {}
-        for row in data["device"]["rows"]:
+        for i, row in enumerate(data["device"]["rows"]):
             key = (row["fps"], OcrMode(row["ocr_mode"]))
+            _first_row(first_rows, key, "device", i)
             if "words" in row:
                 anchors = sorted((int(w), float(m)) for w, m in row["words"].items())
             else:

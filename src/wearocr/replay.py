@@ -27,6 +27,7 @@ from .model import (
     QueryRecord,
     Resolution,
     canonical_json,
+    collector_paused,
     validate_trace,
 )
 from .ocr import OcrConfig, run_mock_ocr
@@ -221,12 +222,19 @@ def _device_pass(
     return decisions, payloads
 
 
+@collector_paused()
 def replay(
     frames: Sequence[FrameRecord],
     queries: Sequence[QueryRecord],
     config: SimConfig | None = None,
     enrichment: EnrichmentPipeline | None = None,
 ) -> ReplayResult:
+    """Run the device pass, the link, grouping and every query over a trace.
+
+    Payloads, messages and groups hold no reference cycles, so the whole
+    run keeps the cyclic collector paused; enrichment hooks run inside
+    that pause.
+    """
     config = config or SimConfig()
     # The power report needs both table rows: look them up before the device pass.
     try:

@@ -13,7 +13,6 @@ fields are synthesized to force that outcome through the real pipeline.
 
 from __future__ import annotations
 
-import gc
 import json
 import random
 from dataclasses import dataclass, replace
@@ -30,6 +29,7 @@ from .model import (
     Rect,
     Resolution,
     canonical_json,
+    collector_paused,
 )
 
 TRACE_FORMAT = "wearocr-trace"
@@ -102,6 +102,7 @@ class TraceSpec:
         return (1.0 - self.blur_rate) * self.text_density * (1.0 - self.similar_rate)
 
 
+@collector_paused()
 def generate_frames(spec: TraceSpec) -> list[FrameRecord]:
     """Deterministic synthetic trace; see module docstring for the scheme."""
     rng = random.Random(spec.seed)
@@ -496,14 +497,10 @@ def _equal_is_identical(sig: tuple) -> bool:
     return _FLOAT.issuperset(map(type, sig)) and not any(map(float.is_integer, sig))
 
 
+@collector_paused()
 def read_trace(path: str | Path) -> tuple[dict, list[FrameRecord]]:
     """Header and frames; consecutive frames with equal signatures share
-    one ``scene_sig`` tuple where ``_equal_is_identical`` allows it.
-
-    The cyclic garbage collector is paused while the file is parsed:
-    frames hold no reference cycles, and each full collection would walk
-    every frame read so far again.
-    """
+    one ``scene_sig`` tuple where ``_equal_is_identical`` allows it."""
     shared_sig: tuple[float, ...] = ()
 
     def convert(obj: dict) -> FrameRecord:
@@ -513,13 +510,7 @@ def read_trace(path: str | Path) -> tuple[dict, list[FrameRecord]]:
             shared_sig = frame.scene_sig if _equal_is_identical(frame.scene_sig) else ()
         return frame
 
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _read_lines(path, TRACE_FORMAT, convert)
-    finally:
-        if enabled:
-            gc.enable()
+    return _read_lines(path, TRACE_FORMAT, convert)
 
 
 def write_queries(path: str | Path, queries: Sequence[QueryRecord]) -> None:

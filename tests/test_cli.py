@@ -81,6 +81,16 @@ def test_config_typo_names_its_path(inputs, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["replay", "report"])
+def test_config_is_checked_before_the_trace_is_read(tmp_path, capsys, command):
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps({"planner": {"lookbak_ms": 4000}}), encoding="utf-8")
+    argv = [command, "--trace", str(tmp_path / "missing.ndjson"), "--config", str(config)]
+    if command == "replay":
+        argv += ["--queries", str(tmp_path / "missing-queries.ndjson"), "--out", str(tmp_path / "out")]
+    assert error_of(capsys, argv) == f"{config}: unknown config key planner.lookbak_ms"
+
+
 def test_malformed_config_json_is_an_error(inputs, tmp_path, capsys):
     trace, _, _ = inputs
     config = tmp_path / "broken.json"

@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 from dataclasses import replace
 
 from hypothesis import given, settings
@@ -7,6 +9,23 @@ from hypothesis import strategies as st
 from wearocr.enrich import EnrichmentPipeline, consolidate, normalize, normalize_entries
 from wearocr.model import QualityFlag
 from wearocr.osm import OcrContextEntry
+
+
+# The regular-expression form ``normalize`` had, kept as its oracle.
+_CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
+_WS_RE = re.compile(r"\s+")
+
+
+def oracle_normalize(text):
+    return _WS_RE.sub(" ", _CONTROL_RE.sub("", text)).strip()
+
+
+# Every Cc character, every whitespace character and some letters.
+_NORMALIZE_ALPHABET = sorted(
+    {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+    | {chr(c) for c in [*range(0x20), *range(0x7F, 0xA0)]}
+    | set("aZé字")
+)
 
 
 def entry(ts, text, flags=frozenset(), selected=False):
@@ -25,6 +44,11 @@ class TestNormalize:
 
     def test_preserves_case_and_punctuation(self):
         assert normalize("Gate: B-12, now!") == "Gate: B-12, now!"
+
+    @given(st.text(alphabet=_NORMALIZE_ALPHABET, max_size=24) | st.text(max_size=24))
+    @settings(max_examples=500)
+    def test_matches_regex_oracle(self, text):
+        assert normalize(text) == oracle_normalize(text)
 
     @given(st.text(max_size=40))
     @settings(max_examples=200)

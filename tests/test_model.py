@@ -1,3 +1,4 @@
+import gc
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from wearocr.model import (
     Rect,
     Resolution,
     TextSpan,
+    collector_paused,
     validate_payload,
     validate_trace,
 )
@@ -120,3 +122,19 @@ def test_frame_roundtrip_through_trace_format(tmp_path):
 def test_imu_norm6():
     sample = ImuSample(ts_us=0, gyro=(3.0, 0.0, 0.0), accel=(0.0, 4.0, 0.0))
     assert sample.norm6() == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_paused_nests_and_restores_on_error(enabled):
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        with collector_paused():
+            assert not gc.isenabled()
+            with pytest.raises(KeyError):
+                with collector_paused():
+                    raise KeyError("inner")
+            assert not gc.isenabled()
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()

@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -164,3 +165,29 @@ class TestSessionReport:
         anchors = PowerAnchors(raw)
         assert anchors.checksum != default_anchors().checksum
         assert anchors.stream_multiplier(StreamConfig(Resolution.MP12, 30, 3_000_000)) == 2.0
+
+
+class TestDuplicateRows:
+    @staticmethod
+    def packaged_with(section, row):
+        raw = resources.files("wearocr.data").joinpath("power_anchors.json").read_bytes()
+        data = json.loads(raw)
+        data[section]["rows"].append(row)
+        return json.dumps(data).encode()
+
+    def test_repeated_stream_key_names_both_rows(self):
+        raw = self.packaged_with(
+            "stream", {"resolution": "MP3", "fps": 12, "bitrate_bps": 1_000_000, "multiplier": 9.0}
+        )
+        with pytest.raises(ValueError, match=r"^power anchors stream row 4 repeats the key of row 2$"):
+            PowerAnchors(raw)
+
+    def test_repeated_device_key_names_both_rows(self):
+        raw = self.packaged_with("device", {"fps": 12, "ocr_mode": "NoOcr", "multiplier": 7.0})
+        with pytest.raises(ValueError, match=r"^power anchors device row 7 repeats the key of row 0$"):
+            PowerAnchors(raw)
+
+    def test_word_row_repeating_a_flat_row_is_refused(self):
+        raw = self.packaged_with("device", {"fps": 2, "ocr_mode": "NoOcr", "words": {"0": 1.0, "100": 2.0}})
+        with pytest.raises(ValueError, match=r"device row 7 repeats the key of row 1$"):
+            PowerAnchors(raw)

@@ -1,3 +1,4 @@
+import gc
 import json
 import types
 from dataclasses import replace
@@ -9,7 +10,7 @@ from wearocr.enrich import EnrichmentPipeline
 from wearocr.model import FrameRecord, QueryMode, QueryRecord, Resolution
 from wearocr.replay import ReplayError, ShuffleConfig, SimConfig, emit_report, replay
 from wearocr.selection import REFERENCE_TREE_CONFIG, SelectorConfig
-from wearocr.tracefile import TraceSpec, generate_frames
+from wearocr.tracefile import TraceSpec, generate_frames, read_queries, read_trace, write_queries, write_trace
 from wearocr import wire
 
 
@@ -141,6 +142,48 @@ class TestReplay:
         assert result.report.stage.input_count == 0
         assert result.report.fidelity is None
         assert result.prompts == ()
+
+
+def test_pipeline_leaves_no_reference_cycles(tmp_path):
+    """What the paused collector would have found: nothing.
+
+    Generate, write, read and replay build only acyclic values, so a
+    collection after the result is dropped frees no object.
+    """
+    spec = TraceSpec(60, 2, 0.632, 0.02, 1.912, selection_events=3, seed=5)
+    trace, queries = tmp_path / "trace.ndjson", tmp_path / "queries.ndjson"
+    pipeline = EnrichmentPipeline()
+    pipeline.register("upper", lambda es: [replace(e, text=e.text.upper()) for e in es])
+    config = SimConfig(seed=3, shuffle=ShuffleConfig(enabled=True, bound=8))
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        write_trace(trace, generate_frames(spec))
+        write_queries(queries, make_queries())
+        _, frames = read_trace(trace)
+        result = replay(frames, read_queries(queries), config, enrichment=pipeline)
+        assert result.prompts and sum(f.user_selection for f in frames) == 3
+        del result, frames
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_enrichment_hooks_run_with_the_collector_paused():
+    seen = []
+    pipeline = EnrichmentPipeline()
+    pipeline.register("probe", lambda es: seen.append(gc.isenabled()) or es)
+    was_enabled = gc.isenabled()
+    gc.enable()
+    try:
+        replay(make_frames(duration_s=30), make_queries()[:1], enrichment=pipeline)
+        assert gc.isenabled()
+    finally:
+        if not was_enabled:
+            gc.disable()
+    assert seen == [False]
 
 
 class TestSimConfig:

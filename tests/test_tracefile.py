@@ -36,6 +36,7 @@ from wearocr.tracefile import (
     write_queries,
     write_trace,
 )
+from wearocr.replay import ReplayError, replay
 
 
 def frame_to_obj(frame: FrameRecord) -> dict:
@@ -536,19 +537,30 @@ def _set_collector(enabled: bool) -> None:
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("valid", [True, False])
 def test_read_trace_restores_collector_state(tmp_path, enabled, valid):
+    """``read_trace``, ``generate_frames`` and ``replay`` each leave the
+    collector as they found it, on success and on error."""
     obj = _frame_line_obj()
+    spec, frames = SPEC, generate_frames(SPEC)[:20]
     if not valid:
         obj["ts_ms"] = "x"
-    trace = _trace_with_line(tmp_path, obj)
+        # An empty word-count range fails at the first fresh text scene.
+        spec = replace(SPEC, words_min=5, words_max=4)
+        frames = frames[1::-1]
+    calls = [
+        (read_trace, (_trace_with_line(tmp_path, obj),), TraceFormatError),
+        (generate_frames, (spec,), ValueError),
+        (replay, (frames, []), ReplayError),
+    ]
     was_enabled = gc.isenabled()
     try:
-        _set_collector(enabled)
-        if valid:
-            read_trace(trace)
-        else:
-            with pytest.raises(TraceFormatError):
-                read_trace(trace)
-        assert gc.isenabled() is enabled
+        for function, args, error in calls:
+            _set_collector(enabled)
+            if valid:
+                function(*args)
+            else:
+                with pytest.raises(error):
+                    function(*args)
+            assert gc.isenabled() is enabled, function.__name__
     finally:
         _set_collector(was_enabled)
 
