@@ -196,6 +196,9 @@ def validate_trace(frames: Sequence[FrameRecord]) -> list[str]:
         if prev_ts is not None and frame.ts_ms <= prev_ts:
             violations.append(f"frame {i}: non-increasing timestamp at index {i}")
         prev_ts = frame.ts_ms
+        # The wire carries it unsigned and mock OCR hashes it signed, both in 64 bits.
+        if not 0 <= frame.ts_ms < 2**63:
+            violations.append(f"frame {i}: ts_ms {frame.ts_ms} outside [0, 2**63)")
         if frame.exposure_us <= 0:
             violations.append(f"frame {i}: exposure_us must be positive")
         sig = frame.scene_sig

@@ -46,32 +46,21 @@ def near_duplicate(common: int, size_a: int, size_b: int, theta: float) -> bool:
     return (common / union if union else 1.0) >= theta
 
 
-def text_similarity(a: Sequence[str], b: Sequence[str]) -> float:
-    """Jaccard similarity of lowercase token sets; 1.0 when both are empty."""
-    ta, tb = token_set(" ".join(a)), token_set(" ".join(b))
+# Kept for the benchmark alone: bench/layers.py counts its calls as osm.similarity_evals (ROADMAP item 1).
+def payload_similarity(a: OcrPayload, b: OcrPayload) -> float:
+    """Jaccard similarity of the payloads' lowercase token sets; 1.0 when both are empty."""
+    ta, tb = token_set(a.text()), token_set(b.text())
     union = len(ta | tb)
     return len(ta & tb) / union if union else 1.0
 
 
-def payload_similarity(a: OcrPayload, b: OcrPayload) -> float:
-    return text_similarity([s.text for s in a.spans], [s.text for s in b.spans])
-
-
 def _exemplar_key(p: OcrPayload) -> tuple[int, float, int]:
+    """A group's exemplar is its member with the largest key: the most
+    span characters, then the higher mean span confidence, then the
+    latest timestamp."""
     chars = sum(len(s.text) for s in p.spans)
     mean_conf = sum(s.conf for s in p.spans) / len(p.spans) if p.spans else 0.0
     return (chars, mean_conf, p.frame_ts_ms)
-
-
-def select_exemplar(members: Sequence[OcrPayload]) -> int:
-    """Timestamp of the group member with the longest, highest-quality text.
-
-    Primary key is total character count of the spans; ties go to higher
-    mean span confidence, then to the latest timestamp.
-    """
-    if not members:
-        raise ValueError("group must be non-empty")
-    return max(members, key=_exemplar_key).frame_ts_ms
 
 
 def _min_overlap(size: int, theta: float) -> int:

@@ -61,6 +61,10 @@ class PlannerConfig:
     def __post_init__(self) -> None:
         if self.pre_n < 0 or self.hist_n < 0:
             raise ValueError("pre_n and hist_n must be non-negative")
+        if self.lookback_ms < 0:
+            raise ValueError(f"lookback_ms must be non-negative, got {self.lookback_ms}")
+        if self.ocr_window_ms < 1:
+            raise ValueError(f"ocr_window_ms must be at least 1, got {self.ocr_window_ms}")
 
 
 def plan_frames(

@@ -135,6 +135,8 @@ def _load(default: object, obj: object, path: str) -> object:
     if not is_dataclass(default):
         # Exact types, so that a JSON boolean is no int.
         if type(obj) in _JSON_TYPES[type(default)]:
+            if obj != obj:  # JSON readers accept NaN, which fails every comparison
+                raise ValueError(f"config {path}: {obj!r} is not a number")
             return obj
         raise ValueError(f"config {path}: {obj!r} is not of type {type(default).__name__}")
     if not isinstance(obj, Mapping):
@@ -248,6 +250,11 @@ def replay(
     violations = validate_trace(frames)
     if violations:
         raise ReplayError(f"invalid trace: {violations[0]}")
+    for qi, query in enumerate(queries):
+        if query.speech_start_ms > query.ts_ms:
+            raise ReplayError(
+                f"query {qi}: speech_start_ms {query.speech_start_ms} is after ts_ms {query.ts_ms}"
+            )
 
     ocr_config = OcrConfig(seed=config.seed)
     decisions, payloads = _device_pass(frames, config, ocr_config)

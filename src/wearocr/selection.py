@@ -70,10 +70,6 @@ class TreeNode:
     right: int = -1
     label: BlurLabel | None = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.label is not None
-
 
 @dataclass(frozen=True)
 class DecisionTree:
@@ -117,7 +113,7 @@ def load_tree(obj: Mapping) -> DecisionTree:
             if type(child) is not int or not 0 <= child < len(raw_nodes):
                 raise TreeConfigError(f"{path}.{side}: child index {child!r} out of range")
         threshold = raw.get("threshold")
-        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)) or math.isnan(threshold):
             raise TreeConfigError(f"{path}.threshold: {threshold!r} is not a number")
         nodes.append(
             TreeNode(
@@ -136,7 +132,7 @@ def load_tree(obj: Mapping) -> DecisionTree:
         if index in on_path:
             raise TreeConfigError(f"{path}: cycle through node {index}")
         node = nodes[index]
-        if node.is_leaf:
+        if node.label is not None:
             return
         check(node.left, f"{path}.left", on_path | {index})
         check(node.right, f"{path}.right", on_path | {index})
@@ -180,22 +176,14 @@ def blur_features(frame: FrameRecord) -> BlurFeatures:
     return BlurFeatures(energy, frame.exposure_us)
 
 
-def classify_blur(features: BlurFeatures, tree: DecisionTree) -> BlurLabel:
-    return tree.classify(features)
-
-
 def signature_norm(v: Sequence[float]) -> float:
     """Euclidean norm of a scene signature, summed in component order."""
     return math.sqrt(sum(map(mul, v, v)))
 
 
-def scene_similarity(a: Sequence[float], b: Sequence[float]) -> float:
-    """Cosine similarity; 0.0 when either vector is all-zero."""
-    return _cosine(a, signature_norm(a), b, signature_norm(b))
-
-
 def _cosine(a: Sequence[float], na: float, b: Sequence[float], nb: float) -> float:
-    """Cosine similarity of ``a`` and ``b`` given their norms ``na`` and ``nb``."""
+    """Cosine similarity of ``a`` and ``b`` given their norms ``na`` and ``nb``;
+    0.0 when either vector is all-zero."""
     if len(a) != len(b):
         raise ValueError(f"scene signature dimension mismatch: {len(a)} vs {len(b)}")
     if na == 0.0 or nb == 0.0:
@@ -298,10 +286,6 @@ class SelectionDecision:
     roi: Rect | None
     selection: bool
 
-    @property
-    def payload_kind(self) -> PayloadKind:
-        return VERDICT_TO_KIND[self.verdict]
-
 
 def _rejection(verdict: Verdict, selection: bool = False) -> tuple[SelectionDecision, PayloadKind]:
     return SelectionDecision(verdict, None, selection), VERDICT_TO_KIND[verdict]
@@ -324,6 +308,12 @@ class SelectorConfig:
     similarity_threshold: float = 0.9
     budget_words: int = 300
     budget_window_ms: int = 10_000
+
+    def __post_init__(self) -> None:
+        if self.budget_words < 0:
+            raise ValueError(f"budget_words must be non-negative, got {self.budget_words}")
+        if self.budget_window_ms < 1:
+            raise ValueError(f"budget_window_ms must be at least 1, got {self.budget_window_ms}")
 
 
 @dataclass
@@ -354,7 +344,7 @@ def process_frame(
 
     Frames must be presented in trace order; the state is single-writer.
     """
-    if classify_blur(blur_features(frame), config.tree) is BlurLabel.BLURRY:
+    if config.tree.classify(blur_features(frame)) is BlurLabel.BLURRY:
         return (*_REJECT_BLUR, state)
 
     choice = select_roi(frame.detections, CLASS_THRESHOLDS)

@@ -14,6 +14,7 @@ fields are synthesized to force that outcome through the real pipeline.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -82,6 +83,9 @@ class TraceSpec:
     words_max: int = 12
 
     def __post_init__(self) -> None:
+        for name in ("duration_s", "fps", "similarity_run_length"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.blur_rate <= 1.0:
             raise ValueError(f"blur_rate must be in [0,1], got {self.blur_rate}")
         if not 0.0 <= self.text_density <= 1.0:
@@ -175,12 +179,10 @@ def generate_frames(spec: TraceSpec) -> list[FrameRecord]:
 
 # -- serialization --------------------------------------------------------
 
-# A frame line: the frame's object form with its keys in sorted order,
-# each slot filled with one value's ``canonical_json`` text.
-_FRAME_LINE = (
-    '{"detections":%s,"exposure_us":%s,"gt_words":%s,"imu":%s,'
-    '"resolution":%s,"scene_sig":%s,"ts_ms":%s,"user_selection":%s}\n'
-)
+# A frame record's keys, in sorted order.  A frame line is its object
+# form with each slot filled with one value's ``canonical_json`` text.
+_FRAME_FIELDS = ("detections", "exposure_us", "gt_words", "imu", "resolution", "scene_sig", "ts_ms", "user_selection")
+_FRAME_LINE = "{" + ",".join(f'"{key}":%s' for key in _FRAME_FIELDS) + "}\n"
 
 _NUMBER = frozenset((int, float))
 _FLOAT = frozenset((float,))
@@ -188,7 +190,6 @@ _STRING = frozenset((str,))
 _RESOLUTIONS = {r.value: r for r in Resolution}
 _CLASSES = {c.value: c for c in DetectionClass}
 _MODES = {m.value: m for m in QueryMode}
-_FRAME_FIELDS = ("detections", "exposure_us", "gt_words", "imu", "resolution", "scene_sig", "ts_ms", "user_selection")
 _DETECTION_FIELDS = ("cls", "bbox", "conf", "keypoints")
 _QUERY_FIELDS = ("ts_ms", "speech_start_ms", "question", "mode", "target_lang")
 

@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -169,6 +170,52 @@ def test_invalid_trace_and_generator_values_are_errors(tmp_path, capsys):
     assert error_of(capsys, ["report", "--trace", str(trace)]) == (
         "invalid trace: frame 1: non-increasing timestamp at index 1"
     )
+
+
+@pytest.mark.parametrize("line, ts_ms", [(1, -500), (-1, 2**63)])
+def test_timestamp_outside_64_bits_is_an_error(inputs, capsys, line, ts_ms):
+    trace, queries, _ = inputs
+    lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[line] = re.sub(r'"ts_ms":\d+,', f'"ts_ms":{ts_ms},', lines[line])
+    trace.write_text("".join(lines), encoding="utf-8")
+    violation = f"frame {len(lines) - 2 if line == -1 else line - 1}: ts_ms {ts_ms} outside [0, 2**63)"
+    capsys.readouterr()
+    assert main(["validate", "--trace", str(trace)]) == 1
+    assert capsys.readouterr().out == violation + "\n"
+    for command in (["report"], ["replay", "--queries", str(queries), "--out", str(trace.parent / "o")]):
+        assert error_of(capsys, [command[0], "--trace", str(trace), *command[1:]]) == f"invalid trace: {violation}"
+
+
+@pytest.mark.parametrize(
+    "option, field",
+    [("--duration-s", "duration_s"), ("--fps", "fps"), ("--similarity-run-length", "similarity_run_length")],
+)
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_generator_value_is_an_error(tmp_path, capsys, option, field, value):
+    trace = tmp_path / "trace.ndjson"
+    assert error_of(capsys, ["generate", "--trace", str(trace), option, value]) == (
+        f"{field} must be finite, got {value}"
+    )
+    assert not trace.exists()
+
+
+def test_nan_in_config_file_is_an_error(inputs, tmp_path, capsys):
+    trace, _, _ = inputs
+    config = tmp_path / "nan.json"
+    config.write_text('{"selector": {"similarity_threshold": NaN}}', encoding="utf-8")
+    assert error_of(capsys, ["report", "--trace", str(trace), "--config", str(config)]) == (
+        f"{config}: config selector.similarity_threshold: nan is not a number"
+    )
+
+
+def test_speech_start_after_query_is_an_error(inputs, tmp_path, capsys):
+    trace, queries, _ = inputs
+    write_queries(queries, [QueryRecord(30_000, 35_000, "What does the sign say?", QueryMode.QA)])
+    out = tmp_path / "o"
+    assert error_of(capsys, ["replay", "--trace", str(trace), "--queries", str(queries), "--out", str(out)]) == (
+        "query 0: speech_start_ms 35000 is after ts_ms 30000"
+    )
+    assert not out.exists()
 
 
 def test_replay_outputs_do_not_depend_on_the_hash_seed(tmp_path):

@@ -13,9 +13,10 @@ construction from ``groups()`` across ingests.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_osm import text_similarity
 from wearocr.enrich import consolidate
 from wearocr.model import OcrPayload, PayloadKind, QualityFlag, QueryMode, QueryRecord, Rect, TextSpan
-from wearocr.osm import OcrContextEntry, SessionTimeline, text_similarity, token_set
+from wearocr.osm import OcrContextEntry, SessionTimeline, token_set
 from wearocr.prompt import dedup_prompt_ocr
 
 # -- oracles ----------------------------------------------------------------

@@ -3,8 +3,9 @@
 Every float on the device path is part of the determinism contract
 (README, design notes): a rewrite for speed must return the very same
 bits.  The oracles below are the straightforward generator-expression
-versions of ``ImuSample.norm6``, ``blur_features``, ``scene_similarity``
-and ``process_frame``; the properties compare with ``==`` (plus the sign
+versions of ``ImuSample.norm6``, ``blur_features``, the cosine of two
+scene signatures (``scene_similarity``, as ``process_frame`` computes
+it) and ``process_frame``; the properties compare with ``==`` (plus the sign
 of zero, and NaN with NaN), never approximately.
 """
 
@@ -18,18 +19,26 @@ from hypothesis import strategies as st
 from wearocr.model import Detection, DetectionClass, FrameRecord, ImuSample, Rect, Resolution
 from wearocr.selection import (
     CLASS_THRESHOLDS,
+    VERDICT_TO_KIND,
     BlurFeatures,
     BlurLabel,
     SelectionDecision,
     SelectorConfig,
     SelectorState,
     Verdict,
+    _cosine,
     blur_features,
-    classify_blur,
     process_frame,
-    scene_similarity,
     select_roi,
+    signature_norm,
 )
+
+
+def scene_similarity(a, b):
+    """Cosine similarity of two scene signatures as ``process_frame``
+    computes it; 0.0 when either is all-zero."""
+    return _cosine(a, signature_norm(a), b, signature_norm(b))
+
 
 # -- oracles ----------------------------------------------------------------
 
@@ -64,9 +73,9 @@ def oracle_process_frame(frame, state, config):
 
     def reject(verdict, selection=False):
         decision = SelectionDecision(verdict=verdict, roi=None, selection=selection)
-        return decision, decision.payload_kind
+        return decision, VERDICT_TO_KIND[verdict]
 
-    if classify_blur(oracle_blur_features(frame), config.tree) is BlurLabel.BLURRY:
+    if config.tree.classify(oracle_blur_features(frame)) is BlurLabel.BLURRY:
         return reject(Verdict.REJECT_BLUR)
     choice = select_roi(frame.detections, CLASS_THRESHOLDS)
     if choice is None:
@@ -82,7 +91,7 @@ def oracle_process_frame(frame, state, config):
     state.last_sig = frame.scene_sig
     state.window.append((frame.ts_ms, len(frame.gt_words)))
     decision = SelectionDecision(verdict=Verdict.RUN_OCR, roi=choice.roi, selection=selected)
-    return decision, decision.payload_kind
+    return decision, VERDICT_TO_KIND[Verdict.RUN_OCR]
 
 
 def same(a, b):

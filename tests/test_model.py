@@ -47,6 +47,15 @@ def test_non_increasing_timestamp_reported():
     assert any("non-increasing timestamp at index 1" in v for v in violations)
 
 
+@pytest.mark.parametrize("ts_ms", [-500, -1, 2**63, 2**64])
+def test_timestamp_outside_64_bits_reported(ts_ms):
+    assert validate_trace([make_frame(ts_ms, imu=())]) == [f"frame 0: ts_ms {ts_ms} outside [0, 2**63)"]
+
+
+def test_timestamp_range_ends_accepted():
+    assert validate_trace([make_frame(0), make_frame(2**63 - 1)]) == []
+
+
 def test_confidence_out_of_range_reported():
     bad = make_frame(
         detections=(

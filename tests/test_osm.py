@@ -12,9 +12,33 @@ from wearocr.osm import (
     _min_overlap,
     near_duplicate,
     payload_similarity,
-    select_exemplar,
-    text_similarity,
+    token_set,
 )
+
+
+def text_similarity(a, b):
+    """Jaccard similarity of the lowercase token sets of the texts joined
+    with spaces; 1.0 when both are empty.  The float form of the rule
+    ``near_duplicate`` decides."""
+    ta, tb = token_set(" ".join(a)), token_set(" ".join(b))
+    union = len(ta | tb)
+    return len(ta & tb) / union if union else 1.0
+
+
+def select_exemplar(members):
+    """Timestamp of the group member with the longest, highest-quality text.
+
+    Primary key is total character count of the spans; ties go to higher
+    mean span confidence, then to the latest timestamp.
+    """
+    if not members:
+        raise ValueError("group must be non-empty")
+
+    def key(p):
+        mean_conf = sum(s.conf for s in p.spans) / len(p.spans) if p.spans else 0.0
+        return (sum(len(s.text) for s in p.spans), mean_conf, p.frame_ts_ms)
+
+    return max(members, key=key).frame_ts_ms
 
 
 def text_payload(ts, text, selection=False, conf=0.9, flags=frozenset()):

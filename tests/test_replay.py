@@ -95,6 +95,32 @@ class TestReplay:
         with pytest.raises(ReplayError, match="invalid trace"):
             replay(bad, [])
 
+    @pytest.mark.parametrize("index, ts_ms", [(0, -500), (-1, 2**63)])
+    def test_timestamp_outside_64_bits_rejected(self, index, ts_ms):
+        frames = make_frames(duration_s=30)
+        frames[index] = replace(frames[index], ts_ms=ts_ms)
+        frame = len(frames) - 1 if index == -1 else index
+        with pytest.raises(ReplayError, match=rf"invalid trace: frame {frame}: ts_ms {ts_ms} outside \[0, 2\*\*63\)"):
+            replay(frames, [])
+
+    def test_last_timestamp_below_2_63_replays(self):
+        frames = make_frames(duration_s=30)
+        shift = 2**63 - 1 - frames[-1].ts_ms
+        frames = [replace(f, ts_ms=f.ts_ms + shift) for f in frames]
+        query = QueryRecord(2**63 - 1, 2**63 - 2_001, "What does the sign say?", QueryMode.QA)
+        result = replay(frames, [query])
+        assert result.report.stage.accepted > 0
+        assert result.report.ledger.message_count == len(frames) + 3
+
+    def test_speech_start_after_query_rejected(self, monkeypatch):
+        def unreached(*args):
+            raise AssertionError("device pass reached")
+
+        monkeypatch.setattr(replay_module, "_device_pass", unreached)
+        queries = [*make_queries(), QueryRecord(30_000, 45_000, "What does the sign say?", QueryMode.QA)]
+        with pytest.raises(ReplayError, match="query 2: speech_start_ms 45000 is after ts_ms 30000"):
+            replay(make_frames(), queries)
+
     def test_enrichment_hook_reaches_prompts(self):
         frames, queries = make_frames(), make_queries()
         pipeline = EnrichmentPipeline()
@@ -251,11 +277,34 @@ class TestSimConfig:
             ({"stream": {"fps": 0}}, "config stream.fps: fps must be at least 1"),
             ({"session_id": -1}, r"config session_id: session_id must be in \[0, 2\*\*64\)"),
             ({"session_id": 2**64}, "config session_id: session_id must be in"),
+            ({"planner": {"ocr_window_ms": 0}}, "config planner.ocr_window_ms: ocr_window_ms must be at least 1"),
+            ({"planner": {"lookback_ms": -1}}, "config planner.lookback_ms: lookback_ms must be non-negative"),
+            ({"selector": {"budget_window_ms": 0}}, "config selector.budget_window_ms: budget_window_ms must be at least 1"),
+            ({"selector": {"budget_window_ms": -5}}, "config selector.budget_window_ms: budget_window_ms must be at least 1"),
+            ({"selector": {"budget_words": -1}}, "config selector.budget_words: budget_words must be non-negative"),
+            ({"text_similarity_threshold": float("nan")}, "config text_similarity_threshold: nan is not a number"),
+            ({"selector": {"similarity_threshold": float("nan")}}, "config selector.similarity_threshold: nan is not a number"),
+            (
+                {"selector": {"tree": {"nodes": [
+                    {"feature": "exposure_us", "threshold": float("nan"), "left": 1, "right": 1}, {"label": "Sharp"},
+                ]}}},
+                r"config selector.tree: nodes\[0\].threshold: nan is not a number",
+            ),
         ],
     )
     def test_unknown_or_malformed_key_rejected(self, obj, message):
         with pytest.raises(ValueError, match=message):
             SimConfig.from_obj(obj)
+
+    def test_domain_bounds_accepted(self):
+        config = SimConfig.from_obj({
+            "planner": {"ocr_window_ms": 1, "lookback_ms": 0},
+            "selector": {"budget_window_ms": 1, "budget_words": 0},
+        })
+        assert (config.planner.ocr_window_ms, config.planner.lookback_ms) == (1, 0)
+        assert (config.selector.budget_window_ms, config.selector.budget_words) == (1, 0)
+        result = replay(make_frames(duration_s=5), make_queries()[:1], config)
+        assert result.report.stage.accepted == 0
 
     def test_integer_range_bounds_accepted(self):
         stream = SimConfig.from_obj({"stream": {"fps": 1, "bitrate_bps": 1}}).stream

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from test_device_oracles import scene_similarity
 from wearocr.model import (
     Detection,
     DetectionClass,
@@ -19,12 +20,10 @@ from wearocr.selection import (
     TreeConfigError,
     Verdict,
     blur_features,
-    classify_blur,
     load_tree,
     pct_change,
     process_frame,
     reference_tree,
-    scene_similarity,
     select_roi,
     stage_report,
     stage_report_from_counts,
@@ -84,18 +83,18 @@ class TestBlurFeatures:
 class TestClassifyBlur:
     def test_zero_motion_is_sharp(self):
         features = BlurFeatures(motion_energy=0.0, exposure_us=5000)
-        assert classify_blur(features, reference_tree()) is BlurLabel.SHARP
+        assert reference_tree().classify(features) is BlurLabel.SHARP
 
     def test_high_motion_long_exposure_is_blurry(self):
         # Walk by hand: exposure 30000 >= 20000 -> right branch, threshold
         # 4.0; motion 12.0 >= 4.0 -> Blurry.
         features = BlurFeatures(motion_energy=12.0, exposure_us=30000)
-        assert classify_blur(features, reference_tree()) is BlurLabel.BLURRY
+        assert reference_tree().classify(features) is BlurLabel.BLURRY
 
     def test_single_leaf_tree(self):
         tree = load_tree({"root": 0, "nodes": [{"label": "Sharp"}]})
         features = BlurFeatures(motion_energy=1e9, exposure_us=10**9)
-        assert classify_blur(features, tree) is BlurLabel.SHARP
+        assert tree.classify(features) is BlurLabel.SHARP
 
     def test_cycle_rejected_at_load(self):
         config = {

@@ -92,6 +92,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             TraceSpec(10, 0, 0.5, 0.0, 2.0)
 
+    @pytest.mark.parametrize("field", ["duration_s", "fps", "similarity_run_length"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+            replace(SPEC, **{field: value})
+
     def test_survivor_fraction_formula(self):
         spec = TraceSpec(10, 2, 0.5, 0.2, 2.0)
         # (1-0.2) * 0.5 * (1/2.0)
