@@ -11,7 +11,7 @@ import logging
 from dataclasses import replace
 from typing import Callable, Sequence
 
-from .osm import OcrContextEntry, near_duplicate, token_set
+from .osm import OcrContextEntry, near_duplicate
 
 log = logging.getLogger(__name__)
 
@@ -53,25 +53,20 @@ def consolidate(
     the entry before it, which only a second pass would merge.
     """
     out: list[OcrContextEntry] = []
-    last: frozenset[str] = frozenset()  # token set of out[-1].text
     for entry in entries:
-        tokens = token_set(entry.text)
         if out and entry.ts_ms - out[-1].ts_ms <= gap_ms:
-            if near_duplicate(len(last & tokens), len(last), len(tokens), threshold):
-                prev = out[-1]
-                if len(prev.text) >= len(entry.text):
-                    longer = prev.text
-                else:
-                    longer, last = entry.text, tokens
+            prev = out[-1]
+            if near_duplicate(
+                len(prev.tokens & entry.tokens), len(prev.tokens), len(entry.tokens), threshold
+            ):
                 out[-1] = OcrContextEntry(
                     ts_ms=entry.ts_ms,
-                    text=longer,
+                    text=prev.text if len(prev.text) >= len(entry.text) else entry.text,
                     quality_flags=prev.quality_flags | entry.quality_flags,
                     is_selection=prev.is_selection or entry.is_selection,
                 )
                 continue
         out.append(entry)
-        last = tokens
     return out
 
 

@@ -14,6 +14,7 @@ order yields identical retrieval results.
 from __future__ import annotations
 
 import bisect
+import functools
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -44,6 +45,22 @@ def near_duplicate(common: int, size_a: int, size_b: int, theta: float) -> bool:
     """
     union = size_a + size_b - common
     return (common / union if union else 1.0) >= theta
+
+
+@functools.lru_cache(maxsize=16)
+def size_filter(max_size: int, theta: float) -> tuple[frozenset[int], ...]:
+    """Size filter up to ``max_size``: item ``a`` holds the sizes a set of ``a`` tokens can match.
+
+    A set of ``a`` tokens and one of ``b`` share at most ``min(a, b)``,
+    so ``b`` is kept when ``near_duplicate(min(a, b), a, b, theta)``;
+    float division is monotone, so a size left out is one the exact
+    test rejects at every overlap.  Cached, so that every query's dedup
+    reuses one table.
+    """
+    return tuple(
+        frozenset(b for b in range(max_size + 1) if near_duplicate(min(a, b), a, b, theta))
+        for a in range(max_size + 1)
+    )
 
 
 # Kept for the benchmark alone: bench/layers.py counts its calls as osm.similarity_evals (ROADMAP item 1).
@@ -84,12 +101,35 @@ class OcrGroup:
         object.__setattr__(self, "group_latest_ts", max(self.members))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OcrContextEntry:
+    """One group's exemplar text as a query's OCR context shows it.
+
+    Two fields are derived at construction, so every entry built
+    directly, by ``dataclasses.replace`` or by a merge carries its own:
+    ``tokens``, the ``token_set`` of ``text`` that near-duplicate tests
+    read, and ``line``, the entry's ``render_ocr_line`` prompt line.
+    Equality and hashing ignore them.
+    """
+
     ts_ms: int
     text: str
     quality_flags: frozenset[QualityFlag]
     is_selection: bool
+    tokens: frozenset[str] = field(init=False, repr=False, compare=False)
+    line: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tokens", token_set(self.text))
+        object.__setattr__(self, "line", render_ocr_line(self))
+
+
+def render_ocr_line(entry: OcrContextEntry) -> str:
+    """The prompt line of an entry: ``[OCR t=<ts>ms flags=<flags>] <text>``."""
+    flags = ",".join(sorted(f.value.lower() for f in entry.quality_flags)) or "none"
+    if entry.is_selection:
+        flags += ";selected"
+    return f"[OCR t={entry.ts_ms}ms flags={flags}] {entry.text}"
 
 
 @dataclass(frozen=True)
@@ -190,12 +230,7 @@ class SessionTimeline:
             tokens[ts] = tuple(sorted(map(rank.__getitem__, toks)))
         max_size = max(map(len, tokens.values()), default=0)
         need = [_min_overlap(n, theta) for n in range(max_size + 1)]
-        # Size filter: fits[a] holds the exemplar sizes b that a set of
-        # a tokens can match, at best by sharing min(a, b) of them.
-        fits = [
-            frozenset(b for b in range(max_size + 1) if near_duplicate(min(a, b), a, b, theta))
-            for a in range(max_size + 1)
-        ]
+        fits = size_filter(max_size, theta)
 
         def keys(ts: int) -> tuple[int, ...]:
             toks = tokens[ts]

@@ -2,7 +2,7 @@
 
 Plans which frames back a query (uniformly sampled pre-query frames,
 all accepted frames during speech, refs carried over from prior turns),
-renders OCR entries into a fixed line format, and assembles the final
+drops near-duplicate OCR entries, and assembles the final
 prompt: optional mode preamble, then history/frame/OCR components
 merged in chronological order, then the question.
 """
@@ -15,7 +15,8 @@ from enum import IntEnum
 from typing import Mapping, Sequence
 
 from .model import QueryMode, QueryRecord, Resolution
-from .osm import OcrContextEntry, near_duplicate, token_set
+from .osm import OcrContextEntry, near_duplicate, size_filter
+from .osm import render_ocr_line as render_ocr_line  # the line format lives with the entry
 
 READOUT_PREAMBLE = "Read this word by word, spell out license plates character by character"
 TRANSLATION_PREAMBLE_TEMPLATE = "Translate this word by word into {language}"
@@ -108,13 +109,6 @@ def plan_frames(
     )
 
 
-def render_ocr_line(entry: OcrContextEntry) -> str:
-    flags = ",".join(sorted(f.value.lower() for f in entry.quality_flags)) or "none"
-    if entry.is_selection:
-        flags += ";selected"
-    return f"[OCR t={entry.ts_ms}ms flags={flags}] {entry.text}"
-
-
 def render_frame_ref(ts_ms: int, resolution: Resolution) -> str:
     return f"[FRAME t={ts_ms}ms res={resolution.value}]"
 
@@ -128,16 +122,17 @@ def dedup_prompt_ocr(
     deduplicated away.  Idempotent.
     """
     retained: list[OcrContextEntry] = []
-    retained_tokens: list[frozenset[str]] = []
+    fits = size_filter(max((len(e.tokens) for e in entries), default=0), threshold)
     for entry in entries:
-        tokens = token_set(entry.text)
+        tokens = entry.tokens
+        sizes = fits[len(tokens)]
         if not entry.is_selection and any(
-            near_duplicate(len(tokens & kept), len(tokens), len(kept), threshold)
-            for kept in retained_tokens
+            near_duplicate(len(tokens & kept.tokens), len(tokens), len(kept.tokens), threshold)
+            for kept in retained
+            if len(kept.tokens) in sizes
         ):
             continue
         retained.append(entry)
-        retained_tokens.append(tokens)
     return retained
 
 
@@ -183,7 +178,7 @@ def build_prompt(
         )
     for entry in ocr_entries:
         middle.append(
-            PromptComponent(ComponentKind.OCR_BLOCK, entry.ts_ms, render_ocr_line(entry))
+            PromptComponent(ComponentKind.OCR_BLOCK, entry.ts_ms, entry.line)
         )
     middle.sort(key=lambda c: (c.ts_ms, c.kind))
     components.extend(middle)

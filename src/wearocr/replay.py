@@ -308,6 +308,11 @@ def replay(
     group_source = {g.group_latest_ts: g.exemplar_ts for g in timeline.groups()}
 
     prompts: list[QueryPrompt] = []
+    # Historical frame refs chain from plan to plan in ts order (stable
+    # on ties), whatever the input order: plans are made in that order,
+    # each when the loop below first needs it.
+    plan_order = iter(sorted(range(len(queries)), key=lambda i: queries[i].ts_ms))
+    plans: dict[int, FramePlan] = {}
     plan: FramePlan | None = None
     fidelity_frames: dict[int, OcrContextEntry] = {}
     for qi, query in enumerate(queries):
@@ -318,8 +323,10 @@ def replay(
             if enrichment is not None:
                 entries = enrichment.apply(entries)
             entries = dedup_prompt_ocr(entries, config.text_similarity_threshold)
-            plan = plan_frames(frame_ts, accepted_ts, query, config.planner, plan)
-            _, text = build_prompt(query, plan, entries, frame_resolutions=resolutions)
+            while qi not in plans:
+                i = next(plan_order)
+                plan = plans[i] = plan_frames(frame_ts, accepted_ts, queries[i], config.planner, plan)
+            _, text = build_prompt(query, plans.pop(qi), entries, frame_resolutions=resolutions)
         except ValueError as exc:
             raise ReplayError(f"query {qi}: {exc}") from exc
         prompts.append(QueryPrompt(query=query, text=text))

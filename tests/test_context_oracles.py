@@ -7,17 +7,22 @@ The oracles below are the straightforward forms that call
 the properties require ``==``, so every merge and drop decision, and
 every kept text, must be the same.  ``build_ocr_context`` hands out
 entries built once per grouping, so it is checked against a per-query
-construction from ``groups()`` across ingests.
+construction from ``groups()`` across ingests.  Entries carry their
+token set and prompt line from construction; the last properties check
+that no way of building an entry leaves either stale.
 """
 
+from dataclasses import replace
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_osm import text_similarity
-from wearocr.enrich import consolidate
+from wearocr.enrich import EnrichmentPipeline, consolidate
 from wearocr.model import OcrPayload, PayloadKind, QualityFlag, QueryMode, QueryRecord, Rect, TextSpan
 from wearocr.osm import OcrContextEntry, SessionTimeline, token_set
-from wearocr.prompt import dedup_prompt_ocr
+from wearocr.prompt import ComponentKind, FramePlan, build_prompt, dedup_prompt_ocr, render_ocr_line
 
 # -- oracles ----------------------------------------------------------------
 
@@ -93,6 +98,13 @@ _text = st.one_of(
     ).map(lambda pairs: "".join(sep + word for sep, word in pairs)),
     st.sampled_from(_ODD_TEXTS),
 )
+# Windows of one word list: 1 to 12 distinct tokens that overlap
+# heavily, so that at theta 0.5 and 0.8 some pairs fail the size filter,
+# some pass it and match, and some pass it and do not.
+_LIST = [f"w{i}" for i in range(15)]
+_window_text = st.tuples(st.integers(0, 3), st.integers(1, 12)).map(
+    lambda start_size: " ".join(_LIST[start_size[0] : sum(start_size)])
+)
 _flags = st.sampled_from(
     [frozenset(), frozenset({QualityFlag.BLURRY}), frozenset({QualityFlag.CROPPED})]
 )
@@ -118,6 +130,7 @@ _entries = st.one_of(
         st.tuples(_step, st.integers(2, 6).map(lambda n: " ".join("aBcdEf"[:n])), _flags, _selected),
         max_size=12,
     ).map(_timed),
+    st.lists(st.tuples(_step, _window_text, _flags, _selected), max_size=12).map(_timed),
 )
 _THETAS = st.sampled_from([0.0, 0.5, 0.8, 1.0])
 
@@ -182,3 +195,59 @@ def test_context_matches_per_query_construction(batches, theta, window):
         for ts in range(-1, 62, 3):
             query = QueryRecord(ts, ts, "?", QueryMode.QA)
             assert timeline.build_ocr_context(query, window) == oracle_context(timeline, query, window)
+
+
+# -- derived fields -----------------------------------------------------------
+
+
+def _derived_fields_fresh(entry):
+    return entry.tokens == token_set(entry.text) and entry.line == render_ocr_line(entry)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    entries=_entries,
+    texts=st.lists(st.one_of(_text, _window_text), min_size=12, max_size=12),
+    theta=_THETAS,
+)
+def test_derived_fields_follow_the_text_however_an_entry_is_built(entries, texts, theta):
+    # Built directly, by replace(), by a consolidate merge and by an
+    # enrichment hook that rewrites every text.
+    pipeline = EnrichmentPipeline()
+    pipeline.register("rewrite", lambda es: [replace(e, text=t) for e, t in zip(es, texts)])
+    merged = consolidate(entries, 5000, theta)
+    rewritten = pipeline.apply(merged)
+    replaced = [replace(e, text=t) for e, t in zip(entries, reversed(texts))]
+    for entry in [*entries, *replaced, *merged, *rewritten]:
+        assert _derived_fields_fresh(entry)
+    # Dedup decides on the rewritten texts, and the prompt shows them.
+    kept = dedup_prompt_ocr(rewritten, theta)
+    assert kept == oracle_dedup(rewritten, theta)
+    components, _ = build_prompt(QueryRecord(10**6, 10**6, "?", QueryMode.QA), FramePlan((), (), ()), kept)
+    assert [c.body for c in components if c.kind is ComponentKind.OCR_BLOCK] == [
+        render_ocr_line(e) for e in kept
+    ]
+
+
+def test_a_hook_rewrite_reaches_dedup_and_the_prompt():
+    pipeline = EnrichmentPipeline()
+    pipeline.register("rename", lambda es: [replace(e, text="Platform six") for e in es])
+    rewritten = pipeline.apply(_chain("gate b12", "exit north"))
+    # The rewritten texts are identical, so the second is now a duplicate.
+    assert dedup_prompt_ocr(rewritten) == rewritten[:1]
+    _, prompt = build_prompt(QueryRecord(5000, 5000, "?", QueryMode.QA), FramePlan((), (), ()), rewritten)
+    assert prompt.split("\n")[:2] == ["[OCR t=0ms flags=none] Platform six", "[OCR t=1000ms flags=none] Platform six"]
+
+
+def test_derived_fields_take_no_part_in_equality_hashing_or_repr():
+    a = OcrContextEntry(5, "Gate B12", frozenset({QualityFlag.BLURRY}), True)
+    b = OcrContextEntry(5, "Gate B12", frozenset({QualityFlag.BLURRY}), True)
+    object.__setattr__(b, "tokens", frozenset({"other"}))
+    object.__setattr__(b, "line", "other")
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert a.tokens == {"gate", "b12"} and a.line == "[OCR t=5ms flags=blurry;selected] Gate B12"
+    # Neither can be set from outside, so neither can be given stale.
+    with pytest.raises(ValueError):
+        replace(a, tokens=frozenset())
+    with pytest.raises(TypeError):
+        OcrContextEntry(5, "Gate B12", frozenset(), False, frozenset())

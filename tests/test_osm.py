@@ -12,6 +12,7 @@ from wearocr.osm import (
     _min_overlap,
     near_duplicate,
     payload_similarity,
+    size_filter,
     token_set,
 )
 
@@ -505,7 +506,7 @@ class TestNearDuplicateRule:
         assert match == (text_similarity([" ".join(a)], [" ".join(b)]) >= theta)
         if match:
             # The size filter's test, and the prefix filter's overlap bound.
-            assert near_duplicate(min(len(a), len(b)), len(a), len(b), theta)
+            assert len(b) in size_filter(max(len(a), len(b)), theta)[len(a)]
             for size in filter(None, (len(a), len(b))):
                 assert common >= _min_overlap(size, theta)
 

@@ -121,6 +121,21 @@ class TestReplay:
         with pytest.raises(ReplayError, match="query 2: speech_start_ms 45000 is after ts_ms 30000"):
             replay(make_frames(), queries)
 
+    def test_historical_frames_come_from_earlier_queries_in_any_input_order(self):
+        # Queries at 50 s then 10 s: the 10-s prompt once listed the 50-s
+        # query's frames [FRAME t=49000ms] and [FRAME t=50000ms].
+        frames = make_frames()
+        late = QueryRecord(50_000, 49_000, "What does the sign say?", QueryMode.QA)
+        early = QueryRecord(10_000, 9_000, "What does the sign say?", QueryMode.QA)
+        in_order = replay(frames, [early, late])
+        reversed_ = replay(frames, [late, early])
+        assert [p.query for p in reversed_.prompts] == [late, early]
+        assert [p.text for p in reversed_.prompts] == [p.text for p in reversed(in_order.prompts)]
+        assert "[FRAME t=9000ms res=MP12]" in in_order.prompts[1].text  # late carries early's refs
+        refs = [int(line[9:].split("ms")[0]) for line in reversed_.prompts[1].text.split("\n")
+                if line.startswith("[FRAME t=")]
+        assert refs and max(refs) <= early.ts_ms
+
     def test_enrichment_hook_reaches_prompts(self):
         frames, queries = make_frames(), make_queries()
         pipeline = EnrichmentPipeline()
