@@ -13,6 +13,7 @@ fields are synthesized to force that outcome through the real pipeline.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -192,6 +193,10 @@ _CLASSES = {c.value: c for c in DetectionClass}
 _MODES = {m.value: m for m in QueryMode}
 _DETECTION_FIELDS = ("cls", "bbox", "conf", "keypoints")
 _QUERY_FIELDS = ("ts_ms", "speech_start_ms", "question", "mode", "target_lang")
+# Distinct float texts the reader keeps at once; a generated trace's
+# repeats fall within a few lines of each other.
+_FLOAT_MEMO_SIZE = 4096
+_BOM_MESSAGE = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
 
 
 def _detections_json(detections: Sequence[Detection]) -> str:
@@ -295,6 +300,11 @@ def _unknown_field(obj: dict, known: tuple[str, ...], where: str = "") -> TraceF
     return TraceFormatError(f"unknown field {where}{key}")
 
 
+def _missing_field(exc: KeyError, where: str = "") -> TraceFormatError:
+    """The error for a record lookup that raised ``exc``."""
+    return TraceFormatError(f"missing field {where}{exc.args[0]}")
+
+
 def _imu_error(sample: object, j: int) -> TraceFormatError:
     if type(sample) is not list or len(sample) != 3:
         return _field_error(f"imu[{j}]", "[ts_us, gyro, accel]", sample, _length(sample))
@@ -309,7 +319,10 @@ def _imu_error(sample: object, j: int) -> TraceFormatError:
 def _detection(d: object, j: int) -> Detection:
     if type(d) is not dict:
         raise _field_error(f"detections[{j}]", "object", d)
-    cls, bbox, conf = d["cls"], d["bbox"], d["conf"]
+    try:
+        cls, bbox, conf = d["cls"], d["bbox"], d["conf"]
+    except KeyError as exc:
+        raise _missing_field(exc, f"detections[{j}].") from None
     if len(d) != (4 if "keypoints" in d else 3):
         raise _unknown_field(d, _DETECTION_FIELDS, f"detections[{j}].")
     if type(cls) is not str or cls not in _CLASSES:
@@ -331,18 +344,20 @@ def _detection(d: object, j: int) -> Detection:
 
 
 def frame_from_obj(obj: dict, shared_sig: tuple[float, ...] = ()) -> FrameRecord:
-    """The frame a parsed trace line describes.  A missing field raises
-    ``KeyError``; an unknown field or a field of the wrong JSON type
-    raises ``TraceFormatError``.
+    """The frame a parsed trace line describes.  A missing or unknown
+    field, or a field of the wrong JSON type, raises ``TraceFormatError``.
 
     ``scene_sig`` is ``shared_sig`` itself when the two are equal; the
     caller passes only a signature for which equal means identical
     (``_equal_is_identical``).  Frames are immutable, so the frames of
     one scene can share the tuple.
     """
-    ts_ms, resolution, exposure_us = obj["ts_ms"], obj["resolution"], obj["exposure_us"]
-    imu, detections, sig = obj["imu"], obj["detections"], obj["scene_sig"]
-    gt_words, user_selection = obj["gt_words"], obj["user_selection"]
+    try:
+        ts_ms, resolution, exposure_us = obj["ts_ms"], obj["resolution"], obj["exposure_us"]
+        imu, detections, sig = obj["imu"], obj["detections"], obj["scene_sig"]
+        gt_words, user_selection = obj["gt_words"], obj["user_selection"]
+    except KeyError as exc:
+        raise _missing_field(exc) from None
     # Every field is present, so any further key is an unknown one.
     if len(obj) != len(_FRAME_FIELDS):
         raise _unknown_field(obj, _FRAME_FIELDS)
@@ -412,7 +427,10 @@ def query_to_obj(query: QueryRecord) -> dict:
 
 def query_from_obj(obj: dict) -> QueryRecord:
     """The query a parsed query line describes; errors as ``frame_from_obj``."""
-    ts_ms, speech_start_ms, question, mode = obj["ts_ms"], obj["speech_start_ms"], obj["question"], obj["mode"]
+    try:
+        ts_ms, speech_start_ms, question, mode = obj["ts_ms"], obj["speech_start_ms"], obj["question"], obj["mode"]
+    except KeyError as exc:
+        raise _missing_field(exc) from None
     target_lang = obj.get("target_lang")
     if len(obj) != (5 if "target_lang" in obj else 4):
         raise _unknown_field(obj, _QUERY_FIELDS)
@@ -442,7 +460,7 @@ def write_generated_trace(path: str | Path, spec: TraceSpec) -> list[FrameRecord
     return frames
 
 
-def _parse_line(path: str | Path, lineno: int, line: str) -> dict:
+def _parse_line(path: str | Path, lineno: int, line: str, decode: Callable[[str], object]) -> dict:
     # Lines are decoded with surrogateescape, so a byte that is not
     # UTF-8 shows up here as a lone surrogate, which cannot re-encode.
     if not line.isascii():
@@ -453,9 +471,12 @@ def _parse_line(path: str | Path, lineno: int, line: str) -> dict:
                 f"{path}:{lineno}: not UTF-8 at character {exc.start + 1}"
             ) from None
     try:
-        obj = json.loads(line)
+        obj = decode(line)
     except (ValueError, RecursionError) as exc:
-        raise TraceFormatError(f"{path}:{lineno}: not JSON: {getattr(exc, 'msg', exc)}") from None
+        # ``json.loads`` names a leading byte-order mark, which a decoder
+        # reports as a bad value; the message stays the one it gave.
+        message = _BOM_MESSAGE if line.startswith("\ufeff") else getattr(exc, "msg", exc)
+        raise TraceFormatError(f"{path}:{lineno}: not JSON: {message}") from None
     if not isinstance(obj, dict):
         raise TraceFormatError(f"{path}:{lineno}: expected an object, got {type(obj).__name__}")
     return obj
@@ -465,12 +486,21 @@ def _read_lines(
     path: str | Path, expected_format: str, convert: Callable[[dict], T]
 ) -> tuple[dict, list[T]]:
     """Header and converted records; bad input raises ``TraceFormatError``
-    as ``path:line: ...`` and the file is closed on every path."""
+    as ``path:line: ...`` and the file is closed on every path.
+
+    Lines are parsed by one decoder per call, whose ``parse_float`` is a
+    bounded memo from a float's text to its value: equal texts give one
+    float object, so a trace's many repeated floats (each IMU sample's
+    zeros, say) are held once.  Only equal texts share, so ``0.0`` and
+    ``-0.0``, or ``1`` and ``1.0``, keep their bits and types; float
+    objects are immutable, so sharing them is safe.
+    """
+    decode = json.JSONDecoder(parse_float=functools.lru_cache(maxsize=_FLOAT_MEMO_SIZE)(float)).decode
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header_line = fh.readline()
         if not header_line:
             raise TraceFormatError(f"{path}:1: empty file, missing header")
-        header = _parse_line(path, 1, header_line)
+        header = _parse_line(path, 1, header_line, decode)
         if header.get("format") != expected_format:
             raise TraceFormatError(
                 f"{path}:1: expected format {expected_format!r}, got {header.get('format')!r}"
@@ -481,7 +511,7 @@ def _read_lines(
         for lineno, line in enumerate(fh, start=2):
             if line.isspace():
                 continue
-            obj = _parse_line(path, lineno, line)
+            obj = _parse_line(path, lineno, line, decode)
             try:
                 records.append(convert(obj))
             except TraceFormatError as exc:
@@ -501,7 +531,11 @@ def _equal_is_identical(sig: tuple) -> bool:
 @collector_paused()
 def read_trace(path: str | Path) -> tuple[dict, list[FrameRecord]]:
     """Header and frames; consecutive frames with equal signatures share
-    one ``scene_sig`` tuple where ``_equal_is_identical`` allows it."""
+    one ``scene_sig`` tuple where ``_equal_is_identical`` allows it.
+
+    A header's ``frame_count`` (``write_trace`` writes one) must be the
+    number of frames read, so a file cut at a line boundary is refused.
+    """
     shared_sig: tuple[float, ...] = ()
 
     def convert(obj: dict) -> FrameRecord:
@@ -511,7 +545,18 @@ def read_trace(path: str | Path) -> tuple[dict, list[FrameRecord]]:
             shared_sig = frame.scene_sig if _equal_is_identical(frame.scene_sig) else ()
         return frame
 
-    return _read_lines(path, TRACE_FORMAT, convert)
+    header, frames = _read_lines(path, TRACE_FORMAT, convert)
+    if "frame_count" in header:
+        count = header["frame_count"]
+        if type(count) is not int:
+            raise TraceFormatError(
+                f"{path}:1: header frame_count: expected integer, got {type(count).__name__}"
+            )
+        if count != len(frames):
+            raise TraceFormatError(
+                f"{path}:1: header frame_count {count}, but the file holds {len(frames)} frames"
+            )
+    return header, frames
 
 
 def write_queries(path: str | Path, queries: Sequence[QueryRecord]) -> None:

@@ -13,6 +13,7 @@ is order-insensitive by design.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,6 +61,13 @@ _FLAG_CODE = {
     QualityFlag.POOR_LIGHTING: 4,
 }
 _CODE_FLAG = {v: k for k, v in _FLAG_CODE.items()}
+# Each set of flags as ``encode`` writes it (codes sorted, once each),
+# mapped to one shared set: decoded payloads hold no copies of their flags.
+_FLAG_SETS = {
+    bytes(codes): frozenset([_CODE_FLAG[c] for c in codes])
+    for n in range(len(_CODE_FLAG) + 1)
+    for codes in itertools.combinations(sorted(_CODE_FLAG), n)
+}
 
 
 @dataclass(frozen=True)
@@ -227,10 +235,13 @@ def decode(data: bytes) -> WireMessage:
             raise CorruptFrameError(f"unknown payload kind {kind_code}", pos)
         frame_ts, selection, n_flags = _OCR_FIELDS.unpack(data, pos + 1)
         pos += 1 + _OCR_FIELDS.size
-        codes = data[pos : pos + n_flags]
-        for i, code in enumerate(codes):
-            if code not in _CODE_FLAG:
-                raise CorruptFrameError(f"unknown quality flag {code}", pos + i)
+        codes = bytes(data[pos : pos + n_flags])  # hashable also when data is a bytearray
+        flags = _FLAG_SETS.get(codes)
+        if flags is None:  # unsorted or repeated codes, or an unknown one
+            for i, code in enumerate(codes):
+                if code not in _CODE_FLAG:
+                    raise CorruptFrameError(f"unknown quality flag {code}", pos + i)
+            flags = frozenset([_CODE_FLAG[c] for c in codes])
         if len(codes) < n_flags:
             raise CorruptFrameError("body truncated", pos + len(codes))
         pos += n_flags
@@ -250,9 +261,7 @@ def decode(data: bytes) -> WireMessage:
             x, y, w, h, conf = _SPAN_BOX.unpack(data, pos)
             pos += _SPAN_BOX.size
             spans.append(TextSpan(text, Rect(x, y, w, h), conf))
-        body = OcrPayload(
-            kind, frame_ts, tuple(spans), selection != 0, frozenset([_CODE_FLAG[c] for c in codes])
-        )
+        body = OcrPayload(kind, frame_ts, tuple(spans), selection != 0, flags)
         violations = validate_payload(body)
         if violations:
             raise CorruptFrameError(f"invalid payload: {violations[0]}", fields_at)

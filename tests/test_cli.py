@@ -146,6 +146,15 @@ def test_bad_trace_line_is_an_error(inputs, capsys):
         assert error_of(capsys, [command[0], "--trace", str(trace), *command[1:]]) == expected
 
 
+def test_trace_cut_at_a_line_boundary_is_an_error(inputs, capsys):
+    trace, _, _ = inputs
+    lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+    trace.write_text("".join(lines[:-10]), encoding="utf-8")
+    assert error_of(capsys, ["validate", "--trace", str(trace)]) == (
+        f"{trace}:1: header frame_count 80, but the file holds 70 frames"
+    )
+
+
 def test_bad_query_line_and_missing_file_are_errors(inputs, tmp_path, capsys):
     trace, queries, _ = inputs
     with open(queries, "a", encoding="utf-8") as fh:
@@ -166,7 +175,8 @@ def test_invalid_trace_and_generator_values_are_errors(tmp_path, capsys):
     assert not trace.exists()
     assert main(["generate", "--trace", str(trace), "--duration-s", "2"]) == 0
     lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
-    trace.write_text(lines[0] + lines[2] + lines[1], encoding="utf-8")
+    lines[1:3] = lines[2:0:-1]
+    trace.write_text("".join(lines), encoding="utf-8")
     assert error_of(capsys, ["report", "--trace", str(trace)]) == (
         "invalid trace: frame 1: non-increasing timestamp at index 1"
     )

@@ -213,8 +213,57 @@ class TestFileRoundTrip:
         write_queries(path, [QueryRecord(10_000, 9_000, "What gate?", QueryMode.QA)])
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"ts_ms": 20000}\n')
-        with pytest.raises(TraceFormatError, match=r"queries\.ndjson:3: bad record: KeyError"):
+        with pytest.raises(TraceFormatError, match=r"queries\.ndjson:3: missing field speech_start_ms$"):
             read_queries(path)
+
+    def test_byte_order_mark_is_named_as_json_loads_names_it(self, tmp_path):
+        path = tmp_path / "trace.ndjson"
+        line = "\ufeff" + json.dumps({"format": TRACE_FORMAT, "version": FORMAT_VERSION})
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as loads_error:
+            json.loads(line)
+        with pytest.raises(TraceFormatError) as info:
+            read_trace(path)
+        assert str(info.value) == f"{path}:1: not JSON: {loads_error.value.msg}"
+
+    def test_trace_cut_at_a_line_boundary_is_refused(self, tmp_path):
+        path = tmp_path / "trace.ndjson"
+        spec = replace(SPEC, selection_events=0)
+        write_generated_trace(path, spec)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert json.loads(lines[0])["frame_count"] == 60
+        path.write_text("".join(lines[:-10]), encoding="utf-8")
+        with pytest.raises(TraceFormatError) as info:
+            read_trace(path)
+        assert str(info.value) == f"{path}:1: header frame_count 60, but the file holds 50 frames"
+
+    @pytest.mark.parametrize(
+        ("count", "message"),
+        [
+            (3, "header frame_count 3, but the file holds 2 frames"),
+            ("2", "header frame_count: expected integer, got str"),
+            (2.0, "header frame_count: expected integer, got float"),
+            (True, "header frame_count: expected integer, got bool"),
+            (None, "header frame_count: expected integer, got NoneType"),
+        ],
+    )
+    def test_header_frame_count_must_be_the_frames_read(self, tmp_path, count, message):
+        path = tmp_path / "trace.ndjson"
+        frames = generate_frames(SPEC)[:2]
+        write_trace(path, frames)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        header = json.loads(lines[0])
+        assert header["frame_count"] == 2
+        assert read_trace(path) == (header, frames)
+        # A header without the key is read as before.
+        del header["frame_count"]
+        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
+        assert read_trace(path) == (header, frames)
+        header["frame_count"] = count
+        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), encoding="utf-8")
+        with pytest.raises(TraceFormatError) as info:
+            read_trace(path)
+        assert str(info.value) == f"{path}:1: {message}"
 
     def test_record_not_an_object_rejected(self, tmp_path):
         path = tmp_path / "queries.ndjson"
@@ -401,6 +450,99 @@ def test_equal_signatures_are_shared_after_reading(tmp_path):
     assert len({id(f.scene_sig) for f in back}) == len({id(f.scene_sig) for f in frames}) < len(frames)
 
 
+# -- floats shared on read ---------------------------------------------------------
+
+# Number texts as the trace writer writes them and as other writers might:
+# signed zeros, subnormals, exponents past the float range, int/float twins.
+NUMBER_TEXTS = [
+    "0.0", "-0.0", "0", "-0", "0e0", "-0E-5", "1", "1.0", "-1", "-1.0", "10", "1e1", "1E+1",
+    "0.1", "0.10", "1e-1", "0.30000000000000004", "5e-324", "-5e-324", "4.9406564584124654e-324",
+    "2.2250738585072014e-308", "2.225073858507201e-308", "1.7976931348623157e308",
+    "1E400", "-1e400", "1e-400", "-1E-400", "123456789012345678901234567890",
+]
+number_texts = st.one_of(
+    st.sampled_from(NUMBER_TEXTS),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(2**70), 2**70).map(str),
+)
+_RAW_FRAME_LINE = (
+    '{"detections":[{"bbox":[%s,%s,%s,%s],"cls":"TextObject","conf":%s}],"exposure_us":8000,'
+    '"gt_words":["exit"],"imu":[%s],"resolution":"MP12","scene_sig":[%s],"ts_ms":%d,"user_selection":false}\n'
+)
+
+
+def raw_frame_line(ts_ms: int, box: list[str], imu: list[list[str]], sig: list[str]) -> str:
+    """A frame line holding each number exactly as the text given."""
+    samples = ",".join(f"[{ts_ms * 1000 + k},[{','.join(v[:3])}],[{','.join(v[3:])}]]" for k, v in enumerate(imu))
+    return _RAW_FRAME_LINE % (*box, samples, ",".join(sig), ts_ms)
+
+
+def json_loads_reader(path: Path) -> list[FrameRecord]:
+    """The frames of a trace, each line parsed on its own by ``json.loads``."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [frame_from_obj(json.loads(line)) for line in lines[1:]]
+
+
+def write_raw_trace(path: Path, lines: list[str]) -> None:
+    header = {"format": TRACE_FORMAT, "version": FORMAT_VERSION, "frame_count": len(lines)}
+    path.write_text(json.dumps(header) + "\n" + "".join(lines), encoding="utf-8")
+
+
+@st.composite
+def raw_frame_lines(draw):
+    """Frame lines whose numbers come from a small pool of texts, so texts
+    repeat within and across lines, mixed with fresh ones."""
+    pool = draw(st.lists(number_texts, min_size=1, max_size=8))
+    text = st.one_of(st.sampled_from(pool), number_texts)
+    lines = []
+    for ts_ms in range(draw(st.integers(1, 5))):
+        box = draw(st.lists(text, min_size=5, max_size=5))
+        imu = draw(st.lists(st.lists(text, min_size=6, max_size=6), max_size=3))
+        sig = draw(st.lists(text, max_size=6))
+        lines.append(raw_frame_line(ts_ms, box, imu, sig))
+    return lines
+
+
+@given(raw_frame_lines())
+@settings(max_examples=300, deadline=None)
+def test_read_trace_gives_the_numbers_json_loads_gives(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.ndjson"
+        write_raw_trace(path, lines)
+        assert float_bits(read_trace(path)[1]) == float_bits(json_loads_reader(path))
+
+
+def test_more_distinct_floats_than_the_memo_holds(tmp_path):
+    # Two passes over more distinct texts than the memo keeps, so the
+    # second pass meets texts the memo has dropped; signed zeros and
+    # int/float twins are mixed in throughout.
+    distinct = [f"{i}.5" for i in range(tracefile._FLOAT_MEMO_SIZE + 1000)]
+    texts = [t for pair in zip(distinct * 2, ["0.0", "-0.0", "1", "1.0", "-0"] * len(distinct)) for t in pair]
+    lines = [
+        raw_frame_line(i, texts[k : k + 5], [texts[k + 5 : k + 11]], texts[k + 11 : k + 40])
+        for i, k in enumerate(range(0, len(texts) - 40, 40))
+    ]
+    path = tmp_path / "trace.ndjson"
+    write_raw_trace(path, lines)
+    frames = read_trace(path)[1]
+    assert float_bits(frames) == float_bits(json_loads_reader(path))
+    assert len({x for f in frames for x in f.scene_sig}) > tracefile._FLOAT_MEMO_SIZE
+
+
+def test_generated_trace_holds_each_frames_repeated_floats_once(tmp_path):
+    path = tmp_path / "trace.ndjson"
+    write_generated_trace(path, SPEC)
+    frames = read_trace(path)[1]
+    assert frames == generate_frames(SPEC)
+    for frame in frames:
+        # Gyro y and z and accel x and y are 0.0 in each of three samples.
+        zeros = [c for s in frame.imu for c in (*s.gyro[1:], *s.accel[:2])]
+        assert len(zeros) == 12 and float_bits(zeros) == ["0x0.0p+0"] * 12
+        assert len({id(c) for c in zeros}) == 1
+        # The three samples of a frame share one gyro tuple when generated.
+        assert len({id(s.gyro[0]) for s in frame.imu}) == 1
+
+
 # -- field types -------------------------------------------------------------------
 
 
@@ -503,6 +645,28 @@ def _trace_with_line(tmp_path, obj) -> Path:
     header = {"format": TRACE_FORMAT, "version": FORMAT_VERSION}
     trace.write_text(json.dumps(header) + "\n" + json.dumps(obj) + "\n")
     return trace
+
+
+@pytest.mark.parametrize(
+    ("path", "message"),
+    [
+        (("ts_ms",), "missing field ts_ms"),
+        (("user_selection",), "missing field user_selection"),
+        (("detections", 0, "cls"), "missing field detections[0].cls"),
+        (("detections", 1, "conf"), "missing field detections[1].conf"),
+    ],
+)
+def test_missing_frame_field_is_named(tmp_path, path, message):
+    obj = _frame_line_obj()
+    *parents, last = path
+    record = obj
+    for key in parents:
+        record = record[key]
+    del record[last]
+    trace = _trace_with_line(tmp_path, obj)
+    with pytest.raises(TraceFormatError) as info:
+        read_trace(trace)
+    assert str(info.value) == f"{trace}:2: {message}"
 
 
 def test_unknown_frame_field_is_rejected(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 
@@ -472,6 +473,77 @@ class TestAgainstFieldByFieldCodec:
             frame[:4] = (len(frame) - 4).to_bytes(4, "big")
         frame = bytes(frame)
         assert codec_outcome(wire.decode, frame) == codec_outcome(oracle_decode, frame)
+
+
+# The flag codes of an OCR payload frame start after the length, type,
+# session id, kind, frame_ts_ms, selection and flag count fields.
+FLAGS_AT = 27
+
+
+def frame_with_flag_codes(codes: bytes, count: int | None = None) -> bytes:
+    """A NO_TEXT payload frame that carries ``codes`` as its flag codes,
+    declaring ``count`` of them (default ``len(codes)``)."""
+    frame = bytearray(wire.encode(wire.WireMessage(1, OcrPayload(kind=PayloadKind.NO_TEXT, frame_ts_ms=5))))
+    assert frame[FLAGS_AT - 4 : FLAGS_AT] == bytes(4)
+    frame[FLAGS_AT - 4 : FLAGS_AT] = (len(codes) if count is None else count).to_bytes(4, "big")
+    frame[FLAGS_AT:FLAGS_AT] = codes
+    frame[:4] = (len(frame) - 4).to_bytes(4, "big")
+    return bytes(frame)
+
+
+class TestFlagSets:
+    def test_canonical_flag_sets_are_shared(self):
+        for n in range(len(QualityFlag) + 1):
+            for flags in itertools.combinations(QualityFlag, n):
+                frames = [
+                    wire.encode(wire.WireMessage(1, OcrPayload(
+                        kind=PayloadKind.NO_TEXT, frame_ts_ms=ts, quality_flags=frozenset(flags),
+                    )))
+                    for ts in (5, 6)
+                ]
+                decoded = [wire.decode(frame).body.quality_flags for frame in (*frames, bytearray(frames[0]))]
+                assert decoded[0] == frozenset(flags)
+                assert decoded[1] is decoded[0] and decoded[2] is decoded[0]
+
+    @pytest.mark.parametrize(
+        "codes, flags",
+        [
+            (b"\x02\x01", {QualityFlag.BLURRY, QualityFlag.UPSIDE_DOWN}),
+            (b"\x01\x01", {QualityFlag.BLURRY}),
+            (b"\x04\x01\x04\x03", {QualityFlag.BLURRY, QualityFlag.CROPPED, QualityFlag.POOR_LIGHTING}),
+        ],
+    )
+    def test_unsorted_or_repeated_codes_decode_to_their_set(self, codes, flags):
+        frame = frame_with_flag_codes(codes)
+        assert wire.decode(frame).body.quality_flags == flags
+        assert codec_outcome(wire.decode, frame) == codec_outcome(oracle_decode, frame)
+
+    @pytest.mark.parametrize(
+        "codes, count, message, offset",
+        [
+            (b"\x01\x09", None, "unknown quality flag 9", FLAGS_AT + 1),
+            (b"\x09\x01", None, "unknown quality flag 9", FLAGS_AT),
+            (b"\x00", None, "unknown quality flag 0", FLAGS_AT),
+            # A known, sorted run of codes that is cut short: the spans
+            # count after it reads as codes 0.
+            (b"\x01\x02", 3, "unknown quality flag 0", FLAGS_AT + 2),
+        ],
+    )
+    def test_bad_codes_are_corrupt_at_their_offset(self, codes, count, message, offset):
+        frame = frame_with_flag_codes(codes, count)
+        with pytest.raises(wire.CorruptFrameError, match=message) as info:
+            wire.decode(frame)
+        assert info.value.offset == offset
+        assert codec_outcome(wire.decode, frame) == codec_outcome(oracle_decode, frame)
+
+    def test_truncated_canonical_codes_are_corrupt(self):
+        frame = frame_with_flag_codes(b"\x01\x02", 3)
+        cut = frame[: FLAGS_AT + 2]
+        cut = (len(cut) - 4).to_bytes(4, "big") + cut[4:]
+        with pytest.raises(wire.CorruptFrameError, match="body truncated") as info:
+            wire.decode(cut)
+        assert info.value.offset == FLAGS_AT + 2
+        assert codec_outcome(wire.decode, cut) == codec_outcome(oracle_decode, cut)
 
 
 def segment(duration_ms, bitrate_bps):
