@@ -13,7 +13,6 @@ is order-insensitive by design.
 
 from __future__ import annotations
 
-import itertools
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,12 +60,14 @@ _FLAG_CODE = {
     QualityFlag.POOR_LIGHTING: 4,
 }
 _CODE_FLAG = {v: k for k, v in _FLAG_CODE.items()}
-# Each set of flags as ``encode`` writes it (codes sorted, once each),
-# mapped to one shared set: decoded payloads hold no copies of their flags.
-_FLAG_SETS = {
-    bytes(codes): frozenset([_CODE_FLAG[c] for c in codes])
-    for n in range(len(_CODE_FLAG) + 1)
-    for codes in itertools.combinations(sorted(_CODE_FLAG), n)
+# Every set of flags, each mapped to itself: decode returns these shared
+# sets, so decoded payloads hold no copies of their flags.
+_SHARED_FLAGS = {
+    s: s
+    for s in (
+        frozenset([f for i, f in enumerate(_FLAG_CODE) if mask >> i & 1])
+        for mask in range(1 << len(_FLAG_CODE))
+    )
 }
 
 
@@ -235,13 +236,11 @@ def decode(data: bytes) -> WireMessage:
             raise CorruptFrameError(f"unknown payload kind {kind_code}", pos)
         frame_ts, selection, n_flags = _OCR_FIELDS.unpack(data, pos + 1)
         pos += 1 + _OCR_FIELDS.size
-        codes = bytes(data[pos : pos + n_flags])  # hashable also when data is a bytearray
-        flags = _FLAG_SETS.get(codes)
-        if flags is None:  # unsorted or repeated codes, or an unknown one
-            for i, code in enumerate(codes):
-                if code not in _CODE_FLAG:
-                    raise CorruptFrameError(f"unknown quality flag {code}", pos + i)
-            flags = frozenset([_CODE_FLAG[c] for c in codes])
+        codes = data[pos : pos + n_flags]
+        for i, code in enumerate(codes):
+            if code not in _CODE_FLAG:
+                raise CorruptFrameError(f"unknown quality flag {code}", pos + i)
+        flags = _SHARED_FLAGS[frozenset([_CODE_FLAG[c] for c in codes])]
         if len(codes) < n_flags:
             raise CorruptFrameError("body truncated", pos + len(codes))
         pos += n_flags
