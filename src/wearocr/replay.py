@@ -259,35 +259,33 @@ def replay(
     ocr_config = OcrConfig(seed=config.seed)
     decisions, payloads = _device_pass(frames, config, ocr_config)
 
-    messages = [wire.WireMessage(config.session_id, wire.SessionStart())]
+    bodies: list[wire.Body] = [wire.SessionStart()]
     if frames:
-        messages.append(
-            wire.WireMessage(
-                config.session_id,
-                wire.VideoSegment(
-                    start_ms=0,
-                    duration_ms=frames[-1].ts_ms + 1,
-                    fps=float(config.stream.fps),
-                    resolution=config.stream.resolution,
-                    bitrate_bps=config.stream.bitrate_bps,
-                ),
+        bodies.append(
+            wire.VideoSegment(
+                start_ms=0,
+                duration_ms=frames[-1].ts_ms + 1,
+                fps=float(config.stream.fps),
+                resolution=config.stream.resolution,
+                bitrate_bps=config.stream.bitrate_bps,
             )
         )
-    payload_msgs = [wire.WireMessage(config.session_id, p) for p in payloads]
     if config.shuffle.enabled:
         rng = random.Random(config.seed ^ 0x5EED)
-        payload_msgs = _bounded_shuffle(payload_msgs, config.shuffle.bound, rng)
-    messages.extend(payload_msgs)
-    messages.append(wire.WireMessage(config.session_id, wire.SessionEnd()))
+        bodies += _bounded_shuffle(payloads, config.shuffle.bound, rng)
+    else:
+        bodies += payloads
+    bodies.append(wire.SessionEnd())
 
     ledger = wire.UplinkLedger()
     timeline = SessionTimeline(config.text_similarity_threshold)
-    for msg in messages:
+    for body in bodies:
+        msg = wire.WireMessage(config.session_id, body)
         frame = wire.encode(msg)
         ledger = wire.account(ledger, msg, frame)
-        body = wire.decode(frame).body
-        if isinstance(body, OcrPayload):
-            timeline.ingest(body)
+        received = wire.decode(frame).body
+        if isinstance(received, OcrPayload):
+            timeline.ingest(received)
 
     # One payload per frame, and one message per payload plus the session
     # start, end and (for a non-empty trace) video segment.
@@ -307,13 +305,14 @@ def replay(
     resolutions = {f.ts_ms: f.resolution for f in frames}
     group_source = {g.group_latest_ts: g.exemplar_ts for g in timeline.groups()}
 
-    prompts: list[QueryPrompt] = []
     # Historical frame refs chain from plan to plan in ts order (stable
-    # on ties), whatever the input order: plans are made in that order,
-    # each when the loop below first needs it.
-    plan_order = iter(sorted(range(len(queries)), key=lambda i: queries[i].ts_ms))
+    # on ties), whatever the input order.
     plans: dict[int, FramePlan] = {}
     plan: FramePlan | None = None
+    for i in sorted(range(len(queries)), key=lambda i: queries[i].ts_ms):
+        plan = plans[i] = plan_frames(frame_ts, accepted_ts, queries[i], config.planner, plan)
+
+    prompts: list[QueryPrompt] = []
     fidelity_frames: dict[int, OcrContextEntry] = {}
     for qi, query in enumerate(queries):
         try:
@@ -323,16 +322,13 @@ def replay(
             if enrichment is not None:
                 entries = enrichment.apply(entries)
             entries = dedup_prompt_ocr(entries, config.text_similarity_threshold)
-            while qi not in plans:
-                i = next(plan_order)
-                plan = plans[i] = plan_frames(frame_ts, accepted_ts, queries[i], config.planner, plan)
             _, text = build_prompt(query, plans.pop(qi), entries, frame_resolutions=resolutions)
         except ValueError as exc:
             raise ReplayError(f"query {qi}: {exc}") from exc
         prompts.append(QueryPrompt(query=query, text=text))
         for entry in entries:
             source_ts = group_source.get(entry.ts_ms)
-            if source_ts is not None and source_ts in frame_by_ts:
+            if source_ts is not None:
                 fidelity_frames.setdefault(source_ts, entry)
 
     recovered = 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -186,7 +187,6 @@ _FRAME_FIELDS = ("detections", "exposure_us", "gt_words", "imu", "resolution", "
 _FRAME_LINE = "{" + ",".join(f'"{key}":%s' for key in _FRAME_FIELDS) + "}\n"
 
 _NUMBER = frozenset((int, float))
-_FLOAT = frozenset((float,))
 _STRING = frozenset((str,))
 _RESOLUTIONS = {r.value: r for r in Resolution}
 _CLASSES = {c.value: c for c in DetectionClass}
@@ -343,14 +343,19 @@ def _detection(d: object, j: int) -> Detection:
     return Detection(_CLASSES[cls], Rect(*bbox), conf, keypoints)
 
 
-def frame_from_obj(obj: dict, shared_sig: tuple[float, ...] = ()) -> FrameRecord:
+def _same_items(items: list, tuple_: tuple) -> bool:
+    """Whether ``items`` are the very objects of ``tuple_``, in order."""
+    return len(items) == len(tuple_) and all(map(operator.is_, items, tuple_))
+
+
+def frame_from_obj(obj: dict, previous: tuple[float, ...] = ()) -> FrameRecord:
     """The frame a parsed trace line describes.  A missing or unknown
     field, or a field of the wrong JSON type, raises ``TraceFormatError``.
 
-    ``scene_sig`` is ``shared_sig`` itself when the two are equal; the
-    caller passes only a signature for which equal means identical
-    (``_equal_is_identical``).  Frames are immutable, so the frames of
-    one scene can share the tuple.
+    ``scene_sig`` is ``previous``, and an IMU sample's ``gyro`` the one
+    before it, when the array holds that tuple's very objects: a tuple of
+    the same objects has their bits and types, so it stands in for a
+    fresh one, and frames are immutable, so they can share it.
     """
     try:
         ts_ms, resolution, exposure_us = obj["ts_ms"], obj["resolution"], obj["exposure_us"]
@@ -379,6 +384,7 @@ def frame_from_obj(obj: dict, shared_sig: tuple[float, ...] = ()) -> FrameRecord
         raise _field_error("user_selection", "boolean", user_selection)
 
     samples = []
+    last_gyro: tuple = ()
     try:
         for ts_us, gyro, accel in imu:
             if (
@@ -387,27 +393,30 @@ def frame_from_obj(obj: dict, shared_sig: tuple[float, ...] = ()) -> FrameRecord
                 or type(accel) is not list
                 or len(gyro) != 3
                 or len(accel) != 3
-                or not _NUMBER.issuperset(map(type, [*gyro, *accel]))
+                or not _NUMBER.issuperset(map(type, accel))
             ):
                 break
-            samples.append(ImuSample(ts_us, tuple(gyro), tuple(accel)))
+            if not _same_items(gyro, last_gyro):
+                if not _NUMBER.issuperset(map(type, gyro)):
+                    break
+                last_gyro = tuple(gyro)
+            samples.append(ImuSample(ts_us, last_gyro, tuple(accel)))
     except (TypeError, ValueError):  # a sample that does not unpack into three
         pass
     if len(samples) != len(imu):
         raise _imu_error(imu[len(samples)], len(samples))
 
-    sig = tuple(sig)
-    if sig == shared_sig:
-        sig = shared_sig
-    elif not _NUMBER.issuperset(map(type, sig)):
-        raise _list_error("scene_sig", list(sig), _NUMBER)
+    if not _same_items(sig, previous):
+        if not _NUMBER.issuperset(map(type, sig)):
+            raise _list_error("scene_sig", sig, _NUMBER)
+        previous = tuple(sig)
     return FrameRecord(
         ts_ms,
         _RESOLUTIONS[resolution],
         exposure_us,
         tuple(samples),
         tuple([_detection(d, j) for j, d in enumerate(detections)]) if detections else (),
-        sig,
+        previous,
         tuple(gt_words),
         user_selection,
     )
@@ -521,28 +530,20 @@ def _read_lines(
     return header, records
 
 
-def _equal_is_identical(sig: tuple) -> bool:
-    """Whether a signature equal to ``sig`` has its bits and types: true
-    when every component is a float and none is a whole number, because
-    ``-0.0 == 0.0`` and ``1 == 1.0`` (and NaN equals only itself)."""
-    return _FLOAT.issuperset(map(type, sig)) and not any(map(float.is_integer, sig))
-
-
 @collector_paused()
 def read_trace(path: str | Path) -> tuple[dict, list[FrameRecord]]:
-    """Header and frames; consecutive frames with equal signatures share
-    one ``scene_sig`` tuple where ``_equal_is_identical`` allows it.
+    """Header and frames; a frame shares the previous frame's
+    ``scene_sig`` tuple where ``frame_from_obj`` allows it.
 
     A header's ``frame_count`` (``write_trace`` writes one) must be the
     number of frames read, so a file cut at a line boundary is refused.
     """
-    shared_sig: tuple[float, ...] = ()
+    previous: tuple[float, ...] = ()
 
     def convert(obj: dict) -> FrameRecord:
-        nonlocal shared_sig
-        frame = frame_from_obj(obj, shared_sig)
-        if frame.scene_sig is not shared_sig:
-            shared_sig = frame.scene_sig if _equal_is_identical(frame.scene_sig) else ()
+        nonlocal previous
+        frame = frame_from_obj(obj, previous)
+        previous = frame.scene_sig
         return frame
 
     header, frames = _read_lines(path, TRACE_FORMAT, convert)

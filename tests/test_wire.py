@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import struct
@@ -399,11 +400,18 @@ def codec_outcome(fn, arg):
     """What ``fn(arg)`` returns, or the type, text and offset of its error.
 
     Values are compared by ``repr`` so that a decoded NaN matches itself.
+    A payload's flag set is rendered as its sorted members, because two
+    equal sets can print their members in different orders.
     """
     try:
-        return "value", repr(fn(arg))
+        value = fn(arg)
     except wire.WireError as exc:
         return type(exc), str(exc), exc.offset
+    if isinstance(getattr(value, "body", None), OcrPayload):
+        flags = sorted(value.body.quality_flags)
+        value = dataclasses.replace(value, body=dataclasses.replace(value.body, quality_flags=frozenset()))
+        return "value", repr(value), flags
+    return "value", repr(value)
 
 
 def wide_ints():
