@@ -11,12 +11,15 @@ import logging
 from dataclasses import replace
 from typing import Callable, Sequence
 
-from .osm import OcrContextEntry, near_duplicate
+from .osm import DEFAULT_TEXT_SIMILARITY_THRESHOLD, OcrContextEntry, near_duplicate
 
 log = logging.getLogger(__name__)
 
 # Deleted by ``normalize``: the C0 controls but tab and newline, and DEL.
 _CONTROL = dict.fromkeys([*range(0x09), *range(0x0B, 0x20), 0x7F])
+
+# ``consolidate`` merges near-duplicates at most this far apart.
+CONSOLIDATE_GAP_MS = 5000
 
 EnrichmentHook = Callable[[list[OcrContextEntry]], list[OcrContextEntry]]
 
@@ -39,22 +42,23 @@ def normalize_entries(entries: Sequence[OcrContextEntry]) -> list[OcrContextEntr
 
 
 def consolidate(
-    entries: Sequence[OcrContextEntry], gap_ms: int = 5000, threshold: float = 0.8
+    entries: Sequence[OcrContextEntry], threshold: float = DEFAULT_TEXT_SIMILARITY_THRESHOLD
 ) -> list[OcrContextEntry]:
     """Merge adjacent near-duplicate entries close in time, in one pass.
 
     Each entry is compared with the last output entry, which may itself
     be a merge: the two merge when their text similarity reaches the
-    threshold and their timestamps are at most ``gap_ms`` apart.  The
-    merged entry sits at the later timestamp and keeps the longer text
-    (the earlier one on a tie).  Never reorders, never grows the list.
+    threshold and their timestamps are at most ``CONSOLIDATE_GAP_MS``
+    apart.  The merged entry sits at the later timestamp and keeps the
+    longer text (the earlier one on a tie).  Never reorders, never grows
+    the list.
 
     Not idempotent: a merge that lengthens the text can make it match
     the entry before it, which only a second pass would merge.
     """
     out: list[OcrContextEntry] = []
     for entry in entries:
-        if out and entry.ts_ms - out[-1].ts_ms <= gap_ms:
+        if out and entry.ts_ms - out[-1].ts_ms <= CONSOLIDATE_GAP_MS:
             prev = out[-1]
             if near_duplicate(
                 len(prev.tokens & entry.tokens), len(prev.tokens), len(entry.tokens), threshold

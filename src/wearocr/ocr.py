@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .model import Rect, Resolution, TextSpan, piecewise_linear
@@ -37,19 +37,7 @@ _CONFUSIONS = {
 
 @dataclass(frozen=True)
 class OcrConfig:
-    accuracy_anchors: dict[Resolution, float] = field(
-        default_factory=lambda: dict(DEFAULT_ACCURACY_ANCHORS)
-    )
-    latency_anchors: tuple[tuple[int, float], ...] = DEFAULT_LATENCY_ANCHORS
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        for res, acc in self.accuracy_anchors.items():
-            if not 0.0 <= acc <= 1.0:
-                raise ValueError(f"accuracy anchor for {res} out of [0,1]: {acc}")
-        pairs = self.latency_anchors
-        if any(a[0] >= b[0] or a[1] >= b[1] for a, b in zip(pairs, pairs[1:])):
-            raise ValueError("latency anchors must be strictly increasing in both coordinates")
 
 
 @dataclass(frozen=True)
@@ -60,19 +48,18 @@ class OcrResult:
     words_correct: int
 
 
-def word_accuracy(resolution: Resolution, config: OcrConfig | None = None) -> float:
-    anchors = (config or OcrConfig()).accuracy_anchors
-    return anchors[resolution]
+def word_accuracy(resolution: Resolution) -> float:
+    return DEFAULT_ACCURACY_ANCHORS[resolution]
 
 
-def ocr_latency_ms(word_count: int, config: OcrConfig | None = None) -> float:
+def ocr_latency_ms(word_count: int) -> float:
     """Piecewise-linear latency in word count; exact at every anchor.
 
     Beyond the last anchor the final segment's slope extrapolates.
     """
     if word_count < 0:
         raise ValueError("word_count must be non-negative")
-    return piecewise_linear((config or OcrConfig()).latency_anchors, word_count)
+    return piecewise_linear(DEFAULT_LATENCY_ANCHORS, word_count)
 
 
 def _unit_uniform(seed: int, frame_ts_ms: int, token_index: int, lane: int) -> float:
@@ -110,7 +97,7 @@ def run_mock_ocr(
     downstream similarity grouping still clusters variants.  Spans are
     laid out left-to-right inside the ROI (or the full image).
     """
-    accuracy = word_accuracy(resolution, config)
+    accuracy = word_accuracy(resolution)
     box = roi if roi is not None else Rect(0.0, 0.0, 1.0, 1.0)
     n = len(gt_words)
     spans: list[TextSpan] = []
@@ -131,7 +118,7 @@ def run_mock_ocr(
         )
     return OcrResult(
         spans=tuple(spans),
-        simulated_latency_ms=ocr_latency_ms(n, config),
+        simulated_latency_ms=ocr_latency_ms(n),
         words_attempted=n,
         words_correct=correct,
     )

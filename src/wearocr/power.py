@@ -129,11 +129,9 @@ def default_anchors() -> PowerAnchors:
     return PowerAnchors()
 
 
-def relative_power(
-    config: StreamConfig | DeviceConfig, anchors: PowerAnchors | None = None
-) -> float:
+def relative_power(config: StreamConfig | DeviceConfig) -> float:
     """Relative power multiplier for a configuration against its table family."""
-    anchors = anchors or default_anchors()
+    anchors = default_anchors()
     if isinstance(config, StreamConfig):
         return anchors.stream_multiplier(config)
     return anchors.device_multiplier(config)
@@ -151,9 +149,7 @@ class SessionPowerReport:
 
 
 def session_power_report(
-    stream_config: StreamConfig,
-    device_config: DeviceConfig,
-    anchors: PowerAnchors | None = None,
+    stream_config: StreamConfig, device_config: DeviceConfig
 ) -> SessionPowerReport:
     """Side-by-side multipliers for the video path and the device OCR path.
 
@@ -161,7 +157,7 @@ def session_power_report(
     fabricated.  Word counts above the last anchor are clamped and
     flagged.
     """
-    anchors = anchors or default_anchors()
+    anchors = default_anchors()
     return SessionPowerReport(
         stream_multiplier=anchors.stream_multiplier(stream_config),
         stream_baseline=PowerBaseline.STREAM_12MP_30FPS,

@@ -3,8 +3,8 @@
 Plans which frames back a query (uniformly sampled pre-query frames,
 all accepted frames during speech, refs carried over from prior turns),
 drops near-duplicate OCR entries, and assembles the final
-prompt: optional mode preamble, then history/frame/OCR components
-merged in chronological order, then the question.
+prompt: optional mode preamble, then frame refs and OCR lines merged
+in chronological order, then the question.
 """
 
 from __future__ import annotations
@@ -12,24 +12,22 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Mapping, Sequence
+from typing import Container, Mapping, Sequence
 
 from .model import QueryMode, QueryRecord, Resolution
-from .osm import OcrContextEntry, near_duplicate, size_filter
-from .osm import render_ocr_line as render_ocr_line  # the line format lives with the entry
+from .osm import DEFAULT_TEXT_SIMILARITY_THRESHOLD, OcrContextEntry, near_duplicate, size_filter
 
 READOUT_PREAMBLE = "Read this word by word, spell out license plates character by character"
 TRANSLATION_PREAMBLE_TEMPLATE = "Translate this word by word into {language}"
 
 
 class ComponentKind(IntEnum):
-    # Order is the tie-break at equal timestamps: history summarizes the
-    # past, OCR should follow the frame it describes.
+    # Order is the tie-break at equal timestamps: OCR should follow the
+    # frame it describes.
     PREAMBLE = 0
-    HISTORY_TURN = 1
-    FRAME_REF = 2
-    OCR_BLOCK = 3
-    QUESTION = 4
+    FRAME_REF = 1
+    OCR_BLOCK = 2
+    QUESTION = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,12 +42,6 @@ class FramePlan:
     pre_query: tuple[int, ...]
     in_query: tuple[int, ...]
     historical: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class HistoryTurn:
-    ts_ms: int
-    body: str
 
 
 @dataclass(frozen=True)
@@ -70,7 +62,7 @@ class PlannerConfig:
 
 def plan_frames(
     frame_ts: Sequence[int],
-    accepted_ts: frozenset[int] | set[int],
+    accepted_ts: Container[int],
     query: QueryRecord,
     config: PlannerConfig,
     previous: FramePlan | None = None,
@@ -114,7 +106,7 @@ def render_frame_ref(ts_ms: int, resolution: Resolution) -> str:
 
 
 def dedup_prompt_ocr(
-    entries: Sequence[OcrContextEntry], threshold: float = 0.8
+    entries: Sequence[OcrContextEntry], threshold: float = DEFAULT_TEXT_SIMILARITY_THRESHOLD
 ) -> list[OcrContextEntry]:
     """Drop entries near-duplicating an earlier retained one.
 
@@ -140,15 +132,14 @@ def build_prompt(
     query: QueryRecord,
     plan: FramePlan,
     ocr_entries: Sequence[OcrContextEntry],
-    history: Sequence[HistoryTurn] = (),
     frame_resolutions: Mapping[int, Resolution] | None = None,
-    default_resolution: Resolution = Resolution.MP12,
 ) -> tuple[list[PromptComponent], str]:
     """Assemble the ordered component list and its flattened text.
 
-    Layout: preamble (readout/translation modes only), then history
-    turns, frame refs, and OCR lines merged ascending by timestamp
-    (ties: history < frame < OCR), then the question.
+    Layout: preamble (readout/translation modes only), then frame refs
+    and OCR lines merged ascending by timestamp (ties: frame < OCR),
+    then the question.  A frame without a known resolution is rendered
+    at 12 MP.
     """
     components: list[PromptComponent] = []
     if query.mode is QueryMode.READOUT:
@@ -168,11 +159,9 @@ def build_prompt(
 
     resolutions = frame_resolutions or {}
     middle: list[PromptComponent] = []
-    for turn in history:
-        middle.append(PromptComponent(ComponentKind.HISTORY_TURN, turn.ts_ms, turn.body))
     # The stable (ts, kind) sort below orders everything: frame refs have unique timestamps.
     for ts in {*plan.historical, *plan.pre_query, *plan.in_query}:
-        res = resolutions.get(ts, default_resolution)
+        res = resolutions.get(ts, Resolution.MP12)
         middle.append(
             PromptComponent(ComponentKind.FRAME_REF, ts, render_frame_ref(ts, res))
         )

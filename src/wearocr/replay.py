@@ -31,7 +31,7 @@ from .model import (
     validate_trace,
 )
 from .ocr import OcrConfig, run_mock_ocr
-from .osm import OcrContextEntry, SessionTimeline
+from .osm import DEFAULT_TEXT_SIMILARITY_THRESHOLD, OcrContextEntry, SessionTimeline
 from .power import (
     DeviceConfig,
     NoAnchorError,
@@ -94,7 +94,7 @@ class SimConfig:
     stream: StreamConfig = StreamConfig(Resolution.MP3, 2, 500_000)
     device: DeviceMode = DeviceMode()
     selector: SelectorConfig = SelectorConfig()
-    text_similarity_threshold: float = 0.8
+    text_similarity_threshold: float = DEFAULT_TEXT_SIMILARITY_THRESHOLD
     planner: PlannerConfig = PlannerConfig()
     shuffle: ShuffleConfig = ShuffleConfig()
 
@@ -298,10 +298,8 @@ def replay(
         )
 
     frame_ts = [f.ts_ms for f in frames]
-    frame_by_ts = {f.ts_ms: f for f in frames}
-    accepted_ts = {
-        f.ts_ms for f, d in zip(frames, decisions) if d.verdict is Verdict.RUN_OCR
-    }
+    # Every group exemplar is an accepted frame.
+    accepted = {f.ts_ms: f for f, d in zip(frames, decisions) if d.verdict is Verdict.RUN_OCR}
     resolutions = {f.ts_ms: f.resolution for f in frames}
     group_source = {g.group_latest_ts: g.exemplar_ts for g in timeline.groups()}
 
@@ -310,7 +308,7 @@ def replay(
     plans: dict[int, FramePlan] = {}
     plan: FramePlan | None = None
     for i in sorted(range(len(queries)), key=lambda i: queries[i].ts_ms):
-        plan = plans[i] = plan_frames(frame_ts, accepted_ts, queries[i], config.planner, plan)
+        plan = plans[i] = plan_frames(frame_ts, accepted.keys(), queries[i], config.planner, plan)
 
     prompts: list[QueryPrompt] = []
     fidelity_frames: dict[int, OcrContextEntry] = {}
@@ -334,17 +332,13 @@ def replay(
     recovered = 0
     total = 0
     for source_ts, entry in fidelity_frames.items():
-        gt = Counter(frame_by_ts[source_ts].gt_words)
+        gt = Counter(accepted[source_ts].gt_words)
         seen = Counter(entry.text.split())
         recovered += sum(min(count, seen[token]) for token, count in gt.items())
         total += sum(gt.values())
 
     stages = stage_report(decisions)
-    text_word_counts = [
-        len(f.gt_words)
-        for f, d in zip(frames, decisions)
-        if d.verdict is Verdict.RUN_OCR and f.gt_words
-    ]
+    text_word_counts = [len(f.gt_words) for f in accepted.values() if f.gt_words]
     mean_words = sum(text_word_counts) / len(text_word_counts) if text_word_counts else 0.0
     power = session_power_report(
         config.stream,

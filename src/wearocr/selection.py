@@ -217,14 +217,15 @@ def _ray_rect_entry(origin: tuple[float, float], direction: tuple[float, float],
     return t_min
 
 
-def select_roi(
-    detections: Sequence[Detection],
-    thresholds: Mapping[DetectionClass, float],
-) -> RoiChoice | None:
+# Minimum detection confidence for the ROI gate, the same for every class.
+MIN_DETECTION_CONF = 0.5
+
+
+def select_roi(detections: Sequence[Detection]) -> RoiChoice | None:
     """Pick the primary text region from a frame's detections.
 
-    Detections below their class confidence threshold are dropped.  The
-    surviving highest-confidence detection drives the outcome:
+    Detections below ``MIN_DETECTION_CONF`` are dropped.  The surviving
+    highest-confidence detection drives the outcome:
 
     * TextObject: its own bbox, not a selection.
     * HandPointing: the nearest TextObject bbox hit by the finger ray
@@ -235,7 +236,7 @@ def select_roi(
 
     Ties on confidence go to the larger bbox, then to earlier list order.
     """
-    survivors = [d for d in detections if d.conf >= thresholds.get(d.cls, 0.5)]
+    survivors = [d for d in detections if d.conf >= MIN_DETECTION_CONF]
     if not survivors:
         return None
     winner = min(
@@ -298,9 +299,6 @@ _REJECT_NO_TEXT = _rejection(Verdict.REJECT_NO_TEXT)
 _REJECT_SIMILAR = _rejection(Verdict.REJECT_SIMILAR)
 _REJECT_BUDGET = (_rejection(Verdict.REJECT_BUDGET), _rejection(Verdict.REJECT_BUDGET, True))
 
-# Minimum detection confidence per class for the ROI gate.
-CLASS_THRESHOLDS = {c: 0.5 for c in DetectionClass}
-
 
 @dataclass(frozen=True)
 class SelectorConfig:
@@ -347,7 +345,7 @@ def process_frame(
     if config.tree.classify(blur_features(frame)) is BlurLabel.BLURRY:
         return (*_REJECT_BLUR, state)
 
-    choice = select_roi(frame.detections, CLASS_THRESHOLDS)
+    choice = select_roi(frame.detections)
     if choice is None:
         return (*_REJECT_NO_TEXT, state)
     selected = choice.selection or frame.user_selection

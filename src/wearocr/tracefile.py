@@ -98,6 +98,9 @@ class TraceSpec:
             raise ValueError("duration_s must be >= 0 and fps > 0")
         if self.selection_events < 0:
             raise ValueError("selection_events must be >= 0")
+        for name in ("sig_dim", "exposure_us"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def similar_rate(self) -> float:
@@ -225,13 +228,11 @@ def _memoized(encode: Callable[[object], str]) -> Callable[[object], str]:
     return cached
 
 
-def write_trace(
-    path: str | Path,
-    frames: Sequence[FrameRecord],
-    sig_dim: int = DEFAULT_SIG_DIM,
-    stats: dict | None = None,
-) -> None:
+def write_trace(path: str | Path, frames: Sequence[FrameRecord], stats: dict | None = None) -> None:
     """Write a header line, then one ``canonical_json`` line per frame.
+
+    The header's ``sig_dim`` is the first frame's signature length, or
+    ``DEFAULT_SIG_DIM`` for a trace without frames.
 
     Each value is encoded on its own into a fixed line template.  Values
     that frames share (a generated trace shares one signature, word
@@ -241,7 +242,7 @@ def write_trace(
     header = {
         "format": TRACE_FORMAT,
         "version": FORMAT_VERSION,
-        "sig_dim": sig_dim,
+        "sig_dim": len(frames[0].scene_sig) if frames else DEFAULT_SIG_DIM,
         "frame_count": len(frames),
     }
     if stats:
@@ -465,7 +466,7 @@ def write_generated_trace(path: str | Path, spec: TraceSpec) -> list[FrameRecord
         "intended_similar_rate": spec.similar_rate,
         "expected_survivor_fraction": spec.expected_survivor_fraction(),
     }
-    write_trace(path, frames, sig_dim=spec.sig_dim, stats=stats)
+    write_trace(path, frames, stats=stats)
     return frames
 
 

@@ -19,20 +19,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_osm import text_similarity
-from wearocr.enrich import EnrichmentPipeline, consolidate
+from wearocr.enrich import CONSOLIDATE_GAP_MS, EnrichmentPipeline, consolidate
 from wearocr.model import OcrPayload, PayloadKind, QualityFlag, QueryMode, QueryRecord, Rect, TextSpan
-from wearocr.osm import OcrContextEntry, SessionTimeline, token_set
-from wearocr.prompt import ComponentKind, FramePlan, build_prompt, dedup_prompt_ocr, render_ocr_line
+from wearocr.osm import OcrContextEntry, SessionTimeline, render_ocr_line, token_set
+from wearocr.prompt import ComponentKind, FramePlan, build_prompt, dedup_prompt_ocr
 
 # -- oracles ----------------------------------------------------------------
 
 
-def oracle_consolidate(entries, gap_ms=5000, threshold=0.8):
+def oracle_consolidate(entries, threshold=0.8):
     out = []
     for entry in entries:
         if (
             out
-            and entry.ts_ms - out[-1].ts_ms <= gap_ms
+            and entry.ts_ms - out[-1].ts_ms <= CONSOLIDATE_GAP_MS
             and text_similarity([out[-1].text], [entry.text]) >= threshold
         ):
             prev = out[-1]
@@ -108,9 +108,8 @@ _window_text = st.tuples(st.integers(0, 3), st.integers(1, 12)).map(
 _flags = st.sampled_from(
     [frozenset(), frozenset({QualityFlag.BLURRY}), frozenset({QualityFlag.CROPPED})]
 )
-# Steps straddle consolidate's default 5 s gap; a step of 0 repeats a
-# timestamp.
-_step = st.sampled_from([0, 1, 1000, 2500, 5000, 5001, 9000])
+# Steps straddle consolidate's gap; a step of 0 repeats a timestamp.
+_step = st.sampled_from([0, 1, 1000, 2500, CONSOLIDATE_GAP_MS, CONSOLIDATE_GAP_MS + 1, 9000])
 _selected = st.integers(0, 4).map(lambda n: n == 0)
 
 
@@ -149,15 +148,15 @@ def test_tokens_of_several_texts_are_the_union_of_each(texts):
 
 
 @settings(max_examples=300, deadline=None)
-@given(entries=_entries, theta=_THETAS, gap_ms=st.sampled_from([0, 1000, 5000]))
+@given(entries=_entries, theta=_THETAS)
 # The later merge wins with the longer text, whose token set the next
 # entry matches and the earlier text's does not.
-@example(entries=_chain("a b c d e f", "a b c d", "a b c d e", "a b c d e f"), theta=0.8, gap_ms=5000)
+@example(entries=_chain("a b c d e f", "a b c d", "a b c d e", "a b c d e f"), theta=0.8)
 # A length tie keeps the earlier text and its token set, which the next
 # entry matches and the later text's does not.
-@example(entries=_chain("a b c d e", "a b c d f", "e a b"), theta=0.5, gap_ms=5000)
-def test_consolidate_matches_pairwise_oracle(entries, theta, gap_ms):
-    assert consolidate(entries, gap_ms, theta) == oracle_consolidate(entries, gap_ms, theta)
+@example(entries=_chain("a b c d e", "a b c d f", "e a b"), theta=0.5)
+def test_consolidate_matches_pairwise_oracle(entries, theta):
+    assert consolidate(entries, theta) == oracle_consolidate(entries, theta)
 
 
 @settings(max_examples=300, deadline=None)
@@ -215,7 +214,7 @@ def test_derived_fields_follow_the_text_however_an_entry_is_built(entries, texts
     # enrichment hook that rewrites every text.
     pipeline = EnrichmentPipeline()
     pipeline.register("rewrite", lambda es: [replace(e, text=t) for e, t in zip(es, texts)])
-    merged = consolidate(entries, 5000, theta)
+    merged = consolidate(entries, theta)
     rewritten = pipeline.apply(merged)
     replaced = [replace(e, text=t) for e, t in zip(entries, reversed(texts))]
     for entry in [*entries, *replaced, *merged, *rewritten]:

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from wearocr.model import Detection, DetectionClass, FrameRecord, ImuSample, Rect, Resolution
 from wearocr.selection import (
-    CLASS_THRESHOLDS,
     VERDICT_TO_KIND,
     BlurFeatures,
     BlurLabel,
@@ -77,7 +76,7 @@ def oracle_process_frame(frame, state, config):
 
     if config.tree.classify(oracle_blur_features(frame)) is BlurLabel.BLURRY:
         return reject(Verdict.REJECT_BLUR)
-    choice = select_roi(frame.detections, CLASS_THRESHOLDS)
+    choice = select_roi(frame.detections)
     if choice is None:
         return reject(Verdict.REJECT_NO_TEXT)
     selected = choice.selection or frame.user_selection

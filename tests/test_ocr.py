@@ -2,13 +2,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wearocr import ocr
 from wearocr.model import Rect, Resolution
 from wearocr.ocr import (
+    DEFAULT_ACCURACY_ANCHORS,
+    DEFAULT_LATENCY_ANCHORS,
     OcrConfig,
     ocr_latency_ms,
     run_mock_ocr,
     word_accuracy,
 )
+
+
+def test_anchor_tables_are_valid():
+    assert set(DEFAULT_ACCURACY_ANCHORS) == set(Resolution)
+    assert all(0.0 <= acc <= 1.0 for acc in DEFAULT_ACCURACY_ANCHORS.values())
+    pairs = DEFAULT_LATENCY_ANCHORS
+    assert all(a[0] < b[0] and a[1] < b[1] for a, b in zip(pairs, pairs[1:]))
 
 
 class TestWordAccuracy:
@@ -52,10 +62,6 @@ class TestLatency:
             assert below <= at <= above
             assert above - below < 20.0
 
-    def test_bad_anchor_config_rejected(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            OcrConfig(latency_anchors=((0, 341.0), (30, 300.0)))
-
 
 WORDS = ("gate", "b12", "boarding", "at", "1845", "platform", "6")
 
@@ -67,11 +73,9 @@ class TestMockOcr:
         assert result.simulated_latency_ms == 341.0
         assert result.words_attempted == 0
 
-    def test_certainty_case(self):
-        config = OcrConfig(
-            accuracy_anchors={r: 1.0 for r in Resolution}, seed=9
-        )
-        result = run_mock_ocr(WORDS, Resolution.MP3, None, config, 100)
+    def test_certainty_case(self, monkeypatch):
+        monkeypatch.setitem(ocr.DEFAULT_ACCURACY_ANCHORS, Resolution.MP3, 1.0)
+        result = run_mock_ocr(WORDS, Resolution.MP3, None, OcrConfig(seed=9), 100)
         assert result.words_correct == result.words_attempted == len(WORDS)
         assert tuple(s.text for s in result.spans) == WORDS
 

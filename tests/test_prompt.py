@@ -6,17 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wearocr.model import QualityFlag, QueryMode, QueryRecord, Resolution
-from wearocr.osm import OcrContextEntry
+from wearocr.osm import OcrContextEntry, render_ocr_line
 from wearocr.prompt import (
     ComponentKind,
     FramePlan,
-    HistoryTurn,
     PlannerConfig,
     build_prompt,
     dedup_prompt_ocr,
     plan_frames,
     render_frame_ref,
-    render_ocr_line,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -197,23 +195,20 @@ class TestBuildPrompt:
             entries = [
                 entry(ts, f"text {ts}") for ts in sorted(rng.sample(range(0, 9_000), 5))
             ]
-            history = [HistoryTurn(ts_ms=rng.randint(0, 9_000), body="turn")]
-            components, _ = build_prompt(query(), plan, entries, history=history)
+            components, _ = build_prompt(query(), plan, entries)
             middle = [c for c in components if c.kind not in
                       (ComponentKind.PREAMBLE, ComponentKind.QUESTION)]
             ts_list = [c.ts_ms for c in middle]
             assert ts_list == sorted(ts_list)
 
-    def test_tie_break_history_frame_ocr(self):
-        plan = FramePlan((500,), (), ())
-        components, _ = build_prompt(
-            query(), plan, [entry(500, "sign")], history=[HistoryTurn(500, "past turn")]
-        )
-        kinds = [c.kind for c in components[:-1]]
-        assert kinds == [
-            ComponentKind.HISTORY_TURN,
-            ComponentKind.FRAME_REF,
-            ComponentKind.OCR_BLOCK,
+    def test_tie_break_frame_before_ocr(self):
+        plan = FramePlan((400,), (500,), ())
+        components, _ = build_prompt(query(), plan, [entry(400, "exit"), entry(500, "sign")])
+        assert [(c.kind, c.ts_ms) for c in components[:-1]] == [
+            (ComponentKind.FRAME_REF, 400),
+            (ComponentKind.OCR_BLOCK, 400),
+            (ComponentKind.FRAME_REF, 500),
+            (ComponentKind.OCR_BLOCK, 500),
         ]
 
 

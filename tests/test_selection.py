@@ -13,6 +13,7 @@ from wearocr.model import (
     Resolution,
 )
 from wearocr.selection import (
+    MIN_DETECTION_CONF,
     BlurFeatures,
     BlurLabel,
     SelectorConfig,
@@ -28,8 +29,6 @@ from wearocr.selection import (
     stage_report,
     stage_report_from_counts,
 )
-
-THRESHOLDS = {c: 0.5 for c in DetectionClass}
 
 
 def frame_with_imu(samples, ts_ms=100, exposure_us=10000, **overrides):
@@ -143,26 +142,30 @@ class TestClassifyBlur:
 
 class TestSelectRoi:
     def test_no_detections(self):
-        assert select_roi([], THRESHOLDS) is None
+        assert select_roi([]) is None
 
     def test_single_text_object(self):
         box = Rect(0.1, 0.2, 0.4, 0.3)
         det = Detection(cls=DetectionClass.TEXT_OBJECT, bbox=box, conf=0.93)
-        choice = select_roi([det], THRESHOLDS)
+        choice = select_roi([det])
         assert choice is not None
         assert choice.roi == box
         assert choice.selection is False
 
     def test_below_threshold_dropped(self):
         det = Detection(cls=DetectionClass.TEXT_OBJECT, bbox=Rect(0, 0, 0.5, 0.5), conf=0.4)
-        assert select_roi([det], THRESHOLDS) is None
+        assert select_roi([det]) is None
+
+    def test_threshold_is_inclusive(self):
+        det = Detection(DetectionClass.TEXT_OBJECT, Rect(0, 0, 0.5, 0.5), MIN_DETECTION_CONF)
+        assert select_roi([det]) is not None
 
     def test_other_hand_interaction_blocks(self):
         dets = [
             Detection(cls=DetectionClass.OTHER_HAND_INTERACTION, bbox=Rect(0, 0, 0.9, 0.9), conf=0.99),
             Detection(cls=DetectionClass.TEXT_OBJECT, bbox=Rect(0.1, 0.1, 0.2, 0.2), conf=0.8),
         ]
-        assert select_roi(dets, THRESHOLDS) is None
+        assert select_roi(dets) is None
 
     def test_pointing_selects_nearest_box_on_ray(self):
         near = Rect(0.6, 0.45, 0.2, 0.1)
@@ -194,7 +197,7 @@ class TestSelectRoi:
                 break
         assert hit == near
 
-        choice = select_roi(dets, THRESHOLDS)
+        choice = select_roi(dets)
         assert choice is not None
         assert choice.roi == near
         assert choice.selection is True
@@ -208,27 +211,27 @@ class TestSelectRoi:
             keypoints=((0.45, 0.5), (0.5, 0.5)),
         )
         dets = [pointing, Detection(cls=DetectionClass.TEXT_OBJECT, bbox=behind, conf=0.8)]
-        assert select_roi(dets, THRESHOLDS) is None
+        assert select_roi(dets) is None
 
     def test_pointing_without_keypoints_degrades(self):
         pointing = Detection(
             cls=DetectionClass.HAND_POINTING, bbox=Rect(0.4, 0.4, 0.2, 0.2), conf=0.9
         )
-        assert select_roi([pointing], THRESHOLDS) is None
+        assert select_roi([pointing]) is None
 
     def test_holding_requires_overlapping_text(self):
         holding = Detection(cls=DetectionClass.HAND_HOLDING, bbox=Rect(0.3, 0.3, 0.3, 0.3), conf=0.95)
         text_inside = Detection(cls=DetectionClass.TEXT_OBJECT, bbox=Rect(0.35, 0.35, 0.1, 0.1), conf=0.6)
         text_outside = Detection(cls=DetectionClass.TEXT_OBJECT, bbox=Rect(0.8, 0.8, 0.1, 0.1), conf=0.6)
-        with_text = select_roi([holding, text_inside], THRESHOLDS)
+        with_text = select_roi([holding, text_inside])
         assert with_text is not None and with_text.roi == holding.bbox
         assert with_text.selection is False
-        assert select_roi([holding, text_outside], THRESHOLDS) is None
+        assert select_roi([holding, text_outside]) is None
 
     def test_confidence_tie_breaks_on_area_then_order(self):
         small = Detection(cls=DetectionClass.TEXT_OBJECT, bbox=Rect(0, 0, 0.1, 0.1), conf=0.8)
         big = Detection(cls=DetectionClass.TEXT_OBJECT, bbox=Rect(0.2, 0.2, 0.5, 0.5), conf=0.8)
-        choice = select_roi([small, big], THRESHOLDS)
+        choice = select_roi([small, big])
         assert choice is not None and choice.roi == big.bbox
 
 

@@ -92,6 +92,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             TraceSpec(10, 0, 0.5, 0.0, 2.0)
 
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_sig_dim_below_one(self, value):
+        with pytest.raises(ValueError, match=f"sig_dim must be >= 1, got {value}"):
+            replace(SPEC, sig_dim=value)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_exposure_below_one(self, value):
+        with pytest.raises(ValueError, match=f"exposure_us must be >= 1, got {value}"):
+            replace(SPEC, exposure_us=value)
+
     @pytest.mark.parametrize("field", ["duration_s", "fps", "similarity_run_length"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, field, value):
@@ -372,8 +382,12 @@ def frame_lists(draw):
 
 
 def oracle_trace_bytes(frames, stats=None) -> bytes:
-    """``write_trace``'s file as one ``json.dumps`` of each line's object form."""
-    header = {"format": TRACE_FORMAT, "version": FORMAT_VERSION, "sig_dim": 16, "frame_count": len(frames)}
+    """``write_trace``'s file as one ``json.dumps`` of each line's object form.
+
+    The header's ``sig_dim`` is the first frame's signature length.
+    """
+    sig_dim = len(frames[0].scene_sig) if frames else tracefile.DEFAULT_SIG_DIM
+    header = {"format": TRACE_FORMAT, "version": FORMAT_VERSION, "sig_dim": sig_dim, "frame_count": len(frames)}
     if stats:
         header["stats"] = stats
     lines = [header] + [frame_to_obj(frame) for frame in frames]
