@@ -54,6 +54,8 @@ class PlannerConfig:
     def __post_init__(self) -> None:
         if self.pre_n < 0 or self.hist_n < 0:
             raise ValueError("pre_n and hist_n must be non-negative")
+        if self.pre_n > 10_000:  # each plan walks pre_n grid points
+            raise ValueError(f"pre_n must be at most 10000, got {self.pre_n}")
         if self.lookback_ms < 0:
             raise ValueError(f"lookback_ms must be non-negative, got {self.lookback_ms}")
         if self.ocr_window_ms < 1:

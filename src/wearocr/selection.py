@@ -106,7 +106,7 @@ def load_tree(obj: Mapping) -> DecisionTree:
                 raise TreeConfigError(f"{path}: unknown label {raw['label']!r}") from None
             continue
         feature = raw.get("feature")
-        if feature not in _FEATURE_NAMES:
+        if not isinstance(feature, str) or feature not in _FEATURE_NAMES:
             raise TreeConfigError(f"{path}: unknown feature {feature!r}")
         left, right = raw.get("left"), raw.get("right")
         for side, child in (("left", left), ("right", right)):

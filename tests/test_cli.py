@@ -82,6 +82,28 @@ def test_config_typo_names_its_path(inputs, tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "obj, expected",
+    [
+        # Each once ended in a traceback or a hang rather than this line.
+        (
+            {"selector": {"tree": {"nodes": [{"feature": [], "threshold": 1, "left": 0, "right": 0}]}}},
+            "config selector.tree: nodes[0]: unknown feature []",
+        ),
+        ({"planner": {"pre_n": 10**30}}, f"config planner.pre_n: pre_n must be at most 10000, got {10**30}"),
+    ],
+)
+def test_out_of_domain_config_is_one_line_error(inputs, tmp_path, capsys, obj, expected):
+    trace, queries, _ = inputs
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(obj), encoding="utf-8")
+    argv = ["--trace", str(trace), "--config", str(config)]
+    assert error_of(capsys, ["report", *argv]) == f"{config}: {expected}"
+    assert error_of(capsys, ["replay", *argv, "--queries", str(queries), "--out", str(tmp_path / "o")]) == (
+        f"{config}: {expected}"
+    )
+
+
 @pytest.mark.parametrize("command", ["replay", "report"])
 def test_config_is_checked_before_the_trace_is_read(tmp_path, capsys, command):
     config = tmp_path / "typo.json"

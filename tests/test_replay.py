@@ -1,13 +1,22 @@
+import copy
 import gc
 import json
+import random
+import re
+import signal
+import tracemalloc
 import types
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wearocr.replay as replay_module
 from wearocr.enrich import EnrichmentPipeline
 from wearocr.model import FrameRecord, QueryMode, QueryRecord, Resolution
+from wearocr.osm import SessionTimeline
 from wearocr.replay import ReplayError, ShuffleConfig, SimConfig, emit_report, replay
 from wearocr.selection import REFERENCE_TREE_CONFIG, SelectorConfig
 from wearocr.tracefile import TraceSpec, generate_frames, read_queries, read_trace, write_queries, write_trace
@@ -159,8 +168,8 @@ class TestReplay:
         device_pass = replay_module._device_pass
 
         def drop_last(*args):
-            decisions, payloads = device_pass(*args)
-            return decisions, payloads[:-1]
+            *payloads, _ = device_pass(*args)
+            yield from payloads
 
         monkeypatch.setattr(replay_module, "_device_pass", drop_last)
         with pytest.raises(ReplayError, match="19 payloads for 20 frames"):
@@ -252,6 +261,7 @@ class TestSimConfig:
         assert config.stream.bitrate_bps == 500_000
         assert config == SimConfig()
         assert SimConfig.from_obj({"planner": {}, "shuffle": {}, "selector": {}}) == SimConfig()
+        assert SimConfig.from_obj(DEFAULT_CONFIG) == SimConfig()
 
     def test_partial_section_keeps_defaults(self):
         config = SimConfig.from_obj({"stream": {"resolution": "MP3"}, "text_similarity_threshold": 1})
@@ -305,6 +315,13 @@ class TestSimConfig:
                 ]}}},
                 r"config selector.tree: nodes\[0\].threshold: nan is not a number",
             ),
+            # Loaded before, then hung in plan_frames' walk over range(pre_n).
+            ({"planner": {"pre_n": 10**30}}, f"config planner.pre_n: pre_n must be at most 10000, got {10**30}"),
+            ({"planner": {"pre_n": 10_001}}, "config planner.pre_n: pre_n must be at most 10000, got 10001"),
+            (
+                {"selector": {"tree": {"nodes": [{"feature": [], "threshold": 1, "left": 0, "right": 0}]}}},
+                r"config selector.tree: nodes\[0\]: unknown feature \[\]",
+            ),
         ],
     )
     def test_unknown_or_malformed_key_rejected(self, obj, message):
@@ -328,6 +345,8 @@ class TestSimConfig:
             config = SimConfig.from_obj({"seed": seed, "session_id": session_id})
             result = replay(make_frames(duration_s=5), make_queries()[:1], config)
             assert result.report.ledger.message_count == 13
+        config = SimConfig.from_obj({"planner": {"pre_n": 10_000}})
+        assert len(replay(make_frames(duration_s=5), make_queries()[:1], config).prompts) == 1
 
 
 class TestEmitReport:
@@ -362,3 +381,154 @@ class TestEmitReport:
         report = replay([], []).report
         with pytest.raises(ValueError, match="unknown report format"):
             emit_report(report, "yaml")
+
+
+# The README's default config, with the reference tree written out.
+DEFAULT_CONFIG = {
+    "ocr_resolution": "MP12", "seed": 0, "session_id": 1, "text_similarity_threshold": 0.8,
+    "stream": {"resolution": "MP3", "fps": 2, "bitrate_bps": 500000},
+    "device": {"fps": 2, "ocr_mode": "Sfs3MpInput"},
+    "selector": {
+        "similarity_threshold": 0.9, "budget_words": 300, "budget_window_ms": 10000,
+        "tree": REFERENCE_TREE_CONFIG,
+    },
+    "planner": {"lookback_ms": 8000, "pre_n": 4, "hist_n": 2, "ocr_window_ms": 30000},
+    "shuffle": {"enabled": False, "bound": 8},
+}
+SHORT_FRAMES = make_frames(duration_s=20)
+SHORT_QUERY = QueryRecord(15_000, 12_000, "What does the sign say?", QueryMode.QA)
+MUTANTS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0, 1, -1, 2, 10**30, -(10**30), 2**63, 2**64]),
+    st.floats(),
+    st.sampled_from(["", "MP3", "MP12", "Sharp", "Blurry", "exposure_us", "motion_energy", "NoOcr"]),
+    st.text(max_size=4),
+    st.sampled_from([[], {}, [1], {"label": "Sharp"}]),
+)
+
+
+def value_paths(obj, path=()):
+    """The path of every value below ``obj``, sections, lists and the tree's nodes included."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from value_paths(value, path + (key,))
+
+
+def config_key(path):
+    """The dotted key ``SimConfig.from_obj`` names for ``path``: the tree is one value."""
+    keys = path[: path.index("tree") + 1] if "tree" in path else path
+    return ".".join(keys)
+
+
+@contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"replay ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mutated_config_loads_and_replays_or_names_its_path(data):
+    obj = copy.deepcopy(DEFAULT_CONFIG)
+    paths = data.draw(st.lists(st.sampled_from(list(value_paths(obj))), min_size=1, max_size=3, unique=True))
+    # Deepest first, so that every path still leads through the original containers.
+    for *parents, last in sorted(paths, key=len, reverse=True):
+        owner = obj
+        for key in parents:
+            owner = owner[key]
+        owner[last] = data.draw(MUTANTS)
+    try:
+        config = SimConfig.from_obj(obj)
+    except ValueError as exc:
+        named = re.match(r"(?:unknown config key |config )([^ :]+)", str(exc))
+        mutated = {config_key(path) for path in paths}
+        assert named and any(named[1] == key or named[1].startswith(key + ".") for key in mutated), exc
+        return
+    try:
+        with time_limit(20):
+            result = replay(SHORT_FRAMES, [SHORT_QUERY], config)
+    except ReplayError:
+        return
+    assert len(result.prompts) == 1
+
+
+def oracle_bounded_shuffle(items, bound, rng):
+    """The shuffle as a stable sort of the whole list by ``i + r * bound``."""
+    keyed = [(i + rng.random() * bound, item) for i, item in enumerate(items)]
+    keyed.sort(key=lambda pair: pair[0])
+    return [item for _, item in keyed]
+
+
+class DrawsFrom:
+    """A ``random.Random`` stand-in whose ``random()`` returns given draws in turn."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def random(self):
+        return next(self.draws)
+
+
+@settings(max_examples=300)
+@given(st.data(), st.integers(1, 20))
+def test_streamed_shuffle_matches_sort_oracle_on_tied_keys(data, bound):
+    # Draws from a few quarters make many keys equal.  The index breaks
+    # such ties, and items in descending order would break them the other way.
+    draws = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75]), max_size=60))
+    items = list(range(len(draws), 0, -1))
+    streamed = list(replay_module._bounded_shuffle(iter(items), bound, DrawsFrom(draws)))
+    assert streamed == oracle_bounded_shuffle(items, bound, DrawsFrom(draws))
+
+
+SHUFFLE_FRAMES = make_frames(seed=8, duration_s=100)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 200), st.integers(1, 20), st.integers(-(2**63), 2**63 - 1))
+def test_ingest_order_matches_sort_oracle(length, bound, seed):
+    frames = SHUFFLE_FRAMES[:length]
+    config = SimConfig(seed=seed, shuffle=ShuffleConfig(enabled=True, bound=bound))
+    ingested = []
+    ingest = SessionTimeline.ingest
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SessionTimeline, "ingest", lambda self, p: ingested.append(p.frame_ts_ms) or ingest(self, p))
+        replay(frames, [], config)
+    expected = oracle_bounded_shuffle([f.ts_ms for f in frames], bound, random.Random(seed ^ 0x5EED))
+    assert ingested == expected
+
+
+def test_replay_holds_no_per_frame_list():
+    """Replay's peak above what it keeps grows by a few bytes a frame.
+
+    The device pass, the link and the timeline run as one pass, so a
+    frame's payload and message are gone once their turn of 256 is over.
+    A list of every payload, as replay once built, costs about 165 bytes
+    a frame on this trace; the lists of decisions and of sorted payload
+    timestamps that remain cost about 17.
+    """
+    frames = generate_frames(TraceSpec(4000, 2, 0.1, 0.1, 20.0, seed=3))
+    transient = {}
+    for n in (2000, 8000):
+        trace = frames[:n]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = replay(trace, [])
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.timeline.payloads()) == n
+        del result
+        transient[n] = peak - kept
+    assert transient[8000] - transient[2000] < 32 * 6000, transient

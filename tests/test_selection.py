@@ -133,6 +133,9 @@ class TestClassifyBlur:
                 r"nodes\[0\]\.left: child index True out of range",
             ),
             ({"root": False, "nodes": [{"label": "Sharp"}]}, "root: index False out of range"),
+            # Unhashable, so once a TypeError from the feature-name lookup.
+            ({"nodes": [{"feature": [], "threshold": 1, "left": 0, "right": 0}]}, r"nodes\[0\]: unknown feature \[\]"),
+            ({"nodes": [{"feature": {}, "threshold": 1, "left": 0, "right": 0}]}, r"nodes\[0\]: unknown feature \{\}"),
         ],
     )
     def test_malformed_config_rejected_with_path(self, config, message):
