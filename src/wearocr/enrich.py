@@ -1,27 +1,21 @@
 """Server-side text post-processing applied to exemplars before prompt use.
 
-Normalization and temporal consolidation are implemented; richer
-enrichers (autocorrection, entity linking, confidence calibration) plug
-in through a hook registry and default to the identity.
+Two steps of the fixed query path: normalization, then temporal
+consolidation of near-duplicates.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .osm import DEFAULT_TEXT_SIMILARITY_THRESHOLD, OcrContextEntry, near_duplicate
-
-log = logging.getLogger(__name__)
 
 # Deleted by ``normalize``: the C0 controls but tab and newline, and DEL.
 _CONTROL = dict.fromkeys([*range(0x09), *range(0x0B, 0x20), 0x7F])
 
 # ``consolidate`` merges near-duplicates at most this far apart.
 CONSOLIDATE_GAP_MS = 5000
-
-EnrichmentHook = Callable[[list[OcrContextEntry]], list[OcrContextEntry]]
 
 
 def normalize(text: str) -> str:
@@ -73,22 +67,3 @@ def consolidate(
         out.append(entry)
     return out
 
-
-class EnrichmentPipeline:
-    """Ordered hook registry; configured once before a session starts."""
-
-    def __init__(self) -> None:
-        self._hooks: list[tuple[str, EnrichmentHook]] = []
-
-    def register(self, name: str, hook: EnrichmentHook) -> None:
-        self._hooks.append((name, hook))
-
-    def apply(self, entries: Sequence[OcrContextEntry]) -> list[OcrContextEntry]:
-        """Run hooks in registration order; a failing hook is skipped."""
-        current = list(entries)
-        for name, hook in self._hooks:
-            try:
-                current = hook(current)
-            except Exception:
-                log.warning("enrichment hook %r failed; passing entries through", name)
-        return current

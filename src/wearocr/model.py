@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 # The one JSON form of every file the program writes (traces, queries,
@@ -90,8 +90,9 @@ class Rect:
         return (
             0.0 <= self.x <= 1.0
             and 0.0 <= self.y <= 1.0
-            and self.w >= 0.0
-            and self.h >= 0.0
+            # Bounded first, so that the sums below stay in the float range.
+            and 0.0 <= self.w <= 1.0 + 1e-9
+            and 0.0 <= self.h <= 1.0 + 1e-9
             and self.x + self.w <= 1.0 + 1e-9
             and self.y + self.h <= 1.0 + 1e-9
         )
@@ -177,6 +178,15 @@ class QueryRecord:
     target_lang: str | None = None
 
 
+def _finite(values: Iterable[float]) -> bool:
+    """Whether every value is a finite float; an integer beyond the float
+    range, such as 10**400, is not, as JSON's 1e400 reads as inf."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:
+        return False
+
+
 def validate_trace(frames: Sequence[FrameRecord]) -> list[str]:
     """Check every frame against the trace invariants.
 
@@ -199,21 +209,25 @@ def validate_trace(frames: Sequence[FrameRecord]) -> list[str]:
         # The wire carries it unsigned and mock OCR hashes it signed, both in 64 bits.
         if not 0 <= frame.ts_ms < 2**63:
             violations.append(f"frame {i}: ts_ms {frame.ts_ms} outside [0, 2**63)")
-        if frame.exposure_us <= 0:
-            violations.append(f"frame {i}: exposure_us must be positive")
+        if not 0 < frame.exposure_us < 2**63:  # the blur tree reads it as a float
+            violations.append(f"frame {i}: exposure_us {frame.exposure_us} outside [1, 2**63)")
         sig = frame.scene_sig
         if sig_dim is None:
             sig_dim = len(sig)
         elif len(sig) != sig_dim:
             violations.append(f"frame {i}: scene_sig dimension {len(sig)} != {sig_dim}")
         if sig is not checked_sig:
-            checked_sig, sig_finite = sig, all(map(isfinite, sig))
+            checked_sig, sig_finite = sig, _finite(sig)
         if not sig_finite:
             violations.append(f"frame {i}: scene_sig has non-finite component")
         for j, sample in enumerate(frame.imu):
             if sample.ts_us < 0:
                 violations.append(f"frame {i}: imu sample {j} has negative ts_us")
-            if not (all(map(isfinite, sample.gyro)) and all(map(isfinite, sample.accel))):
+            try:  # ``_finite`` inlined: this runs for every IMU sample
+                finite = all(map(isfinite, sample.gyro)) and all(map(isfinite, sample.accel))
+            except OverflowError:
+                finite = False
+            if not finite:
                 violations.append(f"frame {i}: imu sample {j} has non-finite vector")
         for j, det in enumerate(frame.detections):
             if not (0.0 <= det.conf <= 1.0):
@@ -224,6 +238,8 @@ def validate_trace(frames: Sequence[FrameRecord]) -> list[str]:
                 violations.append(
                     f"frame {i}: detection {j} keypoints only legal for HandPointing"
                 )
+            if det.keypoints is not None and not _finite(v for point in det.keypoints for v in point):
+                violations.append(f"frame {i}: detection {j} has non-finite keypoint")
         if not all(frame.gt_words):
             violations.extend(
                 f"frame {i}: gt word {j} is empty" for j, word in enumerate(frame.gt_words) if not word

@@ -58,6 +58,8 @@ class PlannerConfig:
             raise ValueError(f"pre_n must be at most 10000, got {self.pre_n}")
         if self.lookback_ms < 0:
             raise ValueError(f"lookback_ms must be non-negative, got {self.lookback_ms}")
+        if self.lookback_ms >= 2**63:  # it is divided as a float; a frame ts has this range too
+            raise ValueError(f"lookback_ms must be below 2**63, got {self.lookback_ms}")
         if self.ocr_window_ms < 1:
             raise ValueError(f"ocr_window_ms must be at least 1, got {self.ocr_window_ms}")
 

@@ -20,7 +20,7 @@ from itertools import chain, islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import wire
-from .enrich import EnrichmentPipeline, consolidate, normalize_entries
+from .enrich import consolidate, normalize_entries
 from .model import (
     FrameRecord,
     OcrPayload,
@@ -84,6 +84,8 @@ class ShuffleConfig:
     def __post_init__(self) -> None:
         if self.bound < 1:
             raise ValueError(f"bound must be at least 1, got {self.bound}")
+        if self.bound >= 2**63:  # it scales a float draw; a frame ts has this range too
+            raise ValueError(f"bound must be below 2**63, got {self.bound}")
 
 
 @dataclass(frozen=True)
@@ -237,13 +239,13 @@ def replay(
     frames: Sequence[FrameRecord],
     queries: Sequence[QueryRecord],
     config: SimConfig | None = None,
-    enrichment: EnrichmentPipeline | None = None,
 ) -> ReplayResult:
     """Run the device pass, the link, grouping and every query over a trace.
 
-    Payloads, messages and groups hold no reference cycles, so the whole
-    run keeps the cyclic collector paused; enrichment hooks run inside
-    that pause.
+    Each query's path is fixed: ``build_ocr_context``,
+    ``normalize_entries``, ``consolidate``, ``dedup_prompt_ocr``, then
+    ``build_prompt``.  Payloads, messages and groups hold no reference
+    cycles, so the whole run keeps the cyclic collector paused.
     """
     config = config or SimConfig()
     # The power report needs both table rows: look them up before the device pass.
@@ -325,8 +327,6 @@ def replay(
             entries = timeline.build_ocr_context(query, config.planner.ocr_window_ms)
             entries = normalize_entries(entries)
             entries = consolidate(entries, threshold=config.text_similarity_threshold)
-            if enrichment is not None:
-                entries = enrichment.apply(entries)
             entries = dedup_prompt_ocr(entries, config.text_similarity_threshold)
             _, text = build_prompt(query, plans.pop(qi), entries, frame_resolutions=resolutions)
         except ValueError as exc:

@@ -113,12 +113,16 @@ def load_tree(obj: Mapping) -> DecisionTree:
             if type(child) is not int or not 0 <= child < len(raw_nodes):
                 raise TreeConfigError(f"{path}.{side}: child index {child!r} out of range")
         threshold = raw.get("threshold")
-        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)) or math.isnan(threshold):
+        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)) or threshold != threshold:
             raise TreeConfigError(f"{path}.threshold: {threshold!r} is not a number")
+        try:
+            threshold = float(threshold)
+        except OverflowError:
+            raise TreeConfigError(f"{path}.threshold: {threshold!r} does not convert to a float") from None
         nodes.append(
             TreeNode(
                 feature_index=_FEATURE_NAMES[feature],
-                threshold=float(threshold),
+                threshold=threshold,
                 left=left,
                 right=right,
             )

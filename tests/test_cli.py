@@ -91,6 +91,27 @@ def test_config_typo_names_its_path(inputs, tmp_path, capsys):
             "config selector.tree: nodes[0]: unknown feature []",
         ),
         ({"planner": {"pre_n": 10**30}}, f"config planner.pre_n: pre_n must be at most 10000, got {10**30}"),
+        # Each once ended in an OverflowError traceback.
+        *(
+            pytest.param(
+                {"selector": {"tree": {"nodes": [
+                    {"feature": "exposure_us", "threshold": big, "left": 1, "right": 1}, {"label": "Sharp"},
+                ]}}},
+                f"config selector.tree: nodes[0].threshold: {big} does not convert to a float",
+                id=f"threshold {name}",
+            )
+            for name, big in (("10**400", 10**400), ("-10**400", -(10**400)))
+        ),
+        pytest.param(
+            {"planner": {"lookback_ms": 10**400}},
+            f"config planner.lookback_ms: lookback_ms must be below 2**63, got {10**400}",
+            id="lookback_ms 10**400",
+        ),
+        pytest.param(
+            {"shuffle": {"enabled": True, "bound": 10**400}},
+            f"config shuffle.bound: bound must be below 2**63, got {10**400}",
+            id="shuffle.bound 10**400",
+        ),
     ],
 )
 def test_out_of_domain_config_is_one_line_error(inputs, tmp_path, capsys, obj, expected):
@@ -216,6 +237,47 @@ def test_timestamp_outside_64_bits_is_an_error(inputs, capsys, line, ts_ms):
     assert capsys.readouterr().out == violation + "\n"
     for command in (["report"], ["replay", "--queries", str(queries), "--out", str(trace.parent / "o")]):
         assert error_of(capsys, [command[0], "--trace", str(trace), *command[1:]]) == f"invalid trace: {violation}"
+
+
+@pytest.mark.parametrize(
+    "edit, violation",
+    [
+        pytest.param(
+            lambda frame, v: frame["scene_sig"].__setitem__(3, v), "scene_sig has non-finite component", id="scene_sig"
+        ),
+        pytest.param(lambda frame, v: frame["imu"][1][1].__setitem__(0, v), "imu sample 1 has non-finite vector", id="gyro"),
+        pytest.param(lambda frame, v: frame["imu"][1][2].__setitem__(2, v), "imu sample 1 has non-finite vector", id="accel"),
+        pytest.param(
+            lambda frame, v: frame.__setitem__("exposure_us", v), "exposure_us {value} outside [1, 2**63)", id="exposure_us"
+        ),
+        pytest.param(
+            lambda frame, v: frame["detections"][0]["bbox"].__setitem__(2, v),
+            "detection 0 bbox outside unit square",
+            id="bbox",
+        ),
+        pytest.param(
+            lambda frame, v: frame["detections"][0].update(cls="HandPointing", keypoints=[[0.5, 0.5], [v, 0.5]]),
+            "detection 0 has non-finite keypoint",
+            id="keypoint",
+        ),
+    ],
+)
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["10**400", "-10**400"])
+def test_number_beyond_the_float_range_is_an_error(inputs, capsys, edit, violation, value):
+    # Each once ended in an OverflowError traceback, from validate_trace or
+    # from the device pass after the trace had validated.
+    trace, queries, _ = inputs
+    lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+    frame = json.loads(lines[3])
+    edit(frame, value)
+    lines[3] = json.dumps(frame) + "\n"
+    trace.write_text("".join(lines), encoding="utf-8")
+    violation = violation.format(value=value)
+    capsys.readouterr()
+    assert main(["validate", "--trace", str(trace)]) == 1
+    assert capsys.readouterr().out == f"frame 2: {violation}\n"
+    for command in (["report"], ["replay", "--queries", str(queries), "--out", str(trace.parent / "o")]):
+        assert error_of(capsys, [command[0], "--trace", str(trace), *command[1:]]) == f"invalid trace: frame 2: {violation}"
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_osm import text_similarity
-from wearocr.enrich import CONSOLIDATE_GAP_MS, EnrichmentPipeline, consolidate
+from wearocr.enrich import CONSOLIDATE_GAP_MS, consolidate
 from wearocr.model import OcrPayload, PayloadKind, QualityFlag, QueryMode, QueryRecord, Rect, TextSpan
 from wearocr.osm import OcrContextEntry, SessionTimeline, render_ocr_line, token_set
 from wearocr.prompt import ComponentKind, FramePlan, build_prompt, dedup_prompt_ocr
@@ -210,12 +210,10 @@ def _derived_fields_fresh(entry):
     theta=_THETAS,
 )
 def test_derived_fields_follow_the_text_however_an_entry_is_built(entries, texts, theta):
-    # Built directly, by replace(), by a consolidate merge and by an
-    # enrichment hook that rewrites every text.
-    pipeline = EnrichmentPipeline()
-    pipeline.register("rewrite", lambda es: [replace(e, text=t) for e, t in zip(es, texts)])
+    # Built directly, by replace(), by a consolidate merge and by a
+    # replace() of every merged text.
     merged = consolidate(entries, theta)
-    rewritten = pipeline.apply(merged)
+    rewritten = [replace(e, text=t) for e, t in zip(merged, texts)]
     replaced = [replace(e, text=t) for e, t in zip(entries, reversed(texts))]
     for entry in [*entries, *replaced, *merged, *rewritten]:
         assert _derived_fields_fresh(entry)
@@ -228,10 +226,8 @@ def test_derived_fields_follow_the_text_however_an_entry_is_built(entries, texts
     ]
 
 
-def test_a_hook_rewrite_reaches_dedup_and_the_prompt():
-    pipeline = EnrichmentPipeline()
-    pipeline.register("rename", lambda es: [replace(e, text="Platform six") for e in es])
-    rewritten = pipeline.apply(_chain("gate b12", "exit north"))
+def test_a_rewrite_reaches_dedup_and_the_prompt():
+    rewritten = [replace(e, text="Platform six") for e in _chain("gate b12", "exit north")]
     # The rewritten texts are identical, so the second is now a duplicate.
     assert dedup_prompt_ocr(rewritten) == rewritten[:1]
     _, prompt = build_prompt(QueryRecord(5000, 5000, "?", QueryMode.QA), FramePlan((), (), ()), rewritten)

@@ -6,7 +6,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wearocr.enrich import EnrichmentPipeline, consolidate, normalize, normalize_entries
+from wearocr.enrich import consolidate, normalize, normalize_entries
 from wearocr.model import QualityFlag
 from wearocr.osm import OcrContextEntry
 
@@ -131,38 +131,3 @@ class TestConsolidate:
         assert once == [entry(0, "a b c d e f"), entry(2000, "a b c d e")]
         assert consolidate(once) == [entry(2000, "a b c d e f")]
 
-
-class TestPipeline:
-    def test_no_hooks_identity(self):
-        entries = [entry(10, "a"), entry(20, "b")]
-        assert EnrichmentPipeline().apply(entries) == entries
-
-    def test_uppercasing_hook(self):
-        pipeline = EnrichmentPipeline()
-        pipeline.register(
-            "upper", lambda es: [replace(e, text=e.text.upper()) for e in es]
-        )
-        out = pipeline.apply([entry(10, "gate b12")])
-        assert out == [entry(10, "GATE B12")]
-
-    def test_composition_order(self):
-        pipeline = EnrichmentPipeline()
-        pipeline.register("f", lambda es: [replace(e, text=e.text + "f") for e in es])
-        pipeline.register("g", lambda es: [replace(e, text=e.text + "g") for e in es])
-        out = pipeline.apply([entry(10, "x")])
-        assert out[0].text == "xfg"
-
-    def test_failing_hook_passes_entries_through(self, caplog):
-        def boom(_entries):
-            raise RuntimeError("model unavailable")
-
-        pipeline = EnrichmentPipeline()
-        pipeline.register("boom", boom)
-        pipeline.register(
-            "upper", lambda es: [replace(e, text=e.text.upper()) for e in es]
-        )
-        entries = [entry(10, "gate")]
-        with caplog.at_level("WARNING", logger="wearocr.enrich"):
-            out = pipeline.apply(entries)
-        assert out == [entry(10, "GATE")]
-        assert any("boom" in record.message for record in caplog.records)

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wearocr.replay as replay_module
-from wearocr.enrich import EnrichmentPipeline
 from wearocr.model import FrameRecord, QueryMode, QueryRecord, Resolution
 from wearocr.osm import SessionTimeline
 from wearocr.replay import ReplayError, ShuffleConfig, SimConfig, emit_report, replay
@@ -145,16 +144,18 @@ class TestReplay:
                 if line.startswith("[FRAME t=")]
         assert refs and max(refs) <= early.ts_ms
 
-    def test_enrichment_hook_reaches_prompts(self):
+    def test_a_change_between_context_and_dedup_reaches_prompts(self, monkeypatch):
         frames, queries = make_frames(), make_queries()
-        pipeline = EnrichmentPipeline()
-        pipeline.register(
-            "upper", lambda es: [replace(e, text=e.text.upper()) for e in es]
-        )
-        enriched = replay(frames, queries, SimConfig(seed=3), enrichment=pipeline)
         plain = replay(frames, queries, SimConfig(seed=3))
+        normalize_entries = replay_module.normalize_entries
+        monkeypatch.setattr(
+            replay_module,
+            "normalize_entries",
+            lambda es: [replace(e, text=e.text.upper()) for e in normalize_entries(es)],
+        )
+        changed = replay(frames, queries, SimConfig(seed=3))
         assert any(
-            e.text != p.text for e, p in zip(enriched.prompts, plain.prompts)
+            c.text != p.text for c, p in zip(changed.prompts, plain.prompts)
         )
 
     def test_encodes_each_message_once(self, monkeypatch):
@@ -202,8 +203,6 @@ def test_pipeline_leaves_no_reference_cycles(tmp_path):
     """
     spec = TraceSpec(60, 2, 0.632, 0.02, 1.912, selection_events=3, seed=5)
     trace, queries = tmp_path / "trace.ndjson", tmp_path / "queries.ndjson"
-    pipeline = EnrichmentPipeline()
-    pipeline.register("upper", lambda es: [replace(e, text=e.text.upper()) for e in es])
     config = SimConfig(seed=3, shuffle=ShuffleConfig(enabled=True, bound=8))
     was_enabled = gc.isenabled()
     gc.collect()
@@ -212,7 +211,7 @@ def test_pipeline_leaves_no_reference_cycles(tmp_path):
         write_trace(trace, generate_frames(spec))
         write_queries(queries, make_queries())
         _, frames = read_trace(trace)
-        result = replay(frames, read_queries(queries), config, enrichment=pipeline)
+        result = replay(frames, read_queries(queries), config)
         assert result.prompts and sum(f.user_selection for f in frames) == 3
         del result, frames
         assert gc.collect() == 0
@@ -221,14 +220,16 @@ def test_pipeline_leaves_no_reference_cycles(tmp_path):
             gc.enable()
 
 
-def test_enrichment_hooks_run_with_the_collector_paused():
+def test_the_query_path_runs_with_the_collector_paused(monkeypatch):
     seen = []
-    pipeline = EnrichmentPipeline()
-    pipeline.register("probe", lambda es: seen.append(gc.isenabled()) or es)
+    normalize_entries = replay_module.normalize_entries
+    monkeypatch.setattr(
+        replay_module, "normalize_entries", lambda es: seen.append(gc.isenabled()) or normalize_entries(es)
+    )
     was_enabled = gc.isenabled()
     gc.enable()
     try:
-        replay(make_frames(duration_s=30), make_queries()[:1], enrichment=pipeline)
+        replay(make_frames(duration_s=30), make_queries()[:1])
         assert gc.isenabled()
     finally:
         if not was_enabled:
@@ -322,6 +323,33 @@ class TestSimConfig:
                 {"selector": {"tree": {"nodes": [{"feature": [], "threshold": 1, "left": 0, "right": 0}]}}},
                 r"config selector.tree: nodes\[0\]: unknown feature \[\]",
             ),
+            # Loaded before, then raised OverflowError in from_obj or replay.
+            *(
+                pytest.param(
+                    {"selector": {"tree": {"nodes": [
+                        {"feature": "exposure_us", "threshold": big, "left": 1, "right": 1}, {"label": "Sharp"},
+                    ]}}},
+                    rf"config selector.tree: nodes\[0\].threshold: {big} does not convert to a float",
+                    id=f"threshold {name}",
+                )
+                for name, big in (("10**400", 10**400), ("-10**400", -(10**400)))
+            ),
+            *(
+                pytest.param(
+                    {"planner": {"lookback_ms": big}},
+                    rf"config planner.lookback_ms: lookback_ms must be below 2\*\*63, got {big}",
+                    id=f"lookback_ms {name}",
+                )
+                for name, big in (("2**63", 2**63), ("10**400", 10**400))
+            ),
+            *(
+                pytest.param(
+                    {"shuffle": {"enabled": True, "bound": big}},
+                    rf"config shuffle.bound: bound must be below 2\*\*63, got {big}",
+                    id=f"shuffle.bound {name}",
+                )
+                for name, big in (("2**63", 2**63), ("10**400", 10**400))
+            ),
         ],
     )
     def test_unknown_or_malformed_key_rejected(self, obj, message):
@@ -346,6 +374,8 @@ class TestSimConfig:
             result = replay(make_frames(duration_s=5), make_queries()[:1], config)
             assert result.report.ledger.message_count == 13
         config = SimConfig.from_obj({"planner": {"pre_n": 10_000}})
+        assert len(replay(make_frames(duration_s=5), make_queries()[:1], config).prompts) == 1
+        config = SimConfig.from_obj({"planner": {"lookback_ms": 2**63 - 1}, "shuffle": {"enabled": True, "bound": 2**63 - 1}})
         assert len(replay(make_frames(duration_s=5), make_queries()[:1], config).prompts) == 1
 
 
@@ -401,7 +431,7 @@ MUTANTS = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-(2**70), 2**70),
-    st.sampled_from([0, 1, -1, 2, 10**30, -(10**30), 2**63, 2**64]),
+    st.sampled_from([0, 1, -1, 2, 10**30, -(10**30), 2**63, 2**64, 10**400, -(10**400)]),
     st.floats(),
     st.sampled_from(["", "MP3", "MP12", "Sharp", "Blurry", "exposure_us", "motion_energy", "NoOcr"]),
     st.text(max_size=4),
