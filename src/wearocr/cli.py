@@ -24,7 +24,7 @@ def _load_config(args: argparse.Namespace) -> SimConfig:
         with open(args.config, encoding="utf-8") as fh:
             try:
                 config = SimConfig.from_obj(json.load(fh))
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # json raises RecursionError on deep nesting
                 raise InputError(f"{args.config}: {exc}") from None
     if args.seed is None:
         return config

@@ -209,7 +209,7 @@ def validate_trace(frames: Sequence[FrameRecord]) -> list[str]:
         # The wire carries it unsigned and mock OCR hashes it signed, both in 64 bits.
         if not 0 <= frame.ts_ms < 2**63:
             violations.append(f"frame {i}: ts_ms {frame.ts_ms} outside [0, 2**63)")
-        if not 0 < frame.exposure_us < 2**63:  # the blur tree reads it as a float
+        if not 0 < frame.exposure_us < 2**63:  # a positive span, held in 64 bits like ts_ms
             violations.append(f"frame {i}: exposure_us {frame.exposure_us} outside [1, 2**63)")
         sig = frame.scene_sig
         if sig_dim is None:

@@ -50,16 +50,7 @@ from .prompt import (
     dedup_prompt_ocr,
     plan_frames,
 )
-from .selection import (
-    DecisionTree,
-    SelectorConfig,
-    SelectorState,
-    StageReport,
-    Verdict,
-    load_tree,
-    process_frame,
-    stage_report,
-)
+from .selection import SelectorConfig, SelectorState, StageReport, Verdict, process_frame, stage_report
 
 
 class ReplayError(RuntimeError):
@@ -129,13 +120,11 @@ def _load(default: object, obj: object, path: str) -> object:
     A section takes a JSON object whose keys are a subset of its
     fields; each value is loaded against that field's current value.
     """
-    try:
-        if isinstance(default, DecisionTree):
-            return load_tree(obj)
-        if isinstance(default, Enum):
+    if isinstance(default, Enum):
+        try:
             return type(default)(obj)
-    except ValueError as exc:
-        raise ValueError(f"config {path}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"config {path}: {exc}") from None
     if not is_dataclass(default):
         # Exact types, so that a JSON boolean is no int.
         if type(obj) in _JSON_TYPES[type(default)]:

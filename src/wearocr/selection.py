@@ -1,36 +1,25 @@
 """On-device smart frame selection.
 
 A four-gate pipeline run per frame, in order: blur filter (IMU motion
-energy + exposure, decision tree), ROI/text gate (which detection, if
-any, yields a text region), scene-similarity filter against the last
-accepted frame, and a rolling OCR word budget.  The first gate that
-rejects wins; explicit user selection (or a pointing-derived one)
-bypasses the similarity gate so selected text is always fresh.
+energy against a limit set by the exposure time: the paper's decision
+tree of depth 2), ROI/text gate (which detection, if any, yields a text
+region), scene-similarity filter against the last accepted frame, and a
+rolling OCR word budget.  The first gate that rejects wins; explicit
+user selection (or a pointing-derived one) bypasses the similarity gate
+so selected text is always fresh.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, ROUND_HALF_DOWN, Decimal
 from enum import Enum
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .model import Detection, DetectionClass, FrameRecord, PayloadKind, Rect
-
-log = logging.getLogger(__name__)
-
-FEATURE_MOTION_ENERGY = 0
-FEATURE_EXPOSURE_US = 1
-_FEATURE_NAMES = {"motion_energy": FEATURE_MOTION_ENERGY, "exposure_us": FEATURE_EXPOSURE_US}
-
-
-class BlurLabel(str, Enum):
-    SHARP = "Sharp"
-    BLURRY = "Blurry"
 
 
 class Verdict(str, Enum):
@@ -50,120 +39,25 @@ VERDICT_TO_KIND = {
 }
 
 
-class TreeConfigError(ValueError):
-    """Malformed decision-tree configuration; raised at load, never at classify."""
+# The paper's blur tree, of depth 2: below EXPOSURE_SPLIT_US of exposure
+# a frame is blurry from motion energy MOTION_LIMIT_SHORT on, otherwise
+# from MOTION_LIMIT_LONG on.
+EXPOSURE_SPLIT_US = 20_000
+MOTION_LIMIT_SHORT = 10.0
+MOTION_LIMIT_LONG = 4.0
 
 
-@dataclass(frozen=True, slots=True)
-class BlurFeatures:
-    motion_energy: float
-    exposure_us: int
+def is_blurry(motion: float, exposure_us: int) -> bool:
+    """Whether a frame with this motion energy and exposure is blurry.
 
-
-@dataclass(frozen=True)
-class TreeNode:
-    """Internal node (feature/threshold/left/right) or leaf (label set)."""
-
-    feature_index: int = -1
-    threshold: float = 0.0
-    left: int = -1
-    right: int = -1
-    label: BlurLabel | None = None
-
-
-@dataclass(frozen=True)
-class DecisionTree:
-    nodes: tuple[TreeNode, ...]
-    root: int = 0
-
-    def classify(self, features: BlurFeatures) -> BlurLabel:
-        values = (features.motion_energy, float(features.exposure_us))
-        nodes = self.nodes
-        node = nodes[self.root]
-        while node.label is None:
-            node = nodes[node.left if values[node.feature_index] < node.threshold else node.right]
-        return node.label
-
-
-def load_tree(obj: Mapping) -> DecisionTree:
-    """Build and validate a DecisionTree from its config mapping.
-
-    Raises TreeConfigError naming the path to the offending node on any
-    structural problem: bad feature or threshold, dangling child, or a cycle.
+    The test is the tree's branch test: only ``motion < limit`` leads to
+    sharp, so a NaN motion is blurry.
     """
-    raw_nodes = obj.get("nodes") if isinstance(obj, Mapping) else None
-    if not isinstance(raw_nodes, list) or not raw_nodes:
-        raise TreeConfigError("nodes: must be a non-empty list")
-    nodes: list[TreeNode] = []
-    for i, raw in enumerate(raw_nodes):
-        path = f"nodes[{i}]"
-        if not isinstance(raw, Mapping):
-            raise TreeConfigError(f"{path}: must be an object")
-        if "label" in raw:
-            try:
-                nodes.append(TreeNode(label=BlurLabel(raw["label"])))
-            except ValueError:
-                raise TreeConfigError(f"{path}: unknown label {raw['label']!r}") from None
-            continue
-        feature = raw.get("feature")
-        if not isinstance(feature, str) or feature not in _FEATURE_NAMES:
-            raise TreeConfigError(f"{path}: unknown feature {feature!r}")
-        left, right = raw.get("left"), raw.get("right")
-        for side, child in (("left", left), ("right", right)):
-            if type(child) is not int or not 0 <= child < len(raw_nodes):
-                raise TreeConfigError(f"{path}.{side}: child index {child!r} out of range")
-        threshold = raw.get("threshold")
-        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)) or threshold != threshold:
-            raise TreeConfigError(f"{path}.threshold: {threshold!r} is not a number")
-        try:
-            threshold = float(threshold)
-        except OverflowError:
-            raise TreeConfigError(f"{path}.threshold: {threshold!r} does not convert to a float") from None
-        nodes.append(
-            TreeNode(
-                feature_index=_FEATURE_NAMES[feature],
-                threshold=threshold,
-                left=left,
-                right=right,
-            )
-        )
-    root = obj.get("root", 0)
-    if type(root) is not int or not 0 <= root < len(nodes):
-        raise TreeConfigError(f"root: index {root!r} out of range")
-
-    # Every walk from the root must terminate at a leaf: reject cycles.
-    def check(index: int, path: str, on_path: frozenset[int]) -> None:
-        if index in on_path:
-            raise TreeConfigError(f"{path}: cycle through node {index}")
-        node = nodes[index]
-        if node.label is not None:
-            return
-        check(node.left, f"{path}.left", on_path | {index})
-        check(node.right, f"{path}.right", on_path | {index})
-
-    check(root, f"nodes[{root}]", frozenset())
-    return DecisionTree(nodes=tuple(nodes), root=root)
+    limit = MOTION_LIMIT_SHORT if exposure_us < EXPOSURE_SPLIT_US else MOTION_LIMIT_LONG
+    return not motion < limit
 
 
-# Shipped reference tree: long exposures tolerate little motion, short
-# exposures a lot more.  Thresholds are configuration, not code.
-REFERENCE_TREE_CONFIG = {
-    "root": 0,
-    "nodes": [
-        {"feature": "exposure_us", "threshold": 20000, "left": 1, "right": 2},
-        {"feature": "motion_energy", "threshold": 10.0, "left": 3, "right": 4},
-        {"feature": "motion_energy", "threshold": 4.0, "left": 3, "right": 4},
-        {"label": "Sharp"},
-        {"label": "Blurry"},
-    ],
-}
-
-
-def reference_tree() -> DecisionTree:
-    return load_tree(REFERENCE_TREE_CONFIG)
-
-
-def blur_features(frame: FrameRecord) -> BlurFeatures:
+def motion_energy(frame: FrameRecord) -> float:
     """Worst-case 6-dof IMU norm over the frame's exposure window.
 
     The window is [capture start, start + exposure]; capture start is
@@ -177,7 +71,7 @@ def blur_features(frame: FrameRecord) -> BlurFeatures:
             norm = sample.norm6()
             if norm > energy:
                 energy = norm
-    return BlurFeatures(energy, frame.exposure_us)
+    return energy
 
 
 def signature_norm(v: Sequence[float]) -> float:
@@ -234,6 +128,8 @@ def select_roi(detections: Sequence[Detection]) -> RoiChoice | None:
     * TextObject: its own bbox, not a selection.
     * HandPointing: the nearest TextObject bbox hit by the finger ray
       (second-to-last keypoint through the tip), marked as a selection.
+      With fewer than two keypoints there is no ray, and the detection
+      counts as OtherHandInteraction.
     * HandHolding: the held bbox, but only when some TextObject overlaps
       it; a held object without text yields nothing.
     * OtherHandInteraction, or no survivor: nothing.
@@ -252,7 +148,6 @@ def select_roi(detections: Sequence[Detection]) -> RoiChoice | None:
     if cls is DetectionClass.HAND_POINTING and (
         winner.keypoints is None or len(winner.keypoints) < 2
     ):
-        log.warning("HandPointing detection with <2 keypoints; treating as OtherHandInteraction")
         cls = DetectionClass.OTHER_HAND_INTERACTION
 
     if cls is DetectionClass.OTHER_HAND_INTERACTION:
@@ -306,7 +201,6 @@ _REJECT_BUDGET = (_rejection(Verdict.REJECT_BUDGET), _rejection(Verdict.REJECT_B
 
 @dataclass(frozen=True)
 class SelectorConfig:
-    tree: DecisionTree = reference_tree()
     similarity_threshold: float = 0.9
     budget_words: int = 300
     budget_window_ms: int = 10_000
@@ -346,7 +240,7 @@ def process_frame(
 
     Frames must be presented in trace order; the state is single-writer.
     """
-    if config.tree.classify(blur_features(frame)) is BlurLabel.BLURRY:
+    if is_blurry(motion_energy(frame), frame.exposure_us):
         return (*_REJECT_BLUR, state)
 
     choice = select_roi(frame.detections)

@@ -3,10 +3,11 @@
 Every float on the device path is part of the determinism contract
 (README, design notes): a rewrite for speed must return the very same
 bits.  The oracles below are the straightforward generator-expression
-versions of ``ImuSample.norm6``, ``blur_features``, the cosine of two
+versions of ``ImuSample.norm6``, ``motion_energy``, the cosine of two
 scene signatures (``scene_similarity``, as ``process_frame`` computes
 it) and ``process_frame``; the properties compare with ``==`` (plus the sign
-of zero, and NaN with NaN), never approximately.
+of zero, and NaN with NaN), never approximately.  ``is_blurry`` is compared
+with a walk of the paper's blur tree as nodes.
 """
 
 import math
@@ -19,14 +20,13 @@ from hypothesis import strategies as st
 from wearocr.model import Detection, DetectionClass, FrameRecord, ImuSample, Rect, Resolution
 from wearocr.selection import (
     VERDICT_TO_KIND,
-    BlurFeatures,
-    BlurLabel,
     SelectionDecision,
     SelectorConfig,
     SelectorState,
     Verdict,
     _cosine,
-    blur_features,
+    is_blurry,
+    motion_energy,
     process_frame,
     select_roi,
     signature_norm,
@@ -46,14 +46,36 @@ def oracle_norm6(sample):
     return math.sqrt(sum(v * v for v in sample.gyro) + sum(v * v for v in sample.accel))
 
 
-def oracle_blur_features(frame):
+def oracle_motion_energy(frame):
     start_us = frame.ts_ms * 1000
     end_us = start_us + frame.exposure_us
     energy = 0.0
     for sample in frame.imu:
         if start_us <= sample.ts_us <= end_us:
             energy = max(energy, oracle_norm6(sample))
-    return BlurFeatures(motion_energy=energy, exposure_us=frame.exposure_us)
+    return energy
+
+
+# The paper's blur tree: an inner node is (feature, threshold, left, right)
+# over the features (motion energy, exposure in us as a float), and a leaf
+# is its verdict, blurry or not.  A walk goes left when the feature is
+# below the threshold.
+REFERENCE_TREE = (
+    (1, 20000.0, 1, 2),
+    (0, 10.0, 3, 4),
+    (0, 4.0, 3, 4),
+    False,
+    True,
+)
+
+
+def oracle_is_blurry(motion, exposure_us):
+    features = (motion, float(exposure_us))
+    node = REFERENCE_TREE[0]
+    while not isinstance(node, bool):
+        feature, threshold, left, right = node
+        node = REFERENCE_TREE[left if features[feature] < threshold else right]
+    return node
 
 
 def oracle_scene_similarity(a, b):
@@ -74,7 +96,7 @@ def oracle_process_frame(frame, state, config):
         decision = SelectionDecision(verdict=verdict, roi=None, selection=selection)
         return decision, VERDICT_TO_KIND[verdict]
 
-    if config.tree.classify(oracle_blur_features(frame)) is BlurLabel.BLURRY:
+    if oracle_is_blurry(oracle_motion_energy(frame), frame.exposure_us):
         return reject(Verdict.REJECT_BLUR)
     choice = select_roi(frame.detections)
     if choice is None:
@@ -149,9 +171,28 @@ def test_norm6_matches_oracle(sample):
 @settings(max_examples=200)
 def test_blur_features_match_oracle(samples, exposure_us):
     frame = FrameRecord(0, Resolution.MP12, exposure_us, tuple(samples), (), (), ())
-    got, want = blur_features(frame), oracle_blur_features(frame)
-    assert same(got.motion_energy, want.motion_energy)
-    assert got.exposure_us == want.exposure_us
+    assert same(motion_energy(frame), oracle_motion_energy(frame))
+
+
+# Each motion limit and values beside it, and the float extremes.
+BLUR_MOTIONS = (0.0, 3.999999, 4.0, 4.0000001, 9.99999, 10.0, 10.00001, 1e308, math.inf, math.nan)
+# The split and the integers beside it, and exposures that a float cannot hold exactly.
+BLUR_EXPOSURES = (1, 19_999, 20_000, 20_001, 2**53 + 1, 2**63 - 1)
+
+
+def test_is_blurry_matches_the_reference_tree_at_its_boundaries():
+    for motion in BLUR_MOTIONS:
+        for exposure_us in BLUR_EXPOSURES:
+            assert is_blurry(motion, exposure_us) is oracle_is_blurry(motion, exposure_us), (motion, exposure_us)
+
+
+@given(
+    st.one_of(st.sampled_from(BLUR_MOTIONS), floats()),
+    st.one_of(st.sampled_from(BLUR_EXPOSURES), st.integers(1, 2**63 - 1)),
+)
+@settings(max_examples=300)
+def test_is_blurry_matches_the_reference_tree(motion, exposure_us):
+    assert is_blurry(motion, exposure_us) is oracle_is_blurry(motion, exposure_us)
 
 
 @given(vector_pairs())

@@ -17,7 +17,7 @@ import wearocr.replay as replay_module
 from wearocr.model import FrameRecord, QueryMode, QueryRecord, Resolution
 from wearocr.osm import SessionTimeline
 from wearocr.replay import ReplayError, ShuffleConfig, SimConfig, emit_report, replay
-from wearocr.selection import REFERENCE_TREE_CONFIG, SelectorConfig
+from wearocr.selection import SelectorConfig
 from wearocr.tracefile import TraceSpec, generate_frames, read_queries, read_trace, write_queries, write_trace
 from wearocr import wire
 
@@ -270,9 +270,8 @@ class TestSimConfig:
         assert config.text_similarity_threshold == 1
 
     def test_selector_keys_applied(self):
-        config = SimConfig.from_obj({"selector": {"budget_words": 40, "tree": REFERENCE_TREE_CONFIG}})
-        assert config.selector.budget_words == 40
-        assert config.selector.tree == SelectorConfig().tree
+        config = SimConfig.from_obj({"selector": {"budget_words": 40, "similarity_threshold": 0.5}})
+        assert config.selector == SelectorConfig(similarity_threshold=0.5, budget_words=40)
 
     @pytest.mark.parametrize(
         "obj, message",
@@ -292,11 +291,10 @@ class TestSimConfig:
             ({"planner": {"hist_n": -1}}, "config planner.hist_n: .*non-negative"),
             ({"device": {"ocr_mode": "bogus"}}, "config device.ocr_mode: 'bogus'"),
             ({"stream": {"resolution": "MP7"}}, "config stream.resolution: 'MP7'"),
-            ({"selector": {"tree": {"nodes": []}}}, "config selector.tree: nodes"),
-            (
-                {"selector": {"tree": {"nodes": [{"feature": "exposure_us", "left": 0, "right": 0}]}}},
-                r"config selector.tree: nodes\[0\].threshold: None is not a number",
-            ),
+            # The blur rule is constants, not configuration.
+            ({"selector": {"tree": {"nodes": [{"label": "Sharp"}]}}}, "unknown config key selector.tree"),
+            # Unhashable values, which an enum looks up by value.
+            ({"ocr_resolution": []}, r"config ocr_resolution: \[\] is not a valid Resolution"),
             ({"seed": 2**63}, r"config seed: seed must be in \[-2\*\*63, 2\*\*63\)"),
             ({"seed": -(2**63) - 1}, "config seed: seed must be in"),
             ({"stream": {"bitrate_bps": 0}}, "config stream.bitrate_bps: bitrate_bps must be at least 1"),
@@ -310,30 +308,11 @@ class TestSimConfig:
             ({"selector": {"budget_words": -1}}, "config selector.budget_words: budget_words must be non-negative"),
             ({"text_similarity_threshold": float("nan")}, "config text_similarity_threshold: nan is not a number"),
             ({"selector": {"similarity_threshold": float("nan")}}, "config selector.similarity_threshold: nan is not a number"),
-            (
-                {"selector": {"tree": {"nodes": [
-                    {"feature": "exposure_us", "threshold": float("nan"), "left": 1, "right": 1}, {"label": "Sharp"},
-                ]}}},
-                r"config selector.tree: nodes\[0\].threshold: nan is not a number",
-            ),
+            ({"device": {"ocr_mode": {}}}, r"config device.ocr_mode: \{\} is not a valid OcrMode"),
             # Loaded before, then hung in plan_frames' walk over range(pre_n).
             ({"planner": {"pre_n": 10**30}}, f"config planner.pre_n: pre_n must be at most 10000, got {10**30}"),
             ({"planner": {"pre_n": 10_001}}, "config planner.pre_n: pre_n must be at most 10000, got 10001"),
-            (
-                {"selector": {"tree": {"nodes": [{"feature": [], "threshold": 1, "left": 0, "right": 0}]}}},
-                r"config selector.tree: nodes\[0\]: unknown feature \[\]",
-            ),
-            # Loaded before, then raised OverflowError in from_obj or replay.
-            *(
-                pytest.param(
-                    {"selector": {"tree": {"nodes": [
-                        {"feature": "exposure_us", "threshold": big, "left": 1, "right": 1}, {"label": "Sharp"},
-                    ]}}},
-                    rf"config selector.tree: nodes\[0\].threshold: {big} does not convert to a float",
-                    id=f"threshold {name}",
-                )
-                for name, big in (("10**400", 10**400), ("-10**400", -(10**400)))
-            ),
+            # Loaded before, then raised OverflowError in replay.
             *(
                 pytest.param(
                     {"planner": {"lookback_ms": big}},
@@ -413,14 +392,13 @@ class TestEmitReport:
             emit_report(report, "yaml")
 
 
-# The README's default config, with the reference tree written out.
+# The README's default config.
 DEFAULT_CONFIG = {
     "ocr_resolution": "MP12", "seed": 0, "session_id": 1, "text_similarity_threshold": 0.8,
     "stream": {"resolution": "MP3", "fps": 2, "bitrate_bps": 500000},
     "device": {"fps": 2, "ocr_mode": "Sfs3MpInput"},
     "selector": {
         "similarity_threshold": 0.9, "budget_words": 300, "budget_window_ms": 10000,
-        "tree": REFERENCE_TREE_CONFIG,
     },
     "planner": {"lookback_ms": 8000, "pre_n": 4, "hist_n": 2, "ocr_window_ms": 30000},
     "shuffle": {"enabled": False, "bound": 8},
@@ -433,24 +411,18 @@ MUTANTS = st.one_of(
     st.integers(-(2**70), 2**70),
     st.sampled_from([0, 1, -1, 2, 10**30, -(10**30), 2**63, 2**64, 10**400, -(10**400)]),
     st.floats(),
-    st.sampled_from(["", "MP3", "MP12", "Sharp", "Blurry", "exposure_us", "motion_energy", "NoOcr"]),
+    st.sampled_from(["", "MP3", "MP12", "NoOcr"]),
     st.text(max_size=4),
-    st.sampled_from([[], {}, [1], {"label": "Sharp"}]),
+    st.sampled_from([[], {}, [1]]),
 )
 
 
 def value_paths(obj, path=()):
-    """The path of every value below ``obj``, sections, lists and the tree's nodes included."""
-    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
-    for key, value in items:
+    """The path of every value below ``obj``, sections included."""
+    for key, value in obj.items():
         yield path + (key,)
-        yield from value_paths(value, path + (key,))
-
-
-def config_key(path):
-    """The dotted key ``SimConfig.from_obj`` names for ``path``: the tree is one value."""
-    keys = path[: path.index("tree") + 1] if "tree" in path else path
-    return ".".join(keys)
+        if isinstance(value, dict):
+            yield from value_paths(value, path + (key,))
 
 
 @contextmanager
@@ -482,7 +454,7 @@ def test_mutated_config_loads_and_replays_or_names_its_path(data):
         config = SimConfig.from_obj(obj)
     except ValueError as exc:
         named = re.match(r"(?:unknown config key |config )([^ :]+)", str(exc))
-        mutated = {config_key(path) for path in paths}
+        mutated = {".".join(path) for path in paths}
         assert named and any(named[1] == key or named[1].startswith(key + ".") for key in mutated), exc
         return
     try:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -14,17 +15,13 @@ from wearocr.model import (
 )
 from wearocr.selection import (
     MIN_DETECTION_CONF,
-    BlurFeatures,
-    BlurLabel,
     SelectorConfig,
     SelectorState,
-    TreeConfigError,
     Verdict,
-    blur_features,
-    load_tree,
+    is_blurry,
+    motion_energy,
     pct_change,
     process_frame,
-    reference_tree,
     select_roi,
     stage_report,
     stage_report_from_counts,
@@ -51,11 +48,11 @@ class TestBlurFeatures:
         samples = [
             ImuSample(ts_us=100_000 + i, gyro=(0, 0, 0), accel=(0, 0, 0)) for i in range(3)
         ]
-        assert blur_features(frame_with_imu(samples)).motion_energy == 0.0
+        assert motion_energy(frame_with_imu(samples)) == 0.0
 
     def test_three_four_five_norm(self):
         samples = [ImuSample(ts_us=100_500, gyro=(3, 0, 0), accel=(0, 4, 0))]
-        assert blur_features(frame_with_imu(samples)).motion_energy == pytest.approx(5.0)
+        assert motion_energy(frame_with_imu(samples)) == pytest.approx(5.0)
 
     def test_max_over_window(self):
         # Brute-force oracle: the max of the in-window norms.
@@ -68,7 +65,7 @@ class TestBlurFeatures:
             sample_with_norm(109_000, 1.1),
         ]
         expected = max(s.norm6() for s in samples)
-        assert blur_features(frame_with_imu(samples)).motion_energy == pytest.approx(expected)
+        assert motion_energy(frame_with_imu(samples)) == pytest.approx(expected)
         assert expected == 7.5
 
     def test_samples_outside_window_ignored(self):
@@ -76,71 +73,33 @@ class TestBlurFeatures:
             ImuSample(ts_us=99_999, gyro=(50, 0, 0), accel=(0, 0, 0)),
             ImuSample(ts_us=110_001, gyro=(50, 0, 0), accel=(0, 0, 0)),
         ]
-        assert blur_features(frame_with_imu(samples)).motion_energy == 0.0
+        assert motion_energy(frame_with_imu(samples)) == 0.0
 
 
 class TestClassifyBlur:
     def test_zero_motion_is_sharp(self):
-        features = BlurFeatures(motion_energy=0.0, exposure_us=5000)
-        assert reference_tree().classify(features) is BlurLabel.SHARP
+        assert is_blurry(0.0, 5000) is False
 
     def test_high_motion_long_exposure_is_blurry(self):
-        # Walk by hand: exposure 30000 >= 20000 -> right branch, threshold
-        # 4.0; motion 12.0 >= 4.0 -> Blurry.
-        features = BlurFeatures(motion_energy=12.0, exposure_us=30000)
-        assert reference_tree().classify(features) is BlurLabel.BLURRY
-
-    def test_single_leaf_tree(self):
-        tree = load_tree({"root": 0, "nodes": [{"label": "Sharp"}]})
-        features = BlurFeatures(motion_energy=1e9, exposure_us=10**9)
-        assert tree.classify(features) is BlurLabel.SHARP
-
-    def test_cycle_rejected_at_load(self):
-        config = {
-            "root": 0,
-            "nodes": [
-                {"feature": "motion_energy", "threshold": 1.0, "left": 0, "right": 1},
-                {"label": "Sharp"},
-            ],
-        }
-        with pytest.raises(TreeConfigError, match="cycle"):
-            load_tree(config)
-
-    def test_dangling_child_rejected_with_path(self):
-        config = {
-            "root": 0,
-            "nodes": [{"feature": "motion_energy", "threshold": 1.0, "left": 0, "right": 9}],
-        }
-        with pytest.raises(TreeConfigError, match=r"nodes\[0\]\.right"):
-            load_tree(config)
-
-    def test_unknown_feature_rejected(self):
-        config = {"root": 0, "nodes": [{"feature": "lens_temp", "threshold": 1, "left": 0, "right": 0}]}
-        with pytest.raises(TreeConfigError, match="unknown feature"):
-            load_tree(config)
+        # Exposure 30000 is not below 20000, so the limit is 4.0, and 12.0 >= 4.0.
+        assert is_blurry(12.0, 30000) is True
 
     @pytest.mark.parametrize(
-        "config, message",
+        "exposure_us, motion, blurry",
         [
-            ([{"label": "Sharp"}], "nodes: must be a non-empty list"),
-            ({"nodes": [["label", "Sharp"]]}, r"nodes\[0\]: must be an object"),
-            (
-                {"nodes": [{"feature": "exposure_us", "threshold": "1", "left": 1, "right": 1}, {"label": "Sharp"}]},
-                r"nodes\[0\]\.threshold: '1' is not a number",
-            ),
-            (
-                {"nodes": [{"feature": "exposure_us", "threshold": 1, "left": True, "right": 1}, {"label": "Sharp"}]},
-                r"nodes\[0\]\.left: child index True out of range",
-            ),
-            ({"root": False, "nodes": [{"label": "Sharp"}]}, "root: index False out of range"),
-            # Unhashable, so once a TypeError from the feature-name lookup.
-            ({"nodes": [{"feature": [], "threshold": 1, "left": 0, "right": 0}]}, r"nodes\[0\]: unknown feature \[\]"),
-            ({"nodes": [{"feature": {}, "threshold": 1, "left": 0, "right": 0}]}, r"nodes\[0\]: unknown feature \{\}"),
+            # Below the split the limit is 10.0; from it on, 4.0.  Each limit is inclusive.
+            (19_999, math.nextafter(4.0, 0.0), False),
+            (19_999, 4.0, False),
+            (19_999, math.nextafter(10.0, 0.0), False),
+            (19_999, 10.0, True),
+            (20_000, math.nextafter(4.0, 0.0), False),
+            (20_000, 4.0, True),
+            (20_000, math.nextafter(10.0, 0.0), True),
+            (20_000, 10.0, True),
         ],
     )
-    def test_malformed_config_rejected_with_path(self, config, message):
-        with pytest.raises(TreeConfigError, match=message):
-            load_tree(config)
+    def test_limits_around_the_split(self, exposure_us, motion, blurry):
+        assert is_blurry(motion, exposure_us) is blurry
 
 
 class TestSelectRoi:
@@ -221,6 +180,14 @@ class TestSelectRoi:
             cls=DetectionClass.HAND_POINTING, bbox=Rect(0.4, 0.4, 0.2, 0.2), conf=0.9
         )
         assert select_roi([pointing]) is None
+
+    @pytest.mark.parametrize("keypoints", [(), ((0.5, 0.5),)], ids=["0", "1"])
+    def test_pointing_with_fewer_than_2_keypoints(self, keypoints):
+        # Without a finger ray the detection counts as OtherHandInteraction,
+        # so the text box beside it is not taken either.
+        pointing = Detection(DetectionClass.HAND_POINTING, Rect(0.4, 0.4, 0.2, 0.2), 0.9, keypoints)
+        text = Detection(DetectionClass.TEXT_OBJECT, Rect(0.6, 0.45, 0.2, 0.1), 0.8)
+        assert select_roi([pointing, text]) is None
 
     def test_holding_requires_overlapping_text(self):
         holding = Detection(cls=DetectionClass.HAND_HOLDING, bbox=Rect(0.3, 0.3, 0.3, 0.3), conf=0.95)
