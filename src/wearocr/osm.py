@@ -148,18 +148,36 @@ class SessionTimeline:
 
     def __init__(self, text_similarity_threshold: float = DEFAULT_TEXT_SIMILARITY_THRESHOLD):
         self.theta_text = text_similarity_threshold
+        # A TEXT_OCR payload is stored whole, so grouping and the
+        # exemplar lookups may read _payloads[ts] as it came.  Any other
+        # spanless payload is stored as the first one ingested with its
+        # _textless key, which may carry another timestamp: _at stamps it.
         self._payloads: dict[int, OcrPayload] = {}
+        self._textless: dict[tuple, OcrPayload] = {}
         self._cache: _Views | None = None
 
     def ingest(self, payload: OcrPayload) -> "SessionTimeline":
-        """Store a payload; a later payload at the same timestamp replaces it."""
-        self._payloads[payload.frame_ts_ms] = payload
+        """Store a payload; a later payload at the same timestamp replaces it.
+
+        Payloads without text differ only in their timestamp within a
+        kind, so one is kept per kind, selection, flags and synthesized mark.
+        """
+        ts = payload.frame_ts_ms
+        if not payload.spans and payload.kind is not PayloadKind.TEXT_OCR:
+            key = (payload.kind, payload.selection, payload.quality_flags, payload.synthesized)
+            payload = self._textless.setdefault(key, payload)
+        self._payloads[ts] = payload
         self._cache = None
         return self
 
+    def _at(self, ts: int) -> OcrPayload:
+        """The payload stored at ``ts``, stamped ``ts``."""
+        payload = self._payloads[ts]
+        return payload if payload.frame_ts_ms == ts else replace(payload, frame_ts_ms=ts)
+
     def payloads(self) -> list[OcrPayload]:
         """All payloads in ascending timestamp order."""
-        return [self._payloads[ts] for ts in sorted(self._payloads)]
+        return [self._at(ts) for ts in sorted(self._payloads)]
 
     # -- derived structure ------------------------------------------------
 
@@ -290,7 +308,7 @@ class SessionTimeline:
         valid_ts = self._derived().valid_ts
         exact = self._payloads.get(t)
         if exact is not None and exact.is_valid_for_retrieval():
-            return exact, t
+            return self._at(t), t
         idx = bisect.bisect_left(valid_ts, t)
         if idx > 0:
             source = valid_ts[idx - 1]
@@ -303,7 +321,7 @@ class SessionTimeline:
     def get(self, t: int) -> OcrPayload:
         """Latest valid payload at or before ``t``.
 
-        A payload of a valid kind exactly at ``t`` is returned as-is.
+        For a payload of a valid kind exactly at ``t``, an equal payload is returned.
         Otherwise the latest valid payload strictly before ``t`` is
         returned with its timestamp rewritten to ``t``; with nothing
         before either, a synthesized empty payload at ``t``.

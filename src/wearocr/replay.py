@@ -50,7 +50,7 @@ from .prompt import (
     dedup_prompt_ocr,
     plan_frames,
 )
-from .selection import SelectorConfig, SelectorState, StageReport, Verdict, process_frame, stage_report
+from .selection import SelectorConfig, SelectorState, StageReport, Verdict, process_frame, verdict_report
 
 
 class ReplayError(RuntimeError):
@@ -194,9 +194,12 @@ _NO_FLAGS: frozenset[QualityFlag] = frozenset()
 
 
 def _device_pass(
-    frames: Iterable[FrameRecord], config: SimConfig, decisions: list, accepted: dict[int, FrameRecord]
+    frames: Iterable[FrameRecord],
+    config: SimConfig,
+    verdicts: dict[Verdict, int],
+    accepted: dict[int, FrameRecord],
 ) -> Iterator[OcrPayload]:
-    """Each frame's payload; appends its decision, and ``{ts: frame}`` if it runs OCR."""
+    """Each frame's payload; counts its verdict, and adds ``{ts: frame}`` if it runs OCR."""
     ocr_config = OcrConfig(seed=config.seed)
     state = SelectorState()
     selector, resolution = config.selector, config.ocr_resolution
@@ -206,8 +209,8 @@ def _device_pass(
             decision, kind, state = process_frame(frame, state, selector)
         except ValueError as exc:
             raise ReplayError(f"frame {index}: {exc}") from exc
-        decisions.append(decision)
         verdict = decision.verdict
+        verdicts[verdict] += 1
         spans: tuple = ()
         if verdict is run_ocr:
             accepted[frame.ts_ms] = frame
@@ -255,9 +258,10 @@ def replay(
                 f"query {qi}: speech_start_ms {query.speech_start_ms} is after ts_ms {query.ts_ms}"
             )
 
-    decisions: list = []
+    # A plain dict: a Counter's += takes about 250 ns a frame, a dict's 70.
+    verdicts = dict.fromkeys(Verdict, 0)
     accepted: dict[int, FrameRecord] = {}  # every group exemplar is one of these
-    payloads = _device_pass(frames, config, decisions, accepted)
+    payloads = _device_pass(frames, config, verdicts, accepted)
     if config.shuffle.enabled:
         payloads = _bounded_shuffle(payloads, config.shuffle.bound, random.Random(config.seed ^ 0x5EED))
     head: list[wire.Body] = [wire.SessionStart()]
@@ -334,7 +338,7 @@ def replay(
         recovered += sum(min(count, seen[token]) for token, count in gt.items())
         total += sum(gt.values())
 
-    stages = stage_report(decisions)
+    stages = verdict_report(verdicts)
     text_word_counts = [len(f.gt_words) for f in accepted.values() if f.gt_words]
     mean_words = sum(text_word_counts) / len(text_word_counts) if text_word_counts else 0.0
     power = session_power_report(

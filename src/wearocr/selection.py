@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, ROUND_HALF_DOWN, Decimal
 from enum import Enum
 from operator import mul
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .model import Detection, DetectionClass, FrameRecord, PayloadKind, Rect
 
@@ -301,8 +301,15 @@ def pct_change(count: int, base: int) -> float:
 
 def stage_report(decisions: Sequence[SelectionDecision]) -> StageReport:
     """Surviving frame counts after each gate, budget rejections aside."""
-    n = len(decisions)
-    verdicts = Counter(d.verdict for d in decisions)
+    return verdict_report(Counter(d.verdict for d in decisions))
+
+
+def verdict_report(verdicts: Mapping[Verdict, int]) -> StageReport:
+    """``stage_report`` from the number of frames given each verdict.
+
+    A verdict missing from ``verdicts`` must read as 0, as in a ``Counter``.
+    """
+    n = sum(verdicts.values())
     blur = verdicts[Verdict.REJECT_BLUR]
     no_text = verdicts[Verdict.REJECT_NO_TEXT]
     similar = verdicts[Verdict.REJECT_SIMILAR]

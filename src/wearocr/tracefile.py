@@ -349,14 +349,19 @@ def _same_items(items: list, tuple_: tuple) -> bool:
     return len(items) == len(tuple_) and all(map(operator.is_, items, tuple_))
 
 
-def frame_from_obj(obj: dict, previous: tuple[float, ...] = ()) -> FrameRecord:
+def frame_from_obj(
+    obj: dict, previous: FrameRecord | None = None, words: dict[str, str] | None = None
+) -> FrameRecord:
     """The frame a parsed trace line describes.  A missing or unknown
     field, or a field of the wrong JSON type, raises ``TraceFormatError``.
 
-    ``scene_sig`` is ``previous``, and an IMU sample's ``gyro`` the one
-    before it, when the array holds that tuple's very objects: a tuple of
-    the same objects has their bits and types, so it stands in for a
-    fresh one, and frames are immutable, so they can share it.
+    ``scene_sig`` is the ``previous`` frame's, and an IMU sample's
+    ``gyro`` the one before it, when the array holds that tuple's very
+    objects: a tuple of the same objects has their bits and types, so it
+    stands in for a fresh one, and frames are immutable, so they can
+    share it.  Likewise ``exposure_us`` is the previous frame's int when
+    the two are equal, and each word of ``gt_words`` is the one string
+    ``words`` keeps for it: equal exact-type values are interchangeable.
     """
     try:
         ts_ms, resolution, exposure_us = obj["ts_ms"], obj["resolution"], obj["exposure_us"]
@@ -407,17 +412,24 @@ def frame_from_obj(obj: dict, previous: tuple[float, ...] = ()) -> FrameRecord:
     if len(samples) != len(imu):
         raise _imu_error(imu[len(samples)], len(samples))
 
-    if not _same_items(sig, previous):
+    shared_sig: tuple = ()
+    if previous is not None:
+        shared_sig = previous.scene_sig
+        if exposure_us == previous.exposure_us:
+            exposure_us = previous.exposure_us
+    if not _same_items(sig, shared_sig):
         if not _NUMBER.issuperset(map(type, sig)):
             raise _list_error("scene_sig", sig, _NUMBER)
-        previous = tuple(sig)
+        shared_sig = tuple(sig)
+    if words is not None and gt_words:
+        gt_words = map(words.setdefault, gt_words, gt_words)
     return FrameRecord(
         ts_ms,
         _RESOLUTIONS[resolution],
         exposure_us,
         tuple(samples),
         tuple([_detection(d, j) for j, d in enumerate(detections)]) if detections else (),
-        previous,
+        shared_sig,
         tuple(gt_words),
         user_selection,
     )
@@ -534,18 +546,19 @@ def _read_lines(
 @collector_paused()
 def read_trace(path: str | Path) -> tuple[dict, list[FrameRecord]]:
     """Header and frames; a frame shares the previous frame's
-    ``scene_sig`` tuple where ``frame_from_obj`` allows it.
+    ``scene_sig`` tuple and ``exposure_us`` int where ``frame_from_obj``
+    allows it, and every frame one string per distinct word.
 
     A header's ``frame_count`` (``write_trace`` writes one) must be the
     number of frames read, so a file cut at a line boundary is refused.
     """
-    previous: tuple[float, ...] = ()
+    previous: FrameRecord | None = None
+    words: dict[str, str] = {}
 
     def convert(obj: dict) -> FrameRecord:
         nonlocal previous
-        frame = frame_from_obj(obj, previous)
-        previous = frame.scene_sig
-        return frame
+        previous = frame_from_obj(obj, previous, words)
+        return previous
 
     header, frames = _read_lines(path, TRACE_FORMAT, convert)
     if "frame_count" in header:

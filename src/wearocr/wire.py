@@ -60,15 +60,6 @@ _FLAG_CODE = {
     QualityFlag.POOR_LIGHTING: 4,
 }
 _CODE_FLAG = {v: k for k, v in _FLAG_CODE.items()}
-# Every set of flags, each mapped to itself: decode returns these shared
-# sets, so decoded payloads hold no copies of their flags.
-_SHARED_FLAGS = {
-    s: s
-    for s in (
-        frozenset([f for i, f in enumerate(_FLAG_CODE) if mask >> i & 1])
-        for mask in range(1 << len(_FLAG_CODE))
-    )
-}
 
 
 @dataclass(frozen=True)
@@ -240,7 +231,7 @@ def decode(data: bytes) -> WireMessage:
         for i, code in enumerate(codes):
             if code not in _CODE_FLAG:
                 raise CorruptFrameError(f"unknown quality flag {code}", pos + i)
-        flags = _SHARED_FLAGS[frozenset([_CODE_FLAG[c] for c in codes])]
+        flags = frozenset([_CODE_FLAG[c] for c in codes])
         if len(codes) < n_flags:
             raise CorruptFrameError("body truncated", pos + len(codes))
         pos += n_flags

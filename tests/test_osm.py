@@ -204,8 +204,8 @@ def oracle_get(payloads, t):
     if before:
         latest = max(before, key=lambda p: p.frame_ts_ms)
         return OcrPayload(
-            kind=latest.kind, frame_ts_ms=t, spans=latest.spans,
-            selection=latest.selection, quality_flags=latest.quality_flags,
+            kind=latest.kind, frame_ts_ms=t, spans=latest.spans, selection=latest.selection,
+            quality_flags=latest.quality_flags, synthesized=latest.synthesized,
         )
     return OcrPayload(kind=PayloadKind.NO_TEXT, frame_ts_ms=t, synthesized=True)
 
@@ -566,3 +566,92 @@ class TestIndexedGroupingOracle:
             assert timeline.build_ocr_context(query, window) == oracle_context(
                 final, expected, query, window
             )
+
+
+def oracle_get_batch(payloads_by_ts, groups, timestamps):
+    """``get_batch`` by its documented rules over ``oracle_get``: one text
+    result per group, the rest synthesized, and a text payload appended
+    when every result is empty."""
+    payloads = list(payloads_by_ts.values())
+    results = [oracle_get(payloads, t) for t in timestamps]
+    valid = {PayloadKind.TEXT_OCR, PayloadKind.NO_TEXT}
+    by_group = {}
+    for i, t in enumerate(timestamps):
+        sources = [ts for ts, p in payloads_by_ts.items() if ts <= t and p.kind in valid]
+        if sources and results[i].kind is PayloadKind.TEXT_OCR:
+            group = next(g for g in groups if max(sources) in g.members)
+            by_group.setdefault(group, []).append(i)
+    for group, indices in by_group.items():
+        keep = max(indices, key=lambda i: (timestamps[i], i))
+        exemplar = payloads_by_ts[group.exemplar_ts]
+        for i in indices:
+            if i == keep:
+                results[i] = OcrPayload(
+                    kind=PayloadKind.TEXT_OCR, frame_ts_ms=timestamps[i], spans=exemplar.spans,
+                    selection=results[i].selection, quality_flags=exemplar.quality_flags,
+                    synthesized=results[i].synthesized,
+                )
+            else:
+                results[i] = OcrPayload(kind=PayloadKind.NO_TEXT, frame_ts_ms=timestamps[i], synthesized=True)
+    if all(p.synthesized or p.kind is not PayloadKind.TEXT_OCR for p in results):
+        text_ts = sorted(ts for ts, p in payloads_by_ts.items() if p.kind is PayloadKind.TEXT_OCR)
+        if text_ts:
+            before = [ts for ts in text_ts if ts <= max(timestamps)]
+            results.append(payloads_by_ts[before[-1] if before else text_ts[0]])
+    return results
+
+
+@st.composite
+def _any_payload(draw):
+    """A payload of any kind at one of a few timestamps, so that later
+    writes replace earlier ones, text and textless either way round.
+    TEXT_OCR payloads may have no spans; every field the store keys
+    textless payloads by varies."""
+    kind = draw(st.sampled_from(list(PayloadKind)))
+    texts = draw(st.lists(st.sampled_from(["gate b12", "Gate", "exit", " "]), max_size=3))
+    conf = draw(st.sampled_from([0.5, 0.9]))
+    return OcrPayload(
+        kind=kind,
+        frame_ts_ms=10 * draw(st.integers(0, 12)),
+        spans=tuple(TextSpan(t, Rect(0.1, 0.1, 0.1, 0.1), conf) for t in texts)
+        if kind is PayloadKind.TEXT_OCR else (),
+        selection=draw(st.integers(0, 4)) == 0,
+        quality_flags=draw(
+            st.sampled_from([frozenset(), frozenset([QualityFlag.BLURRY]), frozenset(QualityFlag)])
+        ),
+        synthesized=draw(st.integers(0, 4)) == 0,
+    )
+
+
+class TestStoreMatchesPlainDict:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ingested=st.lists(_any_payload(), max_size=30),
+        theta=st.sampled_from([0.5, 0.8, 1.0]),
+        batches=st.lists(st.lists(st.integers(-5, 135), min_size=1, max_size=6), max_size=4),
+        queries=st.lists(st.tuples(st.integers(-5, 135), st.integers(1, 60)), max_size=4),
+    )
+    @example(
+        ingested=[
+            text_payload(10, "gate b12"), empty_payload(10, PayloadKind.BLURRY),
+            empty_payload(20, PayloadKind.SIMILAR_SCENE), text_payload(20, "exit"),
+            empty_payload(30), spans_payload(40, []), empty_payload(50), spans_payload(60, []),
+        ],
+        theta=0.8, batches=[[10, 20, 35, 45, 55]], queries=[(60, 60)],
+    )
+    def test_retrieval_matches_the_oracle(self, ingested, theta, batches, queries):
+        final = {p.frame_ts_ms: p for p in ingested}  # later writes replace
+        groups = oracle_groups(final, theta)
+        timeline = SessionTimeline(theta)
+        for p in ingested:
+            timeline.ingest(p)
+
+        assert timeline.payloads() == [final[ts] for ts in sorted(final)]
+        for t in range(-5, 136):
+            assert timeline.get(t) == oracle_get(list(final.values()), t)
+        for batch in batches:
+            assert timeline.get_batch(batch) == oracle_get_batch(final, groups, batch)
+        assert timeline.groups() == groups
+        for ts, window in queries:
+            query = query_at(ts)
+            assert timeline.build_ocr_context(query, window) == oracle_context(final, groups, query, window)

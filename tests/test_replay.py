@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wearocr.replay as replay_module
-from wearocr.model import FrameRecord, QueryMode, QueryRecord, Resolution
+from wearocr.model import FrameRecord, PayloadKind, QueryMode, QueryRecord, Resolution
 from wearocr.osm import SessionTimeline
 from wearocr.replay import ReplayError, ShuffleConfig, SimConfig, emit_report, replay
 from wearocr.selection import SelectorConfig
@@ -516,8 +516,8 @@ def test_replay_holds_no_per_frame_list():
     The device pass, the link and the timeline run as one pass, so a
     frame's payload and message are gone once their turn of 256 is over.
     A list of every payload, as replay once built, costs about 165 bytes
-    a frame on this trace; the lists of decisions and of sorted payload
-    timestamps that remain cost about 17.
+    a frame on this trace; the sorted payload timestamps that remain
+    cost about 16.
     """
     frames = generate_frames(TraceSpec(4000, 2, 0.1, 0.1, 20.0, seed=3))
     transient = {}
@@ -534,3 +534,27 @@ def test_replay_holds_no_per_frame_list():
         del result
         transient[n] = peak - kept
     assert transient[8000] - transient[2000] < 32 * 6000, transient
+
+
+def test_replay_keeps_one_payload_per_textless_kind():
+    """What replay keeps grows by a dict slot and a timestamp a textless frame.
+
+    The timeline stores one payload per textless kind, selection and
+    flag set, so a frame without text adds no payload of its own.  A
+    payload per frame, as the timeline once stored, costs about 170
+    bytes a textless frame on this trace; one per kind about 95.
+    """
+    frames = generate_frames(TraceSpec(4000, 2, 0.1, 0.1, 20.0, seed=3))
+    kept, textless = {}, {}
+    for n in (2000, 8000):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = replay(frames[:n], [])
+            kept[n] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        textless[n] = sum(p.kind is not PayloadKind.TEXT_OCR for p in result.timeline.payloads())
+        del result
+    assert textless[8000] - textless[2000] > 5000
+    assert kept[8000] - kept[2000] < 120 * (textless[8000] - textless[2000]), (kept, textless)

@@ -463,6 +463,31 @@ def test_equal_signatures_are_shared_after_reading(tmp_path):
     assert len({id(f.scene_sig) for f in back}) == len({id(f.scene_sig) for f in frames}) < len(frames)
 
 
+def test_equal_words_and_exposures_are_shared_after_reading(tmp_path):
+    frame = FrameRecord(0, Resolution.MP12, 8000, (), (), (), ("exit", "gate"))
+    frames = [
+        frame,
+        replace(frame, ts_ms=1, gt_words=("gate", "b12", "gate")),
+        replace(frame, ts_ms=2, exposure_us=9000, gt_words=("exit",)),
+        replace(frame, ts_ms=3, exposure_us=9000),
+        replace(frame, ts_ms=4),
+    ]
+    path = tmp_path / "trace.ndjson"
+    write_trace(path, frames)
+    back = read_trace(path)[1]
+    assert back == frames
+    words = [w for f in back for w in f.gt_words]
+    assert len({id(w) for w in words}) == len(set(words)) == 3
+    assert [len({id(f.exposure_us) for f in pair}) for pair in zip(back, back[1:])] == [1, 2, 1, 2]
+
+    path = tmp_path / "generated.ndjson"
+    write_generated_trace(path, SPEC)
+    back = read_trace(path)[1]
+    words = [w for f in back for w in f.gt_words]
+    assert len({id(w) for w in words}) == len(set(words)) < len(words)
+    assert len({id(f.exposure_us) for f in back}) == 1 < len(back)
+
+
 # -- floats shared on read ---------------------------------------------------------
 
 # Number texts as the trace writer writes them and as other writers might:
