@@ -17,6 +17,7 @@ import bisect
 import functools
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from typing import Sequence
 
 from .model import OcrPayload, PayloadKind, QualityFlag, QueryRecord
@@ -139,8 +140,7 @@ class _Views:
     valid_ts: list[int]
     groups: list[OcrGroup]
     group_by_ts: dict[int, OcrGroup]
-    latest_keys: list[int]  # ascending group_latest_ts
-    entries: list[OcrContextEntry]  # one per group, in latest_keys order
+    entries: list[OcrContextEntry]  # one per group, ascending ts_ms (the group's latest member)
 
 
 class SessionTimeline:
@@ -187,9 +187,8 @@ class SessionTimeline:
             groups = self._build_groups(all_ts)
             selection_ts = [ts for ts in all_ts if self._payloads[ts].selection]
             latest_selection = max(selection_ts) if selection_ts else None
-            by_latest = sorted(groups, key=lambda g: g.group_latest_ts)
             entries = []
-            for group in by_latest:
+            for group in sorted(groups, key=lambda g: g.group_latest_ts):
                 latest = group.group_latest_ts
                 exemplar = self._payloads[group.exemplar_ts]
                 entries.append(
@@ -206,7 +205,6 @@ class SessionTimeline:
                 ],
                 groups=groups,
                 group_by_ts={ts: g for g in groups for ts in g.members},
-                latest_keys=[g.group_latest_ts for g in by_latest],
                 entries=entries,
             )
         return self._cache
@@ -397,7 +395,8 @@ class SessionTimeline:
         if window_ms <= 0:
             raise ValueError("window_ms must be positive")
         lo, hi = query.ts_ms - window_ms, query.ts_ms
-        views = self._derived()
-        start = bisect.bisect_left(views.latest_keys, lo)
-        stop = bisect.bisect_right(views.latest_keys, hi)
-        return views.entries[start:stop]
+        entries = self._derived().entries
+        ts_ms = attrgetter("ts_ms")
+        start = bisect.bisect_left(entries, lo, key=ts_ms)
+        stop = bisect.bisect_right(entries, hi, key=ts_ms)
+        return entries[start:stop]

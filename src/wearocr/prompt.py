@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from enum import IntEnum
+from operator import itemgetter
 from typing import Container, Mapping, Sequence
 
 from .model import QueryMode, QueryRecord, Resolution
@@ -19,22 +19,6 @@ from .osm import DEFAULT_TEXT_SIMILARITY_THRESHOLD, OcrContextEntry, near_duplic
 
 READOUT_PREAMBLE = "Read this word by word, spell out license plates character by character"
 TRANSLATION_PREAMBLE_TEMPLATE = "Translate this word by word into {language}"
-
-
-class ComponentKind(IntEnum):
-    # Order is the tie-break at equal timestamps: OCR should follow the
-    # frame it describes.
-    PREAMBLE = 0
-    FRAME_REF = 1
-    OCR_BLOCK = 2
-    QUESTION = 3
-
-
-@dataclass(frozen=True, slots=True)
-class PromptComponent:
-    kind: ComponentKind
-    ts_ms: int
-    body: str
 
 
 @dataclass(frozen=True)
@@ -137,44 +121,31 @@ def build_prompt(
     plan: FramePlan,
     ocr_entries: Sequence[OcrContextEntry],
     frame_resolutions: Mapping[int, Resolution] | None = None,
-) -> tuple[list[PromptComponent], str]:
-    """Assemble the ordered component list and its flattened text.
+) -> tuple[list[str], str]:
+    """The prompt's lines and its text, the lines joined by newlines.
 
     Layout: preamble (readout/translation modes only), then frame refs
-    and OCR lines merged ascending by timestamp (ties: frame < OCR),
-    then the question.  A frame without a known resolution is rendered
-    at 12 MP.
+    and OCR lines merged ascending by timestamp (ties: frame < OCR,
+    OCR lines in input order), then the question.  A frame without a
+    known resolution is rendered at 12 MP.
     """
-    components: list[PromptComponent] = []
+    lines: list[str] = []
     if query.mode is QueryMode.READOUT:
-        components.append(
-            PromptComponent(ComponentKind.PREAMBLE, query.ts_ms, READOUT_PREAMBLE)
-        )
+        lines.append(READOUT_PREAMBLE)
     elif query.mode is QueryMode.TRANSLATION:
         if not query.target_lang:
             raise ValueError("Translation query requires target_lang")
-        components.append(
-            PromptComponent(
-                ComponentKind.PREAMBLE,
-                query.ts_ms,
-                TRANSLATION_PREAMBLE_TEMPLATE.format(language=query.target_lang),
-            )
-        )
+        lines.append(TRANSLATION_PREAMBLE_TEMPLATE.format(language=query.target_lang))
 
     resolutions = frame_resolutions or {}
-    middle: list[PromptComponent] = []
-    # The stable (ts, kind) sort below orders everything: frame refs have unique timestamps.
-    for ts in {*plan.historical, *plan.pre_query, *plan.in_query}:
-        res = resolutions.get(ts, Resolution.MP12)
-        middle.append(
-            PromptComponent(ComponentKind.FRAME_REF, ts, render_frame_ref(ts, res))
-        )
-    for entry in ocr_entries:
-        middle.append(
-            PromptComponent(ComponentKind.OCR_BLOCK, entry.ts_ms, entry.line)
-        )
-    middle.sort(key=lambda c: (c.ts_ms, c.kind))
-    components.extend(middle)
-    components.append(PromptComponent(ComponentKind.QUESTION, query.ts_ms, query.question))
-    flattened = "\n".join(c.body for c in components)
-    return components, flattened
+    # One stable sort on (ts, 0 for a frame ref / 1 for an OCR line):
+    # frame refs have unique timestamps, and OCR lines keep their order on ties.
+    middle = [
+        (ts, 0, render_frame_ref(ts, resolutions.get(ts, Resolution.MP12)))
+        for ts in {*plan.historical, *plan.pre_query, *plan.in_query}
+    ]
+    middle += [(entry.ts_ms, 1, entry.line) for entry in ocr_entries]
+    middle.sort(key=itemgetter(0, 1))
+    lines += [line for _, _, line in middle]
+    lines.append(query.question)
+    return lines, "\n".join(lines)

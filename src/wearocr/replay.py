@@ -253,6 +253,9 @@ def replay(
     if violations:
         raise ReplayError(f"invalid trace: {violations[0]}")
     for qi, query in enumerate(queries):
+        for name in ("ts_ms", "speech_start_ms"):
+            if not -(2**63) <= getattr(query, name) < 2**63:  # the planner computes with them as floats
+                raise ReplayError(f"query {qi}: {name} outside [-2**63, 2**63)")
         if query.speech_start_ms > query.ts_ms:
             raise ReplayError(
                 f"query {qi}: speech_start_ms {query.speech_start_ms} is after ts_ms {query.ts_ms}"

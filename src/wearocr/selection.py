@@ -12,7 +12,7 @@ so selected text is always fresh.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, ROUND_HALF_DOWN, Decimal
 from enum import Enum
@@ -299,13 +299,9 @@ def pct_change(count: int, base: int) -> float:
     return float(cut.quantize(Decimal("0.1"), rounding=ROUND_HALF_DOWN))
 
 
-def stage_report(decisions: Sequence[SelectionDecision]) -> StageReport:
-    """Surviving frame counts after each gate, budget rejections aside."""
-    return verdict_report(Counter(d.verdict for d in decisions))
-
-
 def verdict_report(verdicts: Mapping[Verdict, int]) -> StageReport:
-    """``stage_report`` from the number of frames given each verdict.
+    """Surviving frame counts after each gate, budget rejections aside,
+    from the number of frames given each verdict.
 
     A verdict missing from ``verdicts`` must read as 0, as in a ``Counter``.
     """

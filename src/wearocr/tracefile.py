@@ -19,6 +19,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
@@ -306,6 +307,18 @@ def _missing_field(exc: KeyError, where: str = "") -> TraceFormatError:
     return TraceFormatError(f"missing field {where}{exc.args[0]}")
 
 
+def _check_text(field: str, value: str) -> None:
+    """Refuse a string holding a lone surrogate, which a JSON ``\\ud800``
+    escape decodes to and which cannot be UTF-8 encoded."""
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise TraceFormatError(
+                f"field {field}: lone surrogate U+{ord(value[exc.start]):04X} at character {exc.start + 1}"
+            ) from None
+
+
 def _imu_error(sample: object, j: int) -> TraceFormatError:
     if type(sample) is not list or len(sample) != 3:
         return _field_error(f"imu[{j}]", "[ts_us, gyro, accel]", sample, _length(sample))
@@ -353,7 +366,8 @@ def frame_from_obj(
     obj: dict, previous: FrameRecord | None = None, words: dict[str, str] | None = None
 ) -> FrameRecord:
     """The frame a parsed trace line describes.  A missing or unknown
-    field, or a field of the wrong JSON type, raises ``TraceFormatError``.
+    field, a field of the wrong JSON type, or a word holding a lone
+    surrogate raises ``TraceFormatError``.
 
     ``scene_sig`` is the ``previous`` frame's, and an IMU sample's
     ``gyro`` the one before it, when the array holds that tuple's very
@@ -362,6 +376,8 @@ def frame_from_obj(
     share it.  Likewise ``exposure_us`` is the previous frame's int when
     the two are equal, and each word of ``gt_words`` is the one string
     ``words`` keeps for it: equal exact-type values are interchangeable.
+    A word is checked for surrogates only when ``words`` first sees it,
+    so ``words`` lives for one read, which stops at the first error.
     """
     try:
         ts_ms, resolution, exposure_us = obj["ts_ms"], obj["resolution"], obj["exposure_us"]
@@ -421,8 +437,14 @@ def frame_from_obj(
         if not _NUMBER.issuperset(map(type, sig)):
             raise _list_error("scene_sig", sig, _NUMBER)
         shared_sig = tuple(sig)
-    if words is not None and gt_words:
-        gt_words = map(words.setdefault, gt_words, gt_words)
+    if gt_words:
+        if words is None:
+            words = {}
+        known = len(words)
+        gt_words = tuple(map(words.setdefault, gt_words, gt_words))
+        if len(words) > known:  # check each word the first time the dict sees it
+            for word in islice(reversed(words), len(words) - known):
+                _check_text(f"gt_words[{gt_words.index(word)}]", word)
     return FrameRecord(
         ts_ms,
         _RESOLUTIONS[resolution],
@@ -466,6 +488,9 @@ def query_from_obj(obj: dict) -> QueryRecord:
         raise _enum_error("mode", _MODES, mode)
     if target_lang is not None and type(target_lang) is not str:
         raise _field_error("target_lang", "string or null", target_lang)
+    _check_text("question", question)
+    if target_lang is not None:
+        _check_text("target_lang", target_lang)
     return QueryRecord(ts_ms, speech_start_ms, question, _MODES[mode], target_lang)
 
 

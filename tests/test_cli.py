@@ -309,6 +309,42 @@ def test_speech_start_after_query_is_an_error(inputs, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_query_timestamp_beyond_the_float_range_is_an_error(inputs, tmp_path, capsys):
+    trace, queries, _ = inputs
+    queries.write_text(
+        '{"format":"wearocr-queries","version":1}\n'
+        '{"mode":"Qa","question":"?","speech_start_ms":-1' + "0" * 400 + ',"ts_ms":30000}\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "o"
+    assert error_of(capsys, ["replay", "--trace", str(trace), "--queries", str(queries), "--out", str(out)]) == (
+        "query 0: speech_start_ms outside [-2**63, 2**63)"
+    )
+    assert not out.exists()
+
+
+def test_lone_surrogate_escape_in_a_trace_or_query_is_an_error(inputs, tmp_path, capsys):
+    trace, queries, _ = inputs
+    lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if '"gt_words":["' in line)
+    lines[i] = lines[i].replace('"gt_words":["', '"gt_words":["\\ud800', 1)
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text("".join(lines), encoding="utf-8")
+    message = f"{bad}:{i + 1}: field gt_words[0]: lone surrogate U+D800 at character 1"
+    assert error_of(capsys, ["validate", "--trace", str(bad)]) == message
+    assert error_of(capsys, ["report", "--trace", str(bad)]) == message
+    queries.write_text(
+        '{"format":"wearocr-queries","version":1}\n'
+        '{"mode":"Qa","question":"\\ud800?","speech_start_ms":29000,"ts_ms":30000}\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "o"
+    assert error_of(capsys, ["replay", "--trace", str(trace), "--queries", str(queries), "--out", str(out)]) == (
+        f"{queries}:2: field question: lone surrogate U+D800 at character 1"
+    )
+    assert not out.exists()
+
+
 def test_replay_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     # String hashing, and so the iteration order of sets and dicts of
     # strings, changes with PYTHONHASHSEED; no output byte may.

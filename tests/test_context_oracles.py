@@ -22,7 +22,7 @@ from test_osm import text_similarity
 from wearocr.enrich import CONSOLIDATE_GAP_MS, consolidate
 from wearocr.model import OcrPayload, PayloadKind, QualityFlag, QueryMode, QueryRecord, Rect, TextSpan
 from wearocr.osm import OcrContextEntry, SessionTimeline, render_ocr_line, token_set
-from wearocr.prompt import ComponentKind, FramePlan, build_prompt, dedup_prompt_ocr
+from wearocr.prompt import FramePlan, build_prompt, dedup_prompt_ocr
 
 # -- oracles ----------------------------------------------------------------
 
@@ -220,10 +220,8 @@ def test_derived_fields_follow_the_text_however_an_entry_is_built(entries, texts
     # Dedup decides on the rewritten texts, and the prompt shows them.
     kept = dedup_prompt_ocr(rewritten, theta)
     assert kept == oracle_dedup(rewritten, theta)
-    components, _ = build_prompt(QueryRecord(10**6, 10**6, "?", QueryMode.QA), FramePlan((), (), ()), kept)
-    assert [c.body for c in components if c.kind is ComponentKind.OCR_BLOCK] == [
-        render_ocr_line(e) for e in kept
-    ]
+    lines, _ = build_prompt(QueryRecord(10**6, 10**6, "?", QueryMode.QA), FramePlan((), (), ()), kept)
+    assert lines == [*(render_ocr_line(e) for e in kept), "?"]
 
 
 def test_a_rewrite_reaches_dedup_and_the_prompt():

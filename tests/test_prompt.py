@@ -1,4 +1,7 @@
 import random
+import re
+from dataclasses import dataclass
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
@@ -8,7 +11,8 @@ from hypothesis import strategies as st
 from wearocr.model import QualityFlag, QueryMode, QueryRecord, Resolution
 from wearocr.osm import OcrContextEntry, render_ocr_line
 from wearocr.prompt import (
-    ComponentKind,
+    READOUT_PREAMBLE,
+    TRANSLATION_PREAMBLE_TEMPLATE,
     FramePlan,
     PlannerConfig,
     build_prompt,
@@ -155,33 +159,76 @@ class TestDedupPromptOcr:
         assert dedup_prompt_ocr(once) == once
 
 
+# -- the parent's assembly, kept as an oracle -----------------------------
+
+
+class ComponentKind(IntEnum):
+    # Order is the tie-break at equal timestamps: OCR follows the frame it describes.
+    PREAMBLE = 0
+    FRAME_REF = 1
+    OCR_BLOCK = 2
+    QUESTION = 3
+
+
+@dataclass(frozen=True)
+class PromptComponent:
+    kind: ComponentKind
+    ts_ms: int
+    body: str
+
+
+def oracle_build_prompt(query, plan, ocr_entries, frame_resolutions=None):
+    """Components for the preamble, each frame ref, each OCR line and the
+    question, with the middle ones in one stable sort on (ts, kind)."""
+    components = []
+    if query.mode is QueryMode.READOUT:
+        components.append(PromptComponent(ComponentKind.PREAMBLE, query.ts_ms, READOUT_PREAMBLE))
+    elif query.mode is QueryMode.TRANSLATION:
+        if not query.target_lang:
+            raise ValueError("Translation query requires target_lang")
+        body = TRANSLATION_PREAMBLE_TEMPLATE.format(language=query.target_lang)
+        components.append(PromptComponent(ComponentKind.PREAMBLE, query.ts_ms, body))
+    resolutions = frame_resolutions or {}
+    middle = [
+        PromptComponent(ComponentKind.FRAME_REF, ts, render_frame_ref(ts, resolutions.get(ts, Resolution.MP12)))
+        for ts in {*plan.historical, *plan.pre_query, *plan.in_query}
+    ]
+    middle += [PromptComponent(ComponentKind.OCR_BLOCK, e.ts_ms, render_ocr_line(e)) for e in ocr_entries]
+    middle.sort(key=lambda c: (c.ts_ms, c.kind))
+    components += middle
+    components.append(PromptComponent(ComponentKind.QUESTION, query.ts_ms, query.question))
+    return components, "\n".join(c.body for c in components)
+
+
+def line_ts(line):
+    """The timestamp a frame-ref or OCR line is stamped with."""
+    return int(re.match(r"\[(?:FRAME|OCR) t=(-?\d+)ms ", line).group(1))
+
+
 class TestBuildPrompt:
     def test_qa_ordering(self):
         plan = FramePlan(pre_query=(1000,), in_query=(9_500,), historical=())
-        components, _ = build_prompt(query(), plan, [entry(9_600, "gate b12")])
-        kinds = [c.kind for c in components]
-        assert kinds == [
-            ComponentKind.FRAME_REF,
-            ComponentKind.FRAME_REF,
-            ComponentKind.OCR_BLOCK,
-            ComponentKind.QUESTION,
+        lines, text = build_prompt(query(), plan, [entry(9_600, "gate b12")])
+        assert lines == [
+            "[FRAME t=1000ms res=MP12]",
+            "[FRAME t=9500ms res=MP12]",
+            "[OCR t=9600ms flags=none] gate b12",
+            "What gate?",
         ]
+        assert text == "\n".join(lines)
 
     def test_readout_preamble_verbatim(self):
-        components, _ = build_prompt(
-            query(mode=QueryMode.READOUT), FramePlan((), (), ()), []
-        )
-        assert components[0].kind is ComponentKind.PREAMBLE
-        assert (
-            components[0].body
-            == "Read this word by word, spell out license plates character by character"
-        )
+        lines, _ = build_prompt(query(mode=QueryMode.READOUT), FramePlan((), (), ()), [])
+        assert lines == [
+            "Read this word by word, spell out license plates character by character",
+            "What gate?",
+        ]
 
     def test_translation_preamble_with_language(self):
-        components, _ = build_prompt(
+        lines, _ = build_prompt(
             query(mode=QueryMode.TRANSLATION, lang="Spanish"), FramePlan((), (), ()), []
         )
-        assert components[0].body == "Translate this word by word into Spanish"
+        assert lines == ["Translate this word by word into Spanish", "What gate?"]
 
     def test_translation_requires_language(self):
         with pytest.raises(ValueError, match="target_lang"):
@@ -195,21 +242,66 @@ class TestBuildPrompt:
             entries = [
                 entry(ts, f"text {ts}") for ts in sorted(rng.sample(range(0, 9_000), 5))
             ]
-            components, _ = build_prompt(query(), plan, entries)
-            middle = [c for c in components if c.kind not in
-                      (ComponentKind.PREAMBLE, ComponentKind.QUESTION)]
-            ts_list = [c.ts_ms for c in middle]
+            lines, _ = build_prompt(query(), plan, entries)
+            assert lines[-1] == "What gate?"
+            ts_list = [line_ts(line) for line in lines[:-1]]
+            assert len(ts_list) == len(frame_ts) + len(entries)
             assert ts_list == sorted(ts_list)
 
     def test_tie_break_frame_before_ocr(self):
         plan = FramePlan((400,), (500,), ())
-        components, _ = build_prompt(query(), plan, [entry(400, "exit"), entry(500, "sign")])
-        assert [(c.kind, c.ts_ms) for c in components[:-1]] == [
-            (ComponentKind.FRAME_REF, 400),
-            (ComponentKind.OCR_BLOCK, 400),
-            (ComponentKind.FRAME_REF, 500),
-            (ComponentKind.OCR_BLOCK, 500),
+        lines, _ = build_prompt(query(), plan, [entry(400, "exit"), entry(500, "sign")])
+        assert lines[:-1] == [
+            "[FRAME t=400ms res=MP12]",
+            "[OCR t=400ms flags=none] exit",
+            "[FRAME t=500ms res=MP12]",
+            "[OCR t=500ms flags=none] sign",
         ]
+
+    def test_ocr_lines_on_one_timestamp_keep_their_order(self):
+        # Not sorted by text: "zebra" stays ahead of "apple".
+        lines, _ = build_prompt(query(), FramePlan((700,), (), ()), [entry(700, "zebra"), entry(700, "apple")])
+        assert lines[:-1] == [
+            "[FRAME t=700ms res=MP12]",
+            "[OCR t=700ms flags=none] zebra",
+            "[OCR t=700ms flags=none] apple",
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        parts=st.lists(st.lists(st.integers(0, 40), max_size=6), min_size=3, max_size=3),
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 40),
+                st.sampled_from(["gate b12", "exit", "", "ΟΔΟΣ"]),
+                st.sampled_from([frozenset(), frozenset({QualityFlag.BLURRY})]),
+                st.booleans(),
+            ),
+            max_size=10,
+        ),
+        resolutions=st.one_of(
+            st.none(), st.dictionaries(st.integers(0, 40), st.sampled_from(list(Resolution)), max_size=20)
+        ),
+        mode=st.sampled_from(list(QueryMode)),
+        lang=st.sampled_from([None, "", "Spanish"]),
+        question=st.sampled_from(["What gate?", "", "[OCR t=1ms flags=none] x"]),
+    )
+    def test_lines_and_text_match_the_component_sort(self, parts, rows, resolutions, mode, lang, question):
+        # Small timestamps, so that the plan's parts overlap, entries
+        # share a timestamp with each other and with frame refs, and a
+        # frame ref's resolution is often missing.
+        plan = FramePlan(*map(tuple, parts))
+        entries = [entry(ts, text, flags, selected) for ts, text, flags, selected in rows]
+        q = query(mode=mode, ts=50, start=40, lang=lang, question=question)
+        try:
+            components, want = oracle_build_prompt(q, plan, entries, resolutions)
+        except ValueError:
+            with pytest.raises(ValueError, match="target_lang"):
+                build_prompt(q, plan, entries, frame_resolutions=resolutions)
+            return
+        lines, text = build_prompt(q, plan, entries, frame_resolutions=resolutions)
+        assert lines == [c.body for c in components]
+        assert text == want
 
 
 class TestGoldens:

@@ -129,6 +129,28 @@ class TestReplay:
         with pytest.raises(ReplayError, match="query 2: speech_start_ms 45000 is after ts_ms 30000"):
             replay(make_frames(), queries)
 
+    @pytest.mark.parametrize("field", ["ts_ms", "speech_start_ms"])
+    @pytest.mark.parametrize(
+        "value", [10**400, -(10**400), 2**63, -(2**63) - 1], ids=["1e400", "-1e400", "2**63", "-2**63-1"]
+    )
+    def test_query_timestamp_outside_64_bits_rejected(self, monkeypatch, field, value):
+        # 10**400 once reached plan_frames and raised OverflowError there.
+        def unreached(*args):
+            raise AssertionError("device pass reached")
+
+        monkeypatch.setattr(replay_module, "_device_pass", unreached)
+        query = replace(QueryRecord(30_000, 29_000, "What does the sign say?", QueryMode.QA), **{field: value})
+        with pytest.raises(ReplayError, match=rf"^query 1: {field} outside \[-2\*\*63, 2\*\*63\)$"):
+            replay(make_frames(), [make_queries()[0], query])
+
+    def test_query_timestamps_at_the_64_bit_ends_replay(self):
+        queries = [
+            QueryRecord(2**63 - 1, 29_000, "What does the sign say?", QueryMode.QA),
+            QueryRecord(30_000, -(2**63), "What does the sign say?", QueryMode.QA),
+        ]
+        result = replay(make_frames(), queries)
+        assert [p.query for p in result.prompts] == queries
+
     def test_historical_frames_come_from_earlier_queries_in_any_input_order(self):
         # Queries at 50 s then 10 s: the 10-s prompt once listed the 50-s
         # query's frames [FRAME t=49000ms] and [FRAME t=50000ms].

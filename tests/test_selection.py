@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,14 +18,15 @@ from wearocr.selection import (
     MIN_DETECTION_CONF,
     SelectorConfig,
     SelectorState,
+    StageReport,
     Verdict,
     is_blurry,
     motion_energy,
     pct_change,
     process_frame,
     select_roi,
-    stage_report,
     stage_report_from_counts,
+    verdict_report,
 )
 
 
@@ -41,6 +43,17 @@ def frame_with_imu(samples, ts_ms=100, exposure_us=10000, **overrides):
     )
     fields.update(overrides)
     return FrameRecord(**fields)
+
+
+def stage_report(decisions):
+    """Oracle for ``verdict_report``: the frames left after each gate,
+    counted by filtering the decisions one gate at a time."""
+    passed = list(decisions)
+    counts = [len(passed)]
+    for gate in (Verdict.REJECT_BLUR, Verdict.REJECT_NO_TEXT, Verdict.REJECT_SIMILAR):
+        passed = [d for d in passed if d.verdict is not gate]
+        counts.append(len(passed))
+    return StageReport(*counts, sum(d.verdict is Verdict.REJECT_BUDGET for d in decisions))
 
 
 class TestBlurFeatures:
@@ -389,6 +402,7 @@ class TestStageReport:
             decision, _, state = process_frame(frame, state, config)
             decisions.append(decision)
         report = stage_report(decisions)
+        assert verdict_report(Counter(d.verdict for d in decisions)) == report
         assert (
             report.input_count
             >= report.after_blur

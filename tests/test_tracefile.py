@@ -288,6 +288,45 @@ class TestFileRoundTrip:
         with pytest.raises(TraceFormatError, match=r"queries\.ndjson:1: not UTF-8"):
             read_queries(path)
 
+    def test_lone_surrogate_word_names_the_line_and_field(self, tmp_path):
+        # The file is ASCII: the writer escapes the surrogate as \ud800,
+        # which decodes to a string no UTF-8 encoder takes.
+        # The word follows one read before and precedes another new one.
+        path = tmp_path / "trace.ndjson"
+        frames = generate_frames(SPEC)
+        first, i = [i for i, f in enumerate(frames) if f.gt_words][::3][:2]
+        frames[i] = replace(frames[i], gt_words=(frames[first].gt_words[0], "gate\ud800", "fresh"))
+        write_trace(path, frames)
+        assert path.read_bytes().isascii()
+        with pytest.raises(TraceFormatError) as info:
+            read_trace(path)
+        assert str(info.value) == f"{path}:{i + 2}: field gt_words[1]: lone surrogate U+D800 at character 5"
+
+    def test_lone_surrogate_query_text_names_the_line_and_field(self, tmp_path):
+        path = tmp_path / "queries.ndjson"
+        for field, value, message in [
+            ("question", "\udfff?", "field question: lone surrogate U+DFFF at character 1"),
+            ("target_lang", "Fran\ud83d", "field target_lang: lone surrogate U+D83D at character 5"),
+        ]:
+            query = QueryRecord(2, 1, "?", QueryMode.TRANSLATION, "French")
+            write_queries(path, [query, replace(query, **{field: value})])
+            with pytest.raises(TraceFormatError) as info:
+                read_queries(path)
+            assert str(info.value) == f"{path}:3: {message}"
+
+    def test_surrogate_pair_escapes_read_as_one_character(self, tmp_path):
+        frames = generate_frames(SPEC)
+        i = next(i for i, f in enumerate(frames) if f.gt_words)
+        frames[i] = replace(frames[i], gt_words=("exit\U0001F600", *frames[i].gt_words))
+        frames[i + 1] = replace(frames[i + 1], gt_words=("exit\U0001F600",))
+        path = tmp_path / "trace.ndjson"
+        write_trace(path, frames)
+        assert "\\ud83d\\ude00" in path.read_text(encoding="utf-8")
+        assert read_trace(path)[1] == frames
+        queries = [QueryRecord(2, 1, "Was ist das \U0001F600?", QueryMode.TRANSLATION, "Deutsch \U0001F600")]
+        write_queries(tmp_path / "queries.ndjson", queries)
+        assert read_queries(tmp_path / "queries.ndjson") == queries
+
 
 # -- frames through the trace format ------------------------------------------
 
