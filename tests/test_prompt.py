@@ -159,7 +159,7 @@ class TestDedupPromptOcr:
         assert dedup_prompt_ocr(once) == once
 
 
-# -- the parent's assembly, kept as an oracle -----------------------------
+# -- the component-sort assembly, kept as an oracle ----------------------
 
 
 class ComponentKind(IntEnum):
