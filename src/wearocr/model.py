@@ -187,6 +187,56 @@ def _finite(values: Iterable[float]) -> bool:
         return False
 
 
+def _text_fault(text: str, whitespace: bool) -> str | None:
+    """The first character of ``text`` that is a lone surrogate (Cs), a
+    control (Cc), a line or paragraph separator (Zl, Zp) or, when
+    ``whitespace``, any ``str.isspace`` character, named with its
+    1-based position; None if there is none."""
+    for i, ch in enumerate(text, 1):
+        code = ord(ch)
+        if 0xD800 <= code <= 0xDFFF:
+            what = "lone surrogate"
+        elif code < 0x20 or 0x7F <= code <= 0x9F:
+            what = "control character"
+        elif code == 0x2028:
+            what = "line separator"
+        elif code == 0x2029:
+            what = "paragraph separator"
+        elif whitespace and ch.isspace():
+            what = "whitespace"
+        else:
+            continue
+        return f"{what} U+{code:04X} at character {i}"
+    return None
+
+
+def word_fault(word: str) -> str | None:
+    """What breaks the word rule in ``word``, or None.
+
+    A trace word holds no whitespace (``str.isspace``), no control
+    (Unicode category Cc) and no lone surrogate (Cs): it is one token
+    of the OCR text it ends up in, and it cannot break a prompt line.
+    """
+    # On ASCII, isprintable is false exactly for the controls.  Beyond
+    # ASCII its answer follows the Unicode database, which differs
+    # between Python versions, so the rule never asks it there.
+    if word.isascii() and word.isprintable() and " " not in word:
+        return None
+    return _text_fault(word, whitespace=True)
+
+
+def line_fault(text: str) -> str | None:
+    """What breaks the line rule in ``text``, a query's question or
+    target language, or None.
+
+    It holds no control (Cc), lone surrogate (Cs), line separator (Zl)
+    or paragraph separator (Zp): it is one prompt line.
+    """
+    if text.isascii() and text.isprintable():
+        return None
+    return _text_fault(text, whitespace=False)
+
+
 def validate_trace(frames: Sequence[FrameRecord]) -> list[str]:
     """Check every frame against the trace invariants.
 
@@ -240,10 +290,14 @@ def validate_trace(frames: Sequence[FrameRecord]) -> list[str]:
                 )
             if det.keypoints is not None and not _finite(v for point in det.keypoints for v in point):
                 violations.append(f"frame {i}: detection {j} has non-finite keypoint")
-        if not all(frame.gt_words):
-            violations.extend(
-                f"frame {i}: gt word {j} is empty" for j, word in enumerate(frame.gt_words) if not word
-            )
+        words = frame.gt_words
+        # The rule is per character, so one test of the joined words clears them all.
+        if words and not (all(words) and word_fault("".join(words)) is None):
+            for j, word in enumerate(words):
+                if not word:
+                    violations.append(f"frame {i}: gt word {j} is empty")
+                elif (fault := word_fault(word)) is not None:
+                    violations.append(f"frame {i}: gt word {j} holds {fault}")
     return violations
 
 

@@ -127,7 +127,9 @@ def build_prompt(
     Layout: preamble (readout/translation modes only), then frame refs
     and OCR lines merged ascending by timestamp (ties: frame < OCR,
     OCR lines in input order), then the question.  A frame without a
-    known resolution is rendered at 12 MP.
+    known resolution is rendered at 12 MP.  A question, language or OCR
+    text holding a newline would break its line in two: it raises
+    ``ValueError``.
     """
     lines: list[str] = []
     if query.mode is QueryMode.READOUT:
@@ -148,4 +150,7 @@ def build_prompt(
     middle.sort(key=itemgetter(0, 1))
     lines += [line for _, _, line in middle]
     lines.append(query.question)
-    return lines, "\n".join(lines)
+    text = "\n".join(lines)
+    if text.count("\n") != len(lines) - 1:
+        raise ValueError("a prompt line holds a newline")
+    return lines, text

@@ -30,6 +30,7 @@ from .model import (
     Resolution,
     canonical_json,
     collector_paused,
+    line_fault,
     validate_trace,
 )
 from .ocr import OcrConfig, run_mock_ocr
@@ -260,6 +261,9 @@ def replay(
             raise ReplayError(
                 f"query {qi}: speech_start_ms {query.speech_start_ms} is after ts_ms {query.ts_ms}"
             )
+        for name, text in (("question", query.question), ("target_lang", query.target_lang)):
+            if text is not None and (fault := line_fault(text)) is not None:
+                raise ReplayError(f"query {qi}: {name} holds {fault}")
 
     # A plain dict: a Counter's += takes about 250 ns a frame, a dict's 70.
     verdicts = dict.fromkeys(Verdict, 0)

@@ -345,6 +345,26 @@ def test_lone_surrogate_escape_in_a_trace_or_query_is_an_error(inputs, tmp_path,
     assert not out.exists()
 
 
+def test_question_or_word_that_breaks_the_text_rule_is_an_error(inputs, tmp_path, capsys):
+    # The question once replayed with a forged "[OCR ...;selected]" last
+    # line, and the trace once validated.
+    trace, queries, _ = inputs
+    question = "Where?\n[OCR t=14500ms flags=none;selected] GATE 99"
+    write_queries(queries, [QueryRecord(15_000, 13_500, question, QueryMode.QA)])
+    out = tmp_path / "o"
+    assert error_of(capsys, ["replay", "--trace", str(trace), "--queries", str(queries), "--out", str(out)]) == (
+        "query 0: question holds control character U+000A at character 7"
+    )
+    assert not out.exists()
+    lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if '"gt_words":["' in line)
+    lines[i] = lines[i].replace('"gt_words":["', '"gt_words":["NEW YORK","', 1)
+    trace.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["validate", "--trace", str(trace)]) == 1
+    assert capsys.readouterr().out == f"frame {i - 1}: gt word 0 holds whitespace U+0020 at character 4\n"
+
+
 def test_replay_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     # String hashing, and so the iteration order of sets and dicts of
     # strings, changes with PYTHONHASHSEED; no output byte may.

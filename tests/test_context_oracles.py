@@ -2,10 +2,10 @@
 
 ``consolidate`` and ``dedup_prompt_ocr`` compute each text's token set
 once and test the sets with ``near_duplicate(len(a & b), len(a), len(b), theta)``.
-The oracles below are the straightforward forms that call
-``text_similarity`` on every pair, re-tokenizing both texts each time;
-the properties require ``==``, so every merge and drop decision, and
-every kept text, must be the same.  ``build_ocr_context`` hands out
+Their oracles (``tests/oracles.py``) are the straightforward forms that
+call ``text_similarity`` on every pair, re-tokenizing both texts each
+time; the properties require ``==``, so every merge and drop decision,
+and every kept text, must be the same.  ``build_ocr_context`` hands out
 entries built once per grouping, so it is checked against a per-query
 construction from ``groups()`` across ingests.  Entries carry their
 token set and prompt line from construction; the last properties check
@@ -18,68 +18,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_osm import text_similarity
+from oracles import ocr_line, oracle_consolidate, oracle_context, oracle_dedup, text_tokens
 from wearocr.enrich import CONSOLIDATE_GAP_MS, consolidate
 from wearocr.model import OcrPayload, PayloadKind, QualityFlag, QueryMode, QueryRecord, Rect, TextSpan
-from wearocr.osm import OcrContextEntry, SessionTimeline, render_ocr_line, token_set
+from wearocr.osm import OcrContextEntry, SessionTimeline, token_set
 from wearocr.prompt import FramePlan, build_prompt, dedup_prompt_ocr
-
-# -- oracles ----------------------------------------------------------------
-
-
-def oracle_consolidate(entries, threshold=0.8):
-    out = []
-    for entry in entries:
-        if (
-            out
-            and entry.ts_ms - out[-1].ts_ms <= CONSOLIDATE_GAP_MS
-            and text_similarity([out[-1].text], [entry.text]) >= threshold
-        ):
-            prev = out[-1]
-            longer = prev.text if len(prev.text) >= len(entry.text) else entry.text
-            out[-1] = OcrContextEntry(
-                ts_ms=entry.ts_ms,
-                text=longer,
-                quality_flags=prev.quality_flags | entry.quality_flags,
-                is_selection=prev.is_selection or entry.is_selection,
-            )
-        else:
-            out.append(entry)
-    return out
-
-
-def oracle_dedup(entries, threshold=0.8):
-    retained = []
-    for entry in entries:
-        if entry.is_selection:
-            retained.append(entry)
-            continue
-        if any(text_similarity([entry.text], [kept.text]) >= threshold for kept in retained):
-            continue
-        retained.append(entry)
-    return retained
-
-
-def oracle_context(timeline, query, window_ms):
-    """One entry per group of ``groups()`` whose latest member is in the window."""
-    payloads = {p.frame_ts_ms: p for p in timeline.payloads()}
-    selections = [ts for ts, p in payloads.items() if p.selection]
-    latest_selection = max(selections) if selections else None
-    entries = []
-    for group in timeline.groups():
-        latest = group.group_latest_ts
-        if query.ts_ms - window_ms <= latest <= query.ts_ms:
-            exemplar = payloads[group.exemplar_ts]
-            entries.append(
-                OcrContextEntry(
-                    ts_ms=latest,
-                    text=exemplar.text(),
-                    quality_flags=exemplar.quality_flags,
-                    is_selection=group.is_selection and latest == latest_selection,
-                )
-            )
-    return sorted(entries, key=lambda e: e.ts_ms)
-
 
 # -- inputs -----------------------------------------------------------------
 
@@ -191,16 +134,18 @@ def test_context_matches_per_query_construction(batches, theta, window):
     for batch in batches:
         for ts, text, selection in batch:
             timeline.ingest(_payload(ts, text, selection))
+        payloads = {p.frame_ts_ms: p for p in timeline.payloads()}
         for ts in range(-1, 62, 3):
             query = QueryRecord(ts, ts, "?", QueryMode.QA)
-            assert timeline.build_ocr_context(query, window) == oracle_context(timeline, query, window)
+            got = timeline.build_ocr_context(query, window)
+            assert got == oracle_context(payloads, timeline.groups(), query, window)
 
 
 # -- derived fields -----------------------------------------------------------
 
 
 def _derived_fields_fresh(entry):
-    return entry.tokens == token_set(entry.text) and entry.line == render_ocr_line(entry)
+    return entry.tokens == text_tokens(entry.text) and entry.line == ocr_line(entry)
 
 
 @settings(max_examples=200, deadline=None)
@@ -217,11 +162,17 @@ def test_derived_fields_follow_the_text_however_an_entry_is_built(entries, texts
     replaced = [replace(e, text=t) for e, t in zip(entries, reversed(texts))]
     for entry in [*entries, *replaced, *merged, *rewritten]:
         assert _derived_fields_fresh(entry)
-    # Dedup decides on the rewritten texts, and the prompt shows them.
+    # Dedup decides on the rewritten texts, and the prompt shows them,
+    # unless a newline would break a prompt line in two.
     kept = dedup_prompt_ocr(rewritten, theta)
     assert kept == oracle_dedup(rewritten, theta)
-    lines, _ = build_prompt(QueryRecord(10**6, 10**6, "?", QueryMode.QA), FramePlan((), (), ()), kept)
-    assert lines == [*(render_ocr_line(e) for e in kept), "?"]
+    query = QueryRecord(10**6, 10**6, "?", QueryMode.QA)
+    if any("\n" in e.text for e in kept):
+        with pytest.raises(ValueError, match="newline"):
+            build_prompt(query, FramePlan((), (), ()), kept)
+        return
+    lines, _ = build_prompt(query, FramePlan((), (), ()), kept)
+    assert lines == [*map(ocr_line, kept), "?"]
 
 
 def test_a_rewrite_reaches_dedup_and_the_prompt():

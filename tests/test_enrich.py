@@ -1,23 +1,14 @@
 import random
-import re
 import sys
 from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_normalize
 from wearocr.enrich import consolidate, normalize, normalize_entries
 from wearocr.model import QualityFlag
 from wearocr.osm import OcrContextEntry
-
-
-# The regular-expression form ``normalize`` had, kept as its oracle.
-_CONTROL_RE = re.compile(r"[\x00-\x08\x0b-\x1f\x7f]")
-_WS_RE = re.compile(r"\s+")
-
-
-def oracle_normalize(text):
-    return _WS_RE.sub(" ", _CONTROL_RE.sub("", text)).strip()
 
 
 # Every Cc character, every whitespace character and some letters.

@@ -1,5 +1,7 @@
 import gc
 import math
+import sys
+import unicodedata
 
 import pytest
 
@@ -14,8 +16,10 @@ from wearocr.model import (
     Resolution,
     TextSpan,
     collector_paused,
+    line_fault,
     validate_payload,
     validate_trace,
+    word_fault,
 )
 from wearocr.tracefile import read_trace, write_trace
 
@@ -92,6 +96,41 @@ def test_keypoints_only_on_hand_pointing():
         )
     )
     assert any("keypoints" in v for v in validate_trace([bad]))
+
+
+@pytest.mark.parametrize(
+    "word, fault",
+    [
+        # Once accepted, though neither can count as recovered: the OCR
+        # text splits the one and normalization rewrites the other.
+        ("NEW YORK", "whitespace U+0020 at character 4"),
+        ("NEW\x01YORK", "control character U+0001 at character 4"),
+        ("Straße\u00a0", "whitespace U+00A0 at character 7"),
+        ("\ud800", "lone surrogate U+D800 at character 1"),
+    ],
+)
+def test_word_that_breaks_the_word_rule_reported(word, fault):
+    frames = [make_frame(100, gt_words=("gate", word)), make_frame(200, gt_words=("", word))]
+    assert validate_trace(frames) == [
+        f"frame 0: gt word 1 holds {fault}",
+        "frame 1: gt word 0 is empty",
+        f"frame 1: gt word 1 holds {fault}",
+    ]
+
+
+# Every whitespace, control and separator character, a surrogate at each
+# end, and characters the rules accept.
+_RULE_ALPHABET = sorted(
+    {ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace() or unicodedata.category(ch) in ("Cc", "Zl", "Zp")}
+    | set("aZé字\U0001F600\u200b\u00ad\ud800\udfff")
+)
+
+
+def test_text_rules_by_character():
+    for ch in _RULE_ALPHABET:
+        category = unicodedata.category(ch)
+        assert (word_fault(f"a{ch}b") is None) == (not ch.isspace() and category not in ("Cc", "Cs")), repr(ch)
+        assert (line_fault(f"a{ch}b") is None) == (category not in ("Cc", "Cs", "Zl", "Zp")), repr(ch)
 
 
 def test_validate_is_deterministic():

@@ -4,42 +4,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wearocr.model import OcrPayload, PayloadKind, QualityFlag, QueryMode, QueryRecord, Rect, TextSpan
-from wearocr.osm import (
-    OcrContextEntry,
-    OcrGroup,
-    SessionTimeline,
-    _min_overlap,
-    near_duplicate,
-    payload_similarity,
-    size_filter,
-    token_set,
+from oracles import (
+    oracle_context,
+    oracle_get,
+    oracle_get_batch,
+    oracle_groups,
+    select_exemplar,
+    span_texts,
+    text_similarity,
 )
-
-
-def text_similarity(a, b):
-    """Jaccard similarity of the lowercase token sets of the texts joined
-    with spaces; 1.0 when both are empty.  The float form of the rule
-    ``near_duplicate`` decides."""
-    ta, tb = token_set(" ".join(a)), token_set(" ".join(b))
-    union = len(ta | tb)
-    return len(ta & tb) / union if union else 1.0
-
-
-def select_exemplar(members):
-    """Timestamp of the group member with the longest, highest-quality text.
-
-    Primary key is total character count of the spans; ties go to higher
-    mean span confidence, then to the latest timestamp.
-    """
-    if not members:
-        raise ValueError("group must be non-empty")
-
-    def key(p):
-        mean_conf = sum(s.conf for s in p.spans) / len(p.spans) if p.spans else 0.0
-        return (sum(len(s.text) for s in p.spans), mean_conf, p.frame_ts_ms)
-
-    return max(members, key=key).frame_ts_ms
+from wearocr.model import OcrPayload, PayloadKind, QualityFlag, QueryMode, QueryRecord, Rect, TextSpan
+from wearocr.osm import SessionTimeline, _min_overlap, near_duplicate, size_filter
 
 
 def text_payload(ts, text, selection=False, conf=0.9, flags=frozenset()):
@@ -151,7 +126,7 @@ class TestIngestAndGrouping:
             for member in members[1:]:
                 exemplar_ts = select_exemplar(running)
                 exemplar = next(p for p in running if p.frame_ts_ms == exemplar_ts)
-                assert payload_similarity(member, exemplar) >= threshold
+                assert text_similarity(span_texts(member), span_texts(exemplar)) >= threshold
                 running.append(member)
 
     def test_equal_timestamp_last_writer_wins(self):
@@ -191,23 +166,6 @@ class TestGet:
         result = timeline.get(20)
         assert result.kind is PayloadKind.NO_TEXT
         assert not result.synthesized
-
-
-def oracle_get(payloads, t):
-    """Literal linear-scan implementation of the retrieval rules."""
-    valid = {PayloadKind.TEXT_OCR, PayloadKind.NO_TEXT}
-    at_t = [p for p in payloads if p.frame_ts_ms == t]
-    for p in at_t:
-        if p.kind in valid:
-            return p
-    before = [p for p in payloads if p.frame_ts_ms < t and p.kind in valid]
-    if before:
-        latest = max(before, key=lambda p: p.frame_ts_ms)
-        return OcrPayload(
-            kind=latest.kind, frame_ts_ms=t, spans=latest.spans, selection=latest.selection,
-            quality_flags=latest.quality_flags, synthesized=latest.synthesized,
-        )
-    return OcrPayload(kind=PayloadKind.NO_TEXT, frame_ts_ms=t, synthesized=True)
 
 
 def random_payload(rng, ts):
@@ -353,63 +311,6 @@ class TestOrderInsensitivity:
                     reference = snapshot
                 else:
                     assert snapshot == reference
-
-
-def oracle_groups(payloads_by_ts, theta):
-    """Brute-force greedy grouping: every text payload, in ascending
-    timestamp order, is tested against every earlier group's exemplar,
-    and the exemplar is re-selected over all members on each join."""
-    member_lists: list[list[int]] = []
-    exemplars: list[int] = []
-    selection_flags: list[bool] = []
-    for ts in sorted(payloads_by_ts):
-        payload = payloads_by_ts[ts]
-        if payload.kind is not PayloadKind.TEXT_OCR:
-            continue
-        if payload.selection:
-            member_lists.append([ts])
-            exemplars.append(ts)
-            selection_flags.append(True)
-            continue
-        for gi in range(len(member_lists)):
-            if selection_flags[gi]:
-                continue
-            exemplar = payloads_by_ts[exemplars[gi]]
-            if payload_similarity(payload, exemplar) >= theta:
-                member_lists[gi].append(ts)
-                exemplars[gi] = select_exemplar(
-                    [payloads_by_ts[m] for m in member_lists[gi]]
-                )
-                break
-        else:
-            member_lists.append([ts])
-            exemplars.append(ts)
-            selection_flags.append(False)
-    return [
-        OcrGroup(members=tuple(m), exemplar_ts=e, is_selection=s)
-        for m, e, s in zip(member_lists, exemplars, selection_flags)
-    ]
-
-
-def oracle_context(payloads_by_ts, groups, query, window_ms):
-    """Linear-scan context: every group whose latest member is in the window."""
-    selections = [ts for ts, p in payloads_by_ts.items() if p.selection]
-    latest_selection = max(selections) if selections else None
-    entries = []
-    for group in groups:
-        latest = max(group.members)
-        if not query.ts_ms - window_ms <= latest <= query.ts_ms:
-            continue
-        exemplar = payloads_by_ts[group.exemplar_ts]
-        entries.append(
-            OcrContextEntry(
-                ts_ms=latest,
-                text=exemplar.text(),
-                quality_flags=exemplar.quality_flags,
-                is_selection=group.is_selection and latest == latest_selection,
-            )
-        )
-    return sorted(entries, key=lambda e: e.ts_ms)
 
 
 def spans_payload(ts, texts, selection=False, conf=0.9, kind=PayloadKind.TEXT_OCR):
@@ -566,39 +467,6 @@ class TestIndexedGroupingOracle:
             assert timeline.build_ocr_context(query, window) == oracle_context(
                 final, expected, query, window
             )
-
-
-def oracle_get_batch(payloads_by_ts, groups, timestamps):
-    """``get_batch`` by its documented rules over ``oracle_get``: one text
-    result per group, the rest synthesized, and a text payload appended
-    when every result is empty."""
-    payloads = list(payloads_by_ts.values())
-    results = [oracle_get(payloads, t) for t in timestamps]
-    valid = {PayloadKind.TEXT_OCR, PayloadKind.NO_TEXT}
-    by_group = {}
-    for i, t in enumerate(timestamps):
-        sources = [ts for ts, p in payloads_by_ts.items() if ts <= t and p.kind in valid]
-        if sources and results[i].kind is PayloadKind.TEXT_OCR:
-            group = next(g for g in groups if max(sources) in g.members)
-            by_group.setdefault(group, []).append(i)
-    for group, indices in by_group.items():
-        keep = max(indices, key=lambda i: (timestamps[i], i))
-        exemplar = payloads_by_ts[group.exemplar_ts]
-        for i in indices:
-            if i == keep:
-                results[i] = OcrPayload(
-                    kind=PayloadKind.TEXT_OCR, frame_ts_ms=timestamps[i], spans=exemplar.spans,
-                    selection=results[i].selection, quality_flags=exemplar.quality_flags,
-                    synthesized=results[i].synthesized,
-                )
-            else:
-                results[i] = OcrPayload(kind=PayloadKind.NO_TEXT, frame_ts_ms=timestamps[i], synthesized=True)
-    if all(p.synthesized or p.kind is not PayloadKind.TEXT_OCR for p in results):
-        text_ts = sorted(ts for ts, p in payloads_by_ts.items() if p.kind is PayloadKind.TEXT_OCR)
-        if text_ts:
-            before = [ts for ts in text_ts if ts <= max(timestamps)]
-            results.append(payloads_by_ts[before[-1] if before else text_ts[0]])
-    return results
 
 
 @st.composite
