@@ -43,7 +43,6 @@ class OcrConfig:
 @dataclass(frozen=True)
 class OcrResult:
     spans: tuple[TextSpan, ...]
-    simulated_latency_ms: float
     words_attempted: int
     words_correct: int
 
@@ -75,12 +74,10 @@ def _corrupt(token: str, seed: int, frame_ts_ms: int, token_index: int) -> str:
     pos = int(_unit_uniform(seed, frame_ts_ms, token_index, lane=1) * len(token))
     pos = min(pos, len(token) - 1)
     ch = token[pos]
-    sub = _CONFUSIONS.get(ch)
-    if sub is None:
-        # Shift within the ASCII printable range, guaranteed != ch.
-        sub = chr(33 + (ord(ch) - 33 + 1) % 94) if ch.isprintable() else "?"
-        if sub == ch:
-            sub = "?"
+    # Without a confusion, the next ASCII printable character ("~" wraps
+    # to "!"); a code point outside that range lands inside it, so the
+    # substitute is never ch.  No Unicode database is asked.
+    sub = _CONFUSIONS.get(ch) or chr(33 + (ord(ch) - 32) % 94)
     return token[:pos] + sub + token[pos + 1 :]
 
 
@@ -118,7 +115,6 @@ def run_mock_ocr(
         )
     return OcrResult(
         spans=tuple(spans),
-        simulated_latency_ms=ocr_latency_ms(n),
         words_attempted=n,
         words_correct=correct,
     )

@@ -34,6 +34,8 @@ from .model import (
     Resolution,
     canonical_json,
     collector_paused,
+    line_fault,
+    word_fault,
 )
 
 TRACE_FORMAT = "wearocr-trace"
@@ -307,18 +309,6 @@ def _missing_field(exc: KeyError, where: str = "") -> TraceFormatError:
     return TraceFormatError(f"missing field {where}{exc.args[0]}")
 
 
-def _check_text(field: str, value: str) -> None:
-    """Refuse a string holding a lone surrogate, which a JSON ``\\ud800``
-    escape decodes to and which cannot be UTF-8 encoded."""
-    if not value.isascii():
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise TraceFormatError(
-                f"field {field}: lone surrogate U+{ord(value[exc.start]):04X} at character {exc.start + 1}"
-            ) from None
-
-
 def _imu_error(sample: object, j: int) -> TraceFormatError:
     if type(sample) is not list or len(sample) != 3:
         return _field_error(f"imu[{j}]", "[ts_us, gyro, accel]", sample, _length(sample))
@@ -366,8 +356,8 @@ def frame_from_obj(
     obj: dict, previous: FrameRecord | None = None, words: dict[str, str] | None = None
 ) -> FrameRecord:
     """The frame a parsed trace line describes.  A missing or unknown
-    field, a field of the wrong JSON type, or a word holding a lone
-    surrogate raises ``TraceFormatError``.
+    field, a field of the wrong JSON type, or a word that breaks the
+    word rule (``model.word_fault``) raises ``TraceFormatError``.
 
     ``scene_sig`` is the ``previous`` frame's, and an IMU sample's
     ``gyro`` the one before it, when the array holds that tuple's very
@@ -376,8 +366,9 @@ def frame_from_obj(
     share it.  Likewise ``exposure_us`` is the previous frame's int when
     the two are equal, and each word of ``gt_words`` is the one string
     ``words`` keeps for it: equal exact-type values are interchangeable.
-    A word is checked for surrogates only when ``words`` first sees it,
-    so ``words`` lives for one read, which stops at the first error.
+    A word is checked against the word rule the first time ``words``
+    sees it, so ``words`` lives for one read, which stops at the first
+    error.
     """
     try:
         ts_ms, resolution, exposure_us = obj["ts_ms"], obj["resolution"], obj["exposure_us"]
@@ -444,7 +435,8 @@ def frame_from_obj(
         gt_words = tuple(map(words.setdefault, gt_words, gt_words))
         if len(words) > known:  # check each word the first time the dict sees it
             for word in islice(reversed(words), len(words) - known):
-                _check_text(f"gt_words[{gt_words.index(word)}]", word)
+                if (fault := word_fault(word)) is not None:
+                    raise TraceFormatError(f"field gt_words[{gt_words.index(word)}]: {fault}")
     return FrameRecord(
         ts_ms,
         _RESOLUTIONS[resolution],
@@ -488,9 +480,9 @@ def query_from_obj(obj: dict) -> QueryRecord:
         raise _enum_error("mode", _MODES, mode)
     if target_lang is not None and type(target_lang) is not str:
         raise _field_error("target_lang", "string or null", target_lang)
-    _check_text("question", question)
-    if target_lang is not None:
-        _check_text("target_lang", target_lang)
+    for name, text in (("question", question), ("target_lang", target_lang)):
+        if text is not None and (fault := line_fault(text)) is not None:
+            raise TraceFormatError(f"field {name}: {fault}")
     return QueryRecord(ts_ms, speech_start_ms, question, _MODES[mode], target_lang)
 
 

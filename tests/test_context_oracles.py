@@ -31,7 +31,8 @@ from wearocr.prompt import FramePlan, build_prompt, dedup_prompt_ocr
 # "a b c d e"); a final sigma and a letter that lowercases to two
 # characters test that joining texts with a space keeps each token.
 _WORDS = ["a", "b", "c", "d", "e", "f", "A", "B", "gate", "GATE", "Gate", "b12", "B12", "ΟΔΟΣ", "οδοσ", "İ"]
-_SEPARATORS = [" ", "  ", "\t", "\n", "\x1f"]
+# Words are separated by any whitespace the tokenizer splits on, alone or in runs.
+_SEPARATORS = [" ", "  ", "\t", "\n", "\x1f", "\u3000", " \u3000\t"]
 _ODD_TEXTS = ["", " ", "\t \n", "\x00", "\x07", "a\x00b", "a\x1fb", "GATE\x07 b12"]
 
 
@@ -87,7 +88,7 @@ def _chain(*texts):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_text, max_size=4))
 def test_tokens_of_several_texts_are_the_union_of_each(texts):
-    assert token_set(" ".join(texts)) == frozenset().union(*map(token_set, texts))
+    assert token_set(" ".join(texts)) == frozenset().union(*map(text_tokens, texts))
 
 
 @settings(max_examples=300, deadline=None)

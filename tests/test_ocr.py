@@ -70,7 +70,7 @@ class TestMockOcr:
     def test_empty_input(self):
         result = run_mock_ocr((), Resolution.MP12, None, OcrConfig(seed=1), 100)
         assert result.spans == ()
-        assert result.simulated_latency_ms == 341.0
+        assert ocr_latency_ms(result.words_attempted) == 341.0
         assert result.words_attempted == 0
 
     def test_certainty_case(self, monkeypatch):
@@ -117,4 +117,36 @@ class TestMockOcr:
 
     def test_latency_tracks_word_count(self):
         result = run_mock_ocr(("a",) * 30, Resolution.MP12, None, OcrConfig(seed=1), 9)
-        assert result.simulated_latency_ms == 396.0
+        assert ocr_latency_ms(result.words_attempted) == 396.0
+
+
+class TestSubstitute:
+    """A mis-read character becomes its confusion, or else the next ASCII
+    printable character, whatever the Unicode database says of it."""
+
+    def test_every_ascii_printable_character(self):
+        for code in range(0x20, 0x7F):
+            ch = chr(code)
+            expected = ocr._CONFUSIONS.get(ch, chr(33 + (ord(ch) - 32) % 94))
+            assert ocr._corrupt(ch, 1, 0, 0) == expected, repr(ch)
+        assert [ocr._corrupt(ch, 1, 0, 0) for ch in "az~ "] == ["b", "{", "!", "!"]
+
+    @pytest.mark.parametrize(
+        "ch,expected",
+        # Unassigned before Unicode 14 (Python 3.10), private use, soft hyphen:
+        # none is printable to some supported Python.
+        [("\u0870", "]"), ("\ue000", "c"), ("\u00ad", "P")],
+    )
+    def test_characters_beyond_ascii(self, ch, expected):
+        assert ocr._corrupt(ch, 1, 0, 0) == expected == chr(33 + (ord(ch) - 32) % 94)
+
+    def test_mis_read_word_beyond_ascii(self):
+        config = OcrConfig(seed=1)
+        ts = next(ts for ts in range(100) if run_mock_ocr(("x",), Resolution.MP3, None, config, ts).words_correct == 0)
+        assert run_mock_ocr(("\u0870",), Resolution.MP3, None, config, ts).spans[0].text == "]"
+
+    @given(st.characters(blacklist_categories=()), st.integers(0, 2**32))
+    @settings(max_examples=300)
+    def test_substitute_is_another_ascii_printable_character(self, ch, ts):
+        sub = ocr._corrupt(ch, 1, ts, 0)
+        assert len(sub) == 1 and "!" <= sub <= "~" and sub != ch

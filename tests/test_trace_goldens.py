@@ -68,7 +68,7 @@ def short_frames() -> list[FrameRecord]:
         frames[2],
         scene_sig=(-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e-7, 1e16, 1e22, float("inf"), -float("inf"))
         + frames[2].scene_sig[9:],
-        gt_words=("Straße", 'say "hi"', "back\\slash", "東京", "tab\there", "\x00\u2028"),
+        gt_words=("Straße", 'say"hi"', "back\\slash", "東京", "\U0001d538lpha", "soft\u00adhyphen"),
     )
     return frames
 
@@ -77,7 +77,7 @@ def short_queries() -> list[QueryRecord]:
     return [
         QueryRecord(1_000, 500, "What gate?", QueryMode.QA),
         QueryRecord(2_000, 1_500, "Traduis ça \"vite\"", QueryMode.TRANSLATION, "Español"),
-        QueryRecord(3_000, 2_500, "Read this\n", QueryMode.READOUT),
+        QueryRecord(3_000, 2_500, "Read the \U0001d538 sign", QueryMode.READOUT),
     ]
 
 

@@ -332,6 +332,9 @@ class TestFileRoundTrip:
 
 finite = st.floats(allow_nan=False)
 points = st.tuples(finite, finite)
+# What a trace word may hold: no whitespace, control, lone surrogate or
+# line break (every ``str.isspace`` character is in Cc, Zs, Zl or Zp).
+rule_chars = st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp"))
 
 
 def detections():
@@ -354,7 +357,7 @@ def frames():
         st.lists(st.builds(ImuSample, st.integers(min_value=0, max_value=2**53), vec3, vec3), max_size=4).map(tuple),
         st.lists(detections(), max_size=3).map(tuple),
         st.lists(finite, max_size=16).map(tuple),
-        st.lists(st.text(max_size=8), max_size=5).map(tuple),
+        st.lists(st.text(alphabet=rule_chars, max_size=8), max_size=5).map(tuple),
         st.booleans(),
     )
 
@@ -373,6 +376,8 @@ def test_frame_round_trips_through_obj_and_json(frame):
 any_float = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]))
 # Text with quotes, backslashes, control and non-ASCII characters.
 words_text = st.text(alphabet=st.sampled_from('ab "\\\n\x00\u00e9\u6771\u2028\U0001f600'), max_size=6)
+# The same without the characters the word rule refuses, for frames the reader must take back.
+rule_words = st.text(alphabet=st.sampled_from('ab"\\\u00ad\u00e9\u6771\U0001f600'), max_size=6)
 
 
 def any_detections():
@@ -395,14 +400,14 @@ def with_zero_twins(vectors):
 
 
 @st.composite
-def frame_lists(draw):
+def frame_lists(draw, words=words_text):
     """Frames whose signatures, words and detections come from small pools,
     so that one object is shared by several frames, mixed with equal
     copies that are distinct objects."""
     sigs = draw(st.lists(st.lists(any_float, max_size=4).map(tuple), min_size=1, max_size=3))
     pools = {
         "scene_sig": with_zero_twins(sigs),
-        "gt_words": draw(st.lists(st.lists(words_text, max_size=3).map(tuple), min_size=1, max_size=3)),
+        "gt_words": draw(st.lists(st.lists(words, max_size=3).map(tuple), min_size=1, max_size=3)),
         "detections": draw(st.lists(any_detections(), min_size=1, max_size=3)),
     }
     vec3 = st.tuples(any_float, any_float, any_float)
@@ -453,7 +458,7 @@ def float_bits(value):
     return value
 
 
-@given(frame_lists())
+@given(frame_lists(rule_words))
 @settings(max_examples=200, deadline=None)
 def test_read_trace_returns_written_frames_bit_for_bit(frames):
     with tempfile.TemporaryDirectory() as tmp:
@@ -470,6 +475,55 @@ def test_read_trace_returns_written_frames_bit_for_bit(frames):
             assert same_bits
         elif all(type(x) is float and not math.isnan(x) for x in after):
             assert not same_bits
+
+
+# -- the text rules at read time -----------------------------------------------
+
+# Characters on both sides of the rules: whitespace, controls, line breaks
+# and lone surrogates, which they refuse, and a soft hyphen, a private-use,
+# a recently assigned and an astral character, which they take.
+edge_chars = st.one_of(
+    st.sampled_from(" \t\n\r\x00\x1f\x7f\x85\x9f\xa0\u1680\u2028\u2029\u3000\ud800\xad\ue000\u0870\U0001d538a\xe9"),
+    st.characters(),
+)
+
+
+@given(st.text(alphabet=edge_chars, min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_reader_refuses_a_word_exactly_when_validate_trace_does(word):
+    frame = FrameRecord(1, Resolution.MP12, 8000, (), (), (0.5,), ("exit", word))
+    violations = validate_trace([frame])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.ndjson"
+        write_trace(path, [frame])
+        if not violations:
+            assert read_trace(path)[1] == [frame]
+            return
+        with pytest.raises(TraceFormatError) as info:
+            read_trace(path)
+    fault = re.fullmatch("frame 0: gt word 1 holds (.+)", violations[0]).group(1)
+    assert len(violations) == 1
+    assert str(info.value) == f"{path}:2: field gt_words[1]: {fault}"
+
+
+@given(st.text(alphabet=edge_chars, min_size=1, max_size=4), st.sampled_from(["question", "target_lang"]))
+@settings(max_examples=300, deadline=None)
+def test_reader_refuses_a_question_or_language_exactly_when_replay_does(text, field):
+    query = replace(QueryRecord(2, 1, "?", QueryMode.TRANSLATION, "French"), **{field: text})
+    try:
+        replay([], [query])
+        fault = None
+    except ReplayError as exc:
+        fault = re.fullmatch(f"query 0: {field} holds (.+)", str(exc)).group(1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "queries.ndjson"
+        write_queries(path, [query])
+        if fault is None:
+            assert read_queries(path) == [query]
+            return
+        with pytest.raises(TraceFormatError) as info:
+            read_queries(path)
+    assert str(info.value) == f"{path}:2: field {field}: {fault}"
 
 
 def test_signed_zeros_and_integers_are_not_merged(tmp_path):
