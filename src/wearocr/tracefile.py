@@ -347,6 +347,10 @@ def _detection(d: object, j: int) -> Detection:
     return Detection(_CLASSES[cls], Rect(*bbox), conf, keypoints)
 
 
+# Three objects that no decoded array holds: the first gyro of a frame is never shared.
+_NO_GYRO = (object(), object(), object())
+
+
 def _same_items(items: list, tuple_: tuple) -> bool:
     """Whether ``items`` are the very objects of ``tuple_``, in order."""
     return len(items) == len(tuple_) and all(map(operator.is_, items, tuple_))
@@ -397,7 +401,7 @@ def frame_from_obj(
         raise _field_error("user_selection", "boolean", user_selection)
 
     samples = []
-    last_gyro: tuple = ()
+    last_gyro = _NO_GYRO
     try:
         for ts_us, gyro, accel in imu:
             if (
@@ -409,7 +413,7 @@ def frame_from_obj(
                 or not _NUMBER.issuperset(map(type, accel))
             ):
                 break
-            if not _same_items(gyro, last_gyro):
+            if gyro[0] is not last_gyro[0] or gyro[1] is not last_gyro[1] or gyro[2] is not last_gyro[2]:
                 if not _NUMBER.issuperset(map(type, gyro)):
                     break
                 last_gyro = tuple(gyro)
@@ -433,8 +437,8 @@ def frame_from_obj(
             words = {}
         known = len(words)
         gt_words = tuple(map(words.setdefault, gt_words, gt_words))
-        if len(words) > known:  # check each word the first time the dict sees it
-            for word in islice(reversed(words), len(words) - known):
+        if len(words) > known:  # check each word the first time the dict sees it, in line order
+            for word in reversed(list(islice(reversed(words), len(words) - known))):
                 if (fault := word_fault(word)) is not None:
                     raise TraceFormatError(f"field gt_words[{gt_words.index(word)}]: {fault}")
     return FrameRecord(

@@ -6,6 +6,10 @@ message type, 8-byte big-endian session id, and a canonical
 field-ordered encoding (fixed-width big-endian integers, IEEE-754
 big-endian doubles, strings as 4-byte length + UTF-8, lists as 4-byte
 count + elements).  Encoding is injective; decode is its inverse.
+The one input decode takes that encode never writes is a payload's
+flag codes unsorted or repeated: they decode to the set they name.
+Anything else decode refuses with a ``WireError`` at the offset of
+the first faulty field, such as a selection byte other than 0 or 1.
 
 Payloads may arrive out of order within a session; the store downstream
 is order-insensitive by design.
@@ -16,8 +20,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from .model import OcrPayload, PayloadKind, QualityFlag, Rect, Resolution, TextSpan, validate_payload
+from .model import OcrPayload, PayloadKind, QualityFlag, Rect, Resolution, TextSpan, _slot_init, validate_payload
 
 
 class WireError(ValueError):
@@ -60,6 +65,13 @@ _FLAG_CODE = {
     QualityFlag.POOR_LIGHTING: 4,
 }
 _CODE_FLAG = {v: k for k, v in _FLAG_CODE.items()}
+# Each of the 16 flag sets and its codes, sorted, as encode writes them.
+_FLAG_BYTES = {
+    frozenset(flags): bytes(sorted(_FLAG_CODE[f] for f in flags))
+    for n in range(len(_FLAG_CODE) + 1)
+    for flags in combinations(_FLAG_CODE, n)
+}
+_BYTES_FLAG = {v: k for k, v in _FLAG_BYTES.items()}
 
 
 @dataclass(frozen=True)
@@ -95,6 +107,7 @@ class SessionEnd:
 Body = OcrPayload | VideoSegment | SelectionEvent | SessionStart | SessionEnd
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class WireMessage:
     session_id: int
@@ -127,12 +140,12 @@ class _Layout:
         self.struct = struct.Struct(">" + "".join(fmt.format[1:] for _, fmt in fields))
         self.size = self.struct.size
 
-    def pack(self, parts: list[bytes], *values: int | float) -> None:
-        """Append the fields to ``parts``, the frame body so far."""
+    def pack(self, offset: int, *values: int | float) -> bytes:
+        """The fields packed; ``offset`` is where the first one sits in
+        the frame, for the error."""
         try:
-            parts.append(self.struct.pack(*values))
+            return self.struct.pack(*values)
         except struct.error:
-            offset = 4 + sum(map(len, parts))
             for (name, fmt), value in zip(self.fields, values):
                 try:
                     fmt.pack(value)
@@ -154,11 +167,14 @@ class _Layout:
         return self.struct.unpack_from(data, pos)
 
 
-# Every frame starts with its length (u32) and this header.
-_HEAD = _Layout(("msg_type", _U8), ("session_id", _U64))
-# OcrPayload: the kind, then fixed fields, flag codes (u8 each) and spans.
-_KIND = _Layout(("kind", _U8))
-_OCR_FIELDS = _Layout(("frame_ts_ms", _U64), ("selection", _U8), ("quality_flags count", _U32))
+# Every frame starts with its body length and this header.
+_FRAME = (("length", _U32), ("msg_type", _U8), ("session_id", _U64))
+_HEAD = _Layout(*_FRAME)
+# An OcrPayload frame: the fixed fields below, then one u8 per flag code,
+# the spans count (u32) and the spans.
+_OCR_HEAD = _Layout(
+    *_FRAME, ("kind", _U8), ("frame_ts_ms", _U64), ("selection", _U8), ("quality_flags count", _U32)
+)
 _SPANS_COUNT = _Layout(("spans count", _U32))
 # A span: text length, UTF-8 text, then box and confidence.
 _TEXT_LENGTH = _Layout(("span.text", _U32))
@@ -166,49 +182,81 @@ _SPAN_BOX = _Layout(*((f"span.{name}", _F64) for name in ("bbox.x", "bbox.y", "b
 # VideoSegment; decode checks the resolution code before the bitrate.
 _VIDEO_FIELDS = _Layout(("start_ms", _U64), ("duration_ms", _U64), ("fps", _F64), ("resolution", _U8))
 _BITRATE = _Layout(("bitrate_bps", _U64))
+_VIDEO_HEAD = _Layout(*_FRAME, *_VIDEO_FIELDS.fields, *_BITRATE.fields)
 _SELECTION_FIELDS = _Layout(("frame_ts_ms", _U64))
-# What encode packs in one go, up to the first variable-length field.
-_OCR_HEAD = _Layout(*_HEAD.fields, ("kind", _U8), ("frame_ts_ms", _U64), ("selection", _U8))
-_VIDEO_HEAD = _Layout(*_HEAD.fields, *_VIDEO_FIELDS.fields, *_BITRATE.fields)
-_SELECTION_HEAD = _Layout(*_HEAD.fields, *_SELECTION_FIELDS.fields)
+_SELECTION_HEAD = _Layout(*_FRAME, *_SELECTION_FIELDS.fields)
+
+
+def _span_bytes(spans: tuple[TextSpan, ...], offset: int) -> bytes:
+    """The encoded spans, the first at frame offset ``offset``."""
+    parts: list[bytes] = []
+    for span in spans:
+        raw = span.text.encode("utf-8")
+        parts.append(_TEXT_LENGTH.pack(offset, len(raw)))
+        parts.append(raw)
+        offset += _TEXT_LENGTH.size + len(raw)
+        bbox = span.bbox
+        parts.append(_SPAN_BOX.pack(offset, bbox.x, bbox.y, bbox.w, bbox.h, span.conf))
+        offset += _SPAN_BOX.size
+    return b"".join(parts)
 
 
 def encode(msg: WireMessage) -> bytes:
     """The frame for ``msg``; ``WireError`` names a field out of its range."""
     body = msg.body
     msg_type = msg.msg_type
-    parts: list[bytes] = []
     if msg_type == MSG_OCR_PAYLOAD:
-        _OCR_HEAD.pack(
-            parts, msg_type, msg.session_id, int(body.kind), body.frame_ts_ms,
-            1 if body.selection else 0,
-        )
-        codes = sorted([_FLAG_CODE[f] for f in body.quality_flags])
-        parts.append(_U32.pack(len(codes)) + bytes(codes) + _U32.pack(len(body.spans)))
-        for span in body.spans:
-            raw = span.text.encode("utf-8")
-            _TEXT_LENGTH.pack(parts, len(raw))
-            parts.append(raw)
-            bbox = span.bbox
-            _SPAN_BOX.pack(parts, bbox.x, bbox.y, bbox.w, bbox.h, span.conf)
-    elif msg_type == MSG_VIDEO_SEGMENT:
-        _VIDEO_HEAD.pack(
-            parts, msg_type, msg.session_id, body.start_ms, body.duration_ms, body.fps,
+        # The variable tail first, so that its length can go into the
+        # one pack of the length and the fixed fields.
+        codes = _FLAG_BYTES[body.quality_flags]
+        fields = (msg_type, msg.session_id, int(body.kind), body.frame_ts_ms, 1 if body.selection else 0, len(codes))
+        spans = body.spans
+        tail = codes + _U32.pack(len(spans))
+        if spans:
+            try:
+                tail += _span_bytes(spans, _OCR_HEAD.size + len(tail))
+            except WireError:
+                _OCR_HEAD.pack(0, 0, *fields)  # a fixed field at fault comes first
+                raise
+        return _OCR_HEAD.pack(0, _OCR_HEAD.size - 4 + len(tail), *fields) + tail
+    if msg_type == MSG_VIDEO_SEGMENT:
+        return _VIDEO_HEAD.pack(
+            0, _VIDEO_HEAD.size - 4, msg_type, msg.session_id, body.start_ms, body.duration_ms, body.fps,
             _RESOLUTION_CODE[body.resolution], body.bitrate_bps,
         )
-    elif msg_type == MSG_SELECTION_EVENT:
-        _SELECTION_HEAD.pack(parts, msg_type, msg.session_id, body.frame_ts_ms)
-    else:  # SessionStart / SessionEnd carry no fields.
-        _HEAD.pack(parts, msg_type, msg.session_id)
-    frame_body = b"".join(parts)
-    return _U32.pack(len(frame_body)) + frame_body
+    if msg_type == MSG_SELECTION_EVENT:
+        return _SELECTION_HEAD.pack(0, _SELECTION_HEAD.size - 4, msg_type, msg.session_id, body.frame_ts_ms)
+    # SessionStart / SessionEnd carry no fields.
+    return _HEAD.pack(0, _HEAD.size - 4, msg_type, msg.session_id)
+
+
+def _ocr_fields_fault(data: bytes) -> CorruptFrameError:
+    """The error for an OcrPayload frame that ends inside its fixed
+    fields or holds an unknown kind or a selection byte other than 0 or
+    1 there, read field by field: the first faulty field, at its offset."""
+    pos = _HEAD.size
+    for name, fmt in _OCR_HEAD.fields[len(_FRAME):]:
+        if pos + fmt.size > len(data):
+            return CorruptFrameError("body truncated", pos)
+        (value,) = fmt.unpack_from(data, pos)
+        if name == "kind" and value not in _CODE_KIND:
+            return CorruptFrameError(f"unknown payload kind {value}", pos)
+        if name == "selection" and value > 1:
+            return CorruptFrameError(f"selection byte {value} is neither 0 nor 1", pos)
+        pos += fmt.size
+    raise AssertionError("the fixed fields hold no fault")
 
 
 def decode(data: bytes) -> WireMessage:
     size = len(data)
-    if size < 4:
+    ocr = size >= _OCR_HEAD.size and data[4] == MSG_OCR_PAYLOAD
+    if ocr:
+        # An OcrPayload frame's fixed fields, read in one go.
+        body_len, msg_type, session_id, kind_code, frame_ts, selection, n_flags = _OCR_HEAD.struct.unpack_from(data)
+    elif size >= 4:
+        body_len = _U32.unpack_from(data)[0]
+    else:
         raise IncompleteFrameError("missing length header", size)
-    body_len = _U32.unpack_from(data)[0]
     if size < 4 + body_len:
         raise IncompleteFrameError("frame shorter than declared length", size)
     if size > 4 + body_len:
@@ -216,22 +264,21 @@ def decode(data: bytes) -> WireMessage:
     if body_len < 9:
         raise CorruptFrameError("body too short for header", 4)
     # From here on the frame ends exactly where its body does.
-    msg_type, session_id = _HEAD.unpack(data, 4)
-    pos = 4 + _HEAD.size
+    if not ocr:
+        _, msg_type, session_id = _HEAD.struct.unpack_from(data)
+    pos = _HEAD.size
     body: Body
     if msg_type == MSG_OCR_PAYLOAD:
-        fields_at = pos
-        (kind_code,) = _KIND.unpack(data, pos)
-        kind = _CODE_KIND.get(kind_code)
-        if kind is None:
-            raise CorruptFrameError(f"unknown payload kind {kind_code}", pos)
-        frame_ts, selection, n_flags = _OCR_FIELDS.unpack(data, pos + 1)
-        pos += 1 + _OCR_FIELDS.size
+        if not ocr or (kind := _CODE_KIND.get(kind_code)) is None or selection > 1:
+            raise _ocr_fields_fault(data)
+        pos = _OCR_HEAD.size
         codes = data[pos : pos + n_flags]
-        for i, code in enumerate(codes):
-            if code not in _CODE_FLAG:
-                raise CorruptFrameError(f"unknown quality flag {code}", pos + i)
-        flags = frozenset([_CODE_FLAG[c] for c in codes])
+        flags = _BYTES_FLAG.get(codes)
+        if flags is None:  # codes that encode never writes: unsorted, repeated or unknown
+            for i, code in enumerate(codes):
+                if code not in _CODE_FLAG:
+                    raise CorruptFrameError(f"unknown quality flag {code}", pos + i)
+            flags = frozenset([_CODE_FLAG[c] for c in codes])
         if len(codes) < n_flags:
             raise CorruptFrameError("body truncated", pos + len(codes))
         pos += n_flags
@@ -251,12 +298,11 @@ def decode(data: bytes) -> WireMessage:
             x, y, w, h, conf = _SPAN_BOX.unpack(data, pos)
             pos += _SPAN_BOX.size
             spans.append(TextSpan(text, Rect(x, y, w, h), conf))
-        body = OcrPayload(kind, frame_ts, tuple(spans), selection != 0, flags)
+        body = OcrPayload(kind, frame_ts, tuple(spans), selection == 1, flags)
         violations = validate_payload(body)
         if violations:
-            raise CorruptFrameError(f"invalid payload: {violations[0]}", fields_at)
+            raise CorruptFrameError(f"invalid payload: {violations[0]}", _HEAD.size)
     elif msg_type == MSG_VIDEO_SEGMENT:
-        fields_at = pos
         start_ms, duration_ms, fps, res_code = _VIDEO_FIELDS.unpack(data, pos)
         pos += _VIDEO_FIELDS.size
         if res_code not in _CODE_RESOLUTION:
@@ -266,7 +312,7 @@ def decode(data: bytes) -> WireMessage:
         try:
             body = VideoSegment(start_ms, duration_ms, fps, _CODE_RESOLUTION[res_code], bitrate_bps)
         except ValueError as exc:
-            raise CorruptFrameError(f"invalid video segment: {exc}", fields_at) from None
+            raise CorruptFrameError(f"invalid video segment: {exc}", _HEAD.size) from None
     elif msg_type == MSG_SELECTION_EVENT:
         (frame_ts,) = _SELECTION_FIELDS.unpack(data, pos)
         pos += _SELECTION_FIELDS.size
@@ -282,6 +328,7 @@ def decode(data: bytes) -> WireMessage:
     return WireMessage(session_id, body)
 
 
+@_slot_init
 @dataclass(frozen=True, slots=True)
 class UplinkLedger:
     """Exact per-session bit accounting for the simulated uplink."""

@@ -1,10 +1,15 @@
+import dataclasses
 import gc
+import inspect
 import math
 import sys
 import unicodedata
+from dataclasses import InitVar, dataclass, field
+from fractions import Fraction
 
 import pytest
 
+from wearocr import wire
 from wearocr.model import (
     Detection,
     DetectionClass,
@@ -12,9 +17,11 @@ from wearocr.model import (
     ImuSample,
     OcrPayload,
     PayloadKind,
+    QualityFlag,
     Rect,
     Resolution,
     TextSpan,
+    _slot_init,
     collector_paused,
     line_fault,
     validate_payload,
@@ -186,3 +193,119 @@ def test_collector_paused_nests_and_restores_on_error(enabled):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+# -- the slot-storing __init__ -----------------------------------------------------
+
+# Each class the helper serves, with values for every field, in order.
+_BOX = Rect(0.25, 0.5, 0.125, 0.25)
+SLOT_INIT_CASES = {
+    Rect: (0.25, 0.5, 0.125, 0.25),
+    ImuSample: (5, (0.5, -0.0, 0.0), (0.0, 0.0, 9.8)),
+    Detection: (DetectionClass.HAND_POINTING, _BOX, 0.75, ((0.5, 0.5),)),
+    TextSpan: ("exit", _BOX, 0.75),
+    FrameRecord: (
+        100, Resolution.MP5, 8000, (ImuSample(1, (0.0,) * 3, (0.0,) * 3),), (), (1.0, 0.0), ("exit",), True,
+    ),
+    OcrPayload: (
+        PayloadKind.TEXT_OCR, 7, (TextSpan("exit", _BOX, 0.75),), True, frozenset({QualityFlag.CROPPED}), True,
+    ),
+    wire.WireMessage: (3, OcrPayload(PayloadKind.NO_TEXT, 4)),
+    wire.UplinkLedger: (Fraction(5, 2), 64, 3),
+}
+
+
+def stock_twin(cls):
+    """A stock ``@dataclass(frozen=True, slots=True)`` with the name,
+    fields and defaults of ``cls``."""
+    fields = [
+        (f.name, f.type) if f.default is dataclasses.MISSING else (f.name, f.type, field(default=f.default))
+        for f in dataclasses.fields(cls)
+    ]
+    return dataclasses.make_dataclass(cls.__name__, fields, frozen=True, slots=True)
+
+
+def slot_values(obj):
+    return [getattr(obj, name) for name in type(obj).__slots__]
+
+
+def outcome(fn, *args, **kwargs):
+    """The type and text of the error ``fn`` raises, or the ``repr`` of its value."""
+    try:
+        return "value", repr(fn(*args, **kwargs))
+    except (TypeError, AttributeError) as exc:  # FrozenInstanceError is an AttributeError
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("cls", list(SLOT_INIT_CASES), ids=lambda cls: cls.__name__)
+def test_slot_init_behaves_as_the_stock_init(cls):
+    twin = stock_twin(cls)
+    values = SLOT_INIT_CASES[cls]
+    names = [f.name for f in dataclasses.fields(cls)]
+    # The helper's __init__ stores each argument through its slot and does nothing else.
+    assert cls.__init__.__code__.co_names == tuple(f"_set_{name}" for name in names)
+    assert inspect.signature(cls) == inspect.signature(twin)
+    assert inspect.signature(cls.__init__) == inspect.signature(twin.__init__)
+    assert cls.__init__.__qualname__ == twin.__init__.__qualname__ == f"{cls.__name__}.__init__"
+    assert cls.__slots__ == twin.__slots__ == tuple(names)
+    assert "__dict__" not in dir(cls(*values))
+
+    obj, stock = cls(*values), twin(*values)
+    assert slot_values(obj) == slot_values(stock) == list(values)
+    assert slot_values(cls(**dict(zip(names, values)))) == list(values)
+    required = sum(f.default is dataclasses.MISSING for f in dataclasses.fields(cls))
+    assert slot_values(cls(*values[:required])) == slot_values(twin(*values[:required]))
+    assert repr(obj) == repr(stock)
+    assert hash(obj) == hash(stock)
+    assert obj == cls(*values) and not obj != cls(*values)
+    assert sys.getsizeof(obj) == sys.getsizeof(stock)
+
+    changed = dataclasses.replace(obj, **{names[0]: values[1]})
+    assert type(changed) is cls and changed != obj
+    assert slot_values(changed) == slot_values(dataclasses.replace(stock, **{names[0]: values[1]}))
+    assert outcome(setattr, obj, names[0], values[0]) == outcome(setattr, stock, names[0], values[0])
+    assert outcome(setattr, obj, names[0], values[0])[0] is dataclasses.FrozenInstanceError
+
+    # TypeError texts: a missing argument, one too many, an unknown keyword
+    # and a repeated one.
+    assert outcome(cls)[0] is (TypeError if required else "value")
+    assert outcome(cls) == outcome(twin)
+    assert outcome(cls, *values[: required - 1]) == outcome(twin, *values[: required - 1])
+    assert outcome(cls, *values, None) == outcome(twin, *values, None)
+    assert outcome(cls, *values, nope=1) == outcome(twin, *values, nope=1)
+    assert outcome(cls, *values, **{names[0]: values[0]}) == outcome(twin, *values, **{names[0]: values[0]})
+
+
+def test_slot_init_refuses_a_class_it_cannot_serve():
+    with pytest.raises(TypeError, match="has a __post_init__"):
+
+        @_slot_init
+        @dataclass(frozen=True, slots=True)
+        class Checked:
+            x: int
+
+            def __post_init__(self):
+                pass
+
+    cases = {
+        "default_factory": lambda: field(default_factory=tuple),
+        "kw_only": lambda: field(kw_only=True),
+        "init=False": lambda: field(default=0, init=False),
+    }
+    for what, make_field in cases.items():
+        namespace = {"__annotations__": {"x": "int", "y": "int"}, "y": make_field()}
+        with pytest.raises(TypeError, match=r"Odd\.y is not a plain field"):
+            _slot_init(dataclass(frozen=True, slots=True)(type("Odd", (), namespace)))
+    with pytest.raises(TypeError, match="has an InitVar"):
+
+        @_slot_init
+        @dataclass(frozen=True, slots=True)
+        class WithInitVar:
+            x: int
+            y: InitVar[int] = 0
+
+    for params in ({"frozen": True}, {"slots": True}):
+        with pytest.raises(TypeError, match="is not a frozen, slotted dataclass"):
+            _slot_init(dataclass(**params)(type("Plain", (), {"__annotations__": {"x": "int"}})))
+    with pytest.raises(TypeError, match="is not a frozen, slotted dataclass"):
+        _slot_init(type("NotADataclass", (), {}))

@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wearocr import tracefile
@@ -506,6 +506,32 @@ def test_reader_refuses_a_word_exactly_when_validate_trace_does(word):
     assert str(info.value) == f"{path}:2: field gt_words[1]: {fault}"
 
 
+@given(st.lists(st.text(alphabet=edge_chars, min_size=1, max_size=3), min_size=1, max_size=4))
+@example(["a b", "c\td"])
+@settings(max_examples=300, deadline=None)
+def test_reader_names_the_first_word_validate_trace_names(words):
+    frame = FrameRecord(1, Resolution.MP12, 8000, (), (), (0.5,), tuple(words))
+    violations = validate_trace([frame])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.ndjson"
+        write_trace(path, [frame])
+        if not violations:
+            assert read_trace(path)[1] == [frame]
+            return
+        with pytest.raises(TraceFormatError) as info:
+            read_trace(path)
+    index, fault = re.fullmatch(r"frame 0: gt word (\d+) holds (.+)", violations[0]).groups()
+    assert str(info.value) == f"{path}:2: field gt_words[{index}]: {fault}"
+
+
+def test_reader_names_the_first_of_two_faulty_words(tmp_path):
+    frame = FrameRecord(1, Resolution.MP12, 8000, (), (), (0.5,), ("a b", "c\td"))
+    assert validate_trace([frame])[0] == "frame 0: gt word 0 holds whitespace U+0020 at character 2"
+    write_trace(tmp_path / "trace.ndjson", [frame])
+    with pytest.raises(TraceFormatError, match=r":2: field gt_words\[0\]: whitespace U\+0020 at character 2$"):
+        read_trace(tmp_path / "trace.ndjson")
+
+
 @given(st.text(alphabet=edge_chars, min_size=1, max_size=4), st.sampled_from(["question", "target_lang"]))
 @settings(max_examples=300, deadline=None)
 def test_reader_refuses_a_question_or_language_exactly_when_replay_does(text, field):
@@ -544,6 +570,19 @@ def test_signed_zeros_and_integers_are_not_merged(tmp_path):
     assert back[1].scene_sig is not back[0].scene_sig
     write_trace(tmp_path / "again.ndjson", back)
     assert (tmp_path / "again.ndjson").read_bytes() == path.read_bytes()
+
+
+def test_a_gyro_after_its_signed_zero_twin_keeps_its_sign(tmp_path):
+    # The float memo gives each "0.0" one object and "-0.0" another, so the
+    # second gyro holds other objects than the first and is not shared.
+    zero, minus_zero = (0.0, 0.0, 0.0), (-0.0, 0.0, 0.0)
+    imu = tuple(ImuSample(k, gyro, (0.0, 0.0, 1.0)) for k, gyro in enumerate([zero, minus_zero, minus_zero, zero]))
+    frame = FrameRecord(0, Resolution.MP12, 8000, imu, (), (0.5,), ())
+    write_trace(tmp_path / "trace.ndjson", [frame])
+    (back,) = read_trace(tmp_path / "trace.ndjson")[1]
+    assert float_bits(back) == float_bits(frame)
+    assert [math.copysign(1.0, s.gyro[0]) for s in back.imu] == [1.0, -1.0, -1.0, 1.0]
+    assert back.imu[1].gyro is back.imu[2].gyro is not back.imu[0].gyro
 
 
 def test_equal_signatures_are_shared_after_reading(tmp_path):

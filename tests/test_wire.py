@@ -33,6 +33,25 @@ GOLDEN_HEX = (
 )
 
 
+# Golden frames of the three spanless payloads a device pass sends most:
+# one per kind, with the flag a blurry frame carries and with a selection
+# mark.  Must never change.
+SPANLESS_GOLDENS = [
+    (
+        OcrPayload(kind=PayloadKind.NO_TEXT, frame_ts_ms=1500),
+        "0000001b0101020304050607080200000000000005dc000000000000000000",
+    ),
+    (
+        OcrPayload(kind=PayloadKind.BLURRY, frame_ts_ms=1500, quality_flags=frozenset({QualityFlag.BLURRY})),
+        "0000001c0101020304050607080400000000000005dc00000000010100000000",
+    ),
+    (
+        OcrPayload(kind=PayloadKind.SIMILAR_SCENE, frame_ts_ms=1500, selection=True),
+        "0000001b0101020304050607080300000000000005dc010000000000000000",
+    ),
+]
+
+
 def texts():
     return st.text(
         alphabet=st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12
@@ -117,6 +136,32 @@ class TestCodec:
     def test_golden_hex_vector(self):
         assert wire.encode(GOLDEN_MESSAGE).hex() == GOLDEN_HEX
         assert wire.decode(bytes.fromhex(GOLDEN_HEX)) == GOLDEN_MESSAGE
+
+    @pytest.mark.parametrize("payload, golden", SPANLESS_GOLDENS, ids=["no_text", "blurry", "similar"])
+    def test_spanless_golden_hex_vectors(self, payload, golden):
+        msg = wire.WireMessage(session_id=GOLDEN_MESSAGE.session_id, body=payload)
+        assert wire.encode(msg).hex() == golden
+        assert wire.decode(bytes.fromhex(golden)) == msg
+
+    @pytest.mark.parametrize("value", [2, 3, 0x80, 0xFF])
+    def test_selection_byte_other_than_0_or_1_is_corrupt(self, value):
+        frame = bytearray(bytes.fromhex(SPANLESS_GOLDENS[0][1]))
+        assert frame[SELECTION_AT] == 0
+        frame[SELECTION_AT] = value
+        frame = bytes(frame)
+        with pytest.raises(wire.CorruptFrameError, match=f"selection byte {value} is neither 0 nor 1") as info:
+            wire.decode(frame)
+        assert info.value.offset == SELECTION_AT
+        assert codec_outcome(wire.decode, frame) == codec_outcome(oracle_decode, frame)
+
+    def test_a_bad_kind_is_named_before_a_bad_selection_byte(self):
+        frame = bytearray(bytes.fromhex(SPANLESS_GOLDENS[0][1]))
+        frame[13], frame[SELECTION_AT] = 99, 2
+        frame = bytes(frame)
+        with pytest.raises(wire.CorruptFrameError, match="unknown payload kind 99") as info:
+            wire.decode(frame)
+        assert info.value.offset == 13
+        assert codec_outcome(wire.decode, frame) == codec_outcome(oracle_decode, frame)
 
     def test_empty_input_incomplete(self):
         with pytest.raises(wire.IncompleteFrameError):
@@ -347,7 +392,9 @@ def oracle_decode(data):
         except ValueError:
             raise wire.CorruptFrameError(f"unknown payload kind {kind_code}", r.offset - 1) from None
         frame_ts = r.get(_ORACLE_U64)
-        selection = r.get(_ORACLE_U8) != 0
+        selection = r.get(_ORACLE_U8)
+        if selection not in (0, 1):
+            raise wire.CorruptFrameError(f"selection byte {selection} is neither 0 nor 1", r.offset - 1)
         flags = set()
         for _ in range(r.get(_ORACLE_U32)):
             code = r.get(_ORACLE_U8)
@@ -361,7 +408,7 @@ def oracle_decode(data):
             spans.append(TextSpan(text=text, bbox=bbox, conf=r.get(_ORACLE_F64)))
         body = OcrPayload(
             kind=kind, frame_ts_ms=frame_ts, spans=tuple(spans),
-            selection=selection, quality_flags=frozenset(flags),
+            selection=selection == 1, quality_flags=frozenset(flags),
         )
         violations = validate_payload(body)
         if violations:
@@ -485,6 +532,23 @@ class TestAgainstFieldByFieldCodec:
 # The flag codes of an OCR payload frame start after the length, type,
 # session id, kind, frame_ts_ms, selection and flag count fields.
 FLAGS_AT = 27
+SELECTION_AT = 22
+
+
+@pytest.mark.parametrize(
+    "golden", [GOLDEN_HEX] + [golden for _, golden in SPANLESS_GOLDENS], ids=["spans", "no_text", "blurry", "similar"]
+)
+def test_every_prefix_of_a_golden_frame_decodes_as_the_oracle_does(golden):
+    whole = bytes.fromhex(golden)
+    for cut in range(len(whole) + 1):
+        prefix = whole[:cut]
+        frames = [prefix]
+        if cut >= 4:
+            # The same bytes declaring the length they have, so decoding
+            # runs into the cut inside the body.
+            frames.append((cut - 4).to_bytes(4, "big") + prefix[4:])
+        for frame in frames:
+            assert codec_outcome(wire.decode, frame) == codec_outcome(oracle_decode, frame), (cut, frame.hex())
 
 
 def frame_with_flag_codes(codes: bytes, count: int | None = None) -> bytes:
