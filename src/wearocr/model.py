@@ -17,7 +17,6 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from operator import mul
 from typing import Iterable, Sequence, TypeVar
 
 
@@ -35,6 +34,14 @@ def collector_paused():
     no reference cycles, yet every full collection would walk all of
     them again.  Nested use and errors leave the caller's state as it
     was.  The pause is process-wide, not per thread.
+
+    The outermost exit first moves every tracked object into the oldest
+    generation (``gc.freeze()`` then ``gc.unfreeze()``, two list
+    splices), so the first allocation after it does not walk what the
+    paused call built; the caller's young objects move too, and their
+    cycles wait for a full collection.  When some object is already
+    frozen the exit only re-enables the collector, so a frozen object
+    stays frozen.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -42,6 +49,9 @@ def collector_paused():
         yield
     finally:
         if enabled:
+            if gc.get_freeze_count() == 0:
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 
@@ -172,8 +182,15 @@ class ImuSample:
     accel: tuple[float, float, float]
 
     def norm6(self) -> float:
-        """Euclidean norm of the concatenated 6-dof gyro+accel vector."""
-        return math.sqrt(sum(map(mul, self.gyro, self.gyro)) + sum(map(mul, self.accel, self.accel)))
+        """Euclidean norm of the concatenated 6-dof gyro+accel vector.
+
+        ``gyro`` and ``accel`` hold 3 components each (``validate_trace``).
+        Each vector's squares are added left to right, then the two sums:
+        the same bits on every Python, as ``sum()`` gave before 3.12.
+        """
+        gx, gy, gz = self.gyro
+        ax, ay, az = self.accel
+        return math.sqrt(gx * gx + gy * gy + gz * gz + (ax * ax + ay * ay + az * az))
 
 
 @_slot_init
@@ -312,6 +329,9 @@ def validate_trace(frames: Sequence[FrameRecord]) -> list[str]:
     # and ``read_trace`` both do this); a tuple is checked once.
     checked_sig: tuple[float, ...] | None = None
     sig_finite = True
+    # Likewise the IMU samples of a frame often share one gyro tuple.
+    checked_gyro: tuple[float, ...] | None = None
+    gyro_ok = True
     for i, frame in enumerate(frames):
         if prev_ts is not None and frame.ts_ms <= prev_ts:
             violations.append(f"frame {i}: non-increasing timestamp at index {i}")
@@ -333,11 +353,19 @@ def validate_trace(frames: Sequence[FrameRecord]) -> list[str]:
         for j, sample in enumerate(frame.imu):
             if sample.ts_us < 0:
                 violations.append(f"frame {i}: imu sample {j} has negative ts_us")
-            try:  # ``_finite`` inlined: this runs for every IMU sample
-                finite = all(map(isfinite, sample.gyro)) and all(map(isfinite, sample.accel))
-            except OverflowError:
-                finite = False
-            if not finite:
+            gyro, accel = sample.gyro, sample.accel
+            if gyro is not checked_gyro:
+                checked_gyro, gyro_ok = gyro, len(gyro) == 3 and _finite(gyro)
+            if gyro_ok and len(accel) == 3:
+                try:  # ``_finite`` inlined: this runs for every IMU sample
+                    if all(map(isfinite, accel)):
+                        continue
+                except OverflowError:
+                    pass
+            for name, vector in (("gyro", gyro), ("accel", accel)):
+                if len(vector) != 3:
+                    violations.append(f"frame {i}: imu sample {j} {name} has {len(vector)} components, expected 3")
+            if not (_finite(gyro) and _finite(accel)):
                 violations.append(f"frame {i}: imu sample {j} has non-finite vector")
         for j, det in enumerate(frame.detections):
             if not (0.0 <= det.conf <= 1.0):

@@ -17,7 +17,7 @@ import bisect
 import functools
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import Sequence
 
 from .model import OcrPayload, PayloadKind, QualityFlag, QueryRecord
@@ -75,9 +75,10 @@ def payload_similarity(a: OcrPayload, b: OcrPayload) -> float:
 def _exemplar_key(p: OcrPayload) -> tuple[int, float, int]:
     """A group's exemplar is its member with the largest key: the most
     span characters, then the higher mean span confidence, then the
-    latest timestamp."""
+    latest timestamp.  The confidences are added left to right, the same
+    bits on every Python."""
     chars = sum(len(s.text) for s in p.spans)
-    mean_conf = sum(s.conf for s in p.spans) / len(p.spans) if p.spans else 0.0
+    mean_conf = functools.reduce(add, [s.conf for s in p.spans], 0) / len(p.spans) if p.spans else 0.0
     return (chars, mean_conf, p.frame_ts_ms)
 
 

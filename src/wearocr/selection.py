@@ -16,7 +16,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, ROUND_HALF_DOWN, Decimal
 from enum import Enum
-from operator import mul
+from functools import reduce
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from .model import Detection, DetectionClass, FrameRecord, PayloadKind, Rect
@@ -75,8 +76,10 @@ def motion_energy(frame: FrameRecord) -> float:
 
 
 def signature_norm(v: Sequence[float]) -> float:
-    """Euclidean norm of a scene signature, summed in component order."""
-    return math.sqrt(sum(map(mul, v, v)))
+    """Euclidean norm of a scene signature, summed left to right in
+    component order: the same bits on every Python, as ``sum()`` gave
+    before 3.12 made it compensated."""
+    return math.sqrt(reduce(add, map(mul, v, v), 0))
 
 
 def _cosine(a: Sequence[float], na: float, b: Sequence[float], nb: float) -> float:
@@ -86,7 +89,7 @@ def _cosine(a: Sequence[float], na: float, b: Sequence[float], nb: float) -> flo
         raise ValueError(f"scene signature dimension mismatch: {len(a)} vs {len(b)}")
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return sum(map(mul, a, b)) / (na * nb)
+    return reduce(add, map(mul, a, b), 0) / (na * nb)
 
 
 @dataclass(frozen=True, slots=True)

@@ -51,7 +51,12 @@ def select_exemplar(members):
         raise ValueError("group must be non-empty")
 
     def key(p):
-        mean_conf = sum(s.conf for s in p.spans) / len(p.spans) if p.spans else 0.0
+        # Confidences added left to right from 0, on every Python
+        # (``sum()`` of floats is compensated from 3.12 on).
+        total_conf = 0
+        for s in p.spans:
+            total_conf += s.conf
+        mean_conf = total_conf / len(p.spans) if p.spans else 0.0
         return (sum(len(s.text) for s in p.spans), mean_conf, p.frame_ts_ms)
 
     return max(members, key=key).frame_ts_ms

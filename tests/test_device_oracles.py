@@ -1,13 +1,15 @@
-"""The device path's float arithmetic against its generator-expression form.
+"""The device path's float arithmetic against its plain-loop form.
 
 Every float on the device path is part of the determinism contract
 (README, design notes): a rewrite for speed must return the very same
-bits.  The oracles below are the straightforward generator-expression
+bits, on every Python.  The oracles below are the straightforward
 versions of ``ImuSample.norm6``, ``motion_energy``, the cosine of two
 scene signatures (``scene_similarity``, as ``process_frame`` computes
-it) and ``process_frame``; the properties compare with ``==`` (plus the sign
-of zero, and NaN with NaN), never approximately.  ``is_blurry`` is compared
-with a walk of the paper's blur tree as nodes.
+it) and ``process_frame``, each sum an explicit left-to-right ``+=`` loop
+from ``0`` (``sum()`` of floats is compensated from Python 3.12 on, so it
+is no oracle); the properties compare with ``==`` (plus the sign of zero,
+and NaN with NaN), never approximately.  ``is_blurry`` is compared with a
+walk of the paper's blur tree as nodes.
 """
 
 import math
@@ -42,8 +44,16 @@ def scene_similarity(a, b):
 # -- oracles ----------------------------------------------------------------
 
 
+def fold_products(a, b):
+    """The sum of ``a[i] * b[i]``, added left to right from 0."""
+    total = 0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
 def oracle_norm6(sample):
-    return math.sqrt(sum(v * v for v in sample.gyro) + sum(v * v for v in sample.accel))
+    return math.sqrt(fold_products(sample.gyro, sample.gyro) + fold_products(sample.accel, sample.accel))
 
 
 def oracle_motion_energy(frame):
@@ -81,9 +91,9 @@ def oracle_is_blurry(motion, exposure_us):
 def oracle_scene_similarity(a, b):
     if len(a) != len(b):
         raise ValueError(f"scene signature dimension mismatch: {len(a)} vs {len(b)}")
-    dot = sum(x * y for x, y in zip(a, b))
-    na = math.sqrt(sum(x * x for x in a))
-    nb = math.sqrt(sum(y * y for y in b))
+    dot = fold_products(a, b)
+    na = math.sqrt(fold_products(a, a))
+    nb = math.sqrt(fold_products(b, b))
     if na == 0.0 or nb == 0.0:
         return 0.0
     return dot / (na * nb)
@@ -155,7 +165,7 @@ def vector_pairs():
 
 
 def imu_samples(ts_us=st.integers(-5, 20)):
-    return st.builds(ImuSample, ts_us, vectors(), vectors())
+    return st.builds(ImuSample, ts_us, vectors(3, 3), vectors(3, 3))
 
 
 # -- properties -------------------------------------------------------------

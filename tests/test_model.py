@@ -91,6 +91,36 @@ def test_non_finite_signature_reported_on_every_frame_sharing_it():
     ]
 
 
+def test_imu_vector_without_three_components_reported():
+    frames = [
+        make_frame(100, imu=(ImuSample(100_000, (0.1, 0.0), (0.0, 9.8, 0.0)),)),
+        make_frame(200, imu=(ImuSample(200_000, (0.1, 0.0, 0.0), (0.0, 9.8, 0.0, 1.0)),)),
+        make_frame(300, imu=(ImuSample(300_000, (), (math.inf,)),)),
+    ]
+    assert validate_trace(frames) == [
+        "frame 0: imu sample 0 gyro has 2 components, expected 3",
+        "frame 1: imu sample 0 accel has 4 components, expected 3",
+        "frame 2: imu sample 0 gyro has 0 components, expected 3",
+        "frame 2: imu sample 0 accel has 1 components, expected 3",
+        "frame 2: imu sample 0 has non-finite vector",
+    ]
+
+
+def test_imu_faults_reported_on_every_sample_sharing_a_gyro():
+    bad, good = (math.nan, 0.0, 0.0), (0.0, 0.0, 0.0)
+    imu = tuple(ImuSample(100_000 + k, gyro, (0.0, 0.0, 1.0)) for k, gyro in enumerate((bad, bad, good, bad)))
+    short = (0.0, 0.0)
+    imu += (ImuSample(100_004, short, (0.0, 0.0, 1.0)), ImuSample(100_005, short, (0.0, 0.0, 10**400)))
+    assert validate_trace([make_frame(100, imu=imu)]) == [
+        "frame 0: imu sample 0 has non-finite vector",
+        "frame 0: imu sample 1 has non-finite vector",
+        "frame 0: imu sample 3 has non-finite vector",
+        "frame 0: imu sample 4 gyro has 2 components, expected 3",
+        "frame 0: imu sample 5 gyro has 2 components, expected 3",
+        "frame 0: imu sample 5 has non-finite vector",
+    ]
+
+
 def test_keypoints_only_on_hand_pointing():
     bad = make_frame(
         detections=(
@@ -193,6 +223,64 @@ def test_collector_paused_nests_and_restores_on_error(enabled):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+def _in_young_generations(objects) -> bool:
+    ids = {id(o) for o in objects}
+    return any(id(o) in ids for generation in (0, 1) for o in gc.get_objects(generation))
+
+
+@pytest.mark.skipif(gc.get_freeze_count() != 0, reason="the interpreter starts with frozen objects")
+def test_frames_read_with_the_collector_paused_leave_the_young_generations(tmp_path):
+    write_trace(tmp_path / "trace.ndjson", [make_frame(ts) for ts in range(100, 2100, 100)])
+    was_enabled = gc.isenabled()
+    gc.enable()
+    try:
+        frames = read_trace(tmp_path / "trace.ndjson")[1]
+        assert not _in_young_generations(frames)
+        assert not _in_young_generations(frame.imu[0] for frame in frames)
+    finally:
+        if not was_enabled:
+            gc.disable()
+
+
+def test_collector_pause_keeps_the_freeze_count():
+    was_enabled = gc.isenabled()
+    froze = False
+    built = []  # kept alive: a frozen object that is freed leaves the count
+    gc.enable()
+    try:
+        for _ in range(2):
+            count = gc.get_freeze_count()
+            with collector_paused():
+                built.append([[n] for n in range(1000)])
+            assert gc.get_freeze_count() == count
+            if count == 0:  # again, with the caller's objects frozen
+                gc.freeze()
+                froze = True
+        assert gc.get_freeze_count() > 0
+    finally:
+        if froze:
+            gc.unfreeze()
+        if not was_enabled:
+            gc.disable()
+
+
+def test_inner_collector_pause_exit_does_nothing():
+    was_enabled = gc.isenabled()
+    gc.enable()
+    try:
+        with collector_paused():
+            count = gc.get_freeze_count()
+            marker = []
+            with collector_paused():
+                built = [[n] for n in range(1000)]
+            assert not gc.isenabled()
+            assert gc.get_freeze_count() == count
+            assert _in_young_generations([marker, built])
+    finally:
+        if not was_enabled:
+            gc.disable()
 
 
 # -- the slot-storing __init__ -----------------------------------------------------

@@ -14,7 +14,7 @@ from oracles import (
     text_similarity,
 )
 from wearocr.model import OcrPayload, PayloadKind, QualityFlag, QueryMode, QueryRecord, Rect, TextSpan
-from wearocr.osm import SessionTimeline, _min_overlap, near_duplicate, size_filter
+from wearocr.osm import SessionTimeline, _exemplar_key, _min_overlap, near_duplicate, size_filter
 
 
 def text_payload(ts, text, selection=False, conf=0.9, flags=frozenset()):
@@ -78,6 +78,15 @@ class TestSelectExemplar:
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
             select_exemplar([])
+
+    def test_mean_confidence_adds_left_to_right(self):
+        # Seven spans at an MP12 frame's confidence: ``sum()`` gives a mean
+        # of 0.8903999999999999 on Python 3.10 and 3.11, 0.8904 from 3.12 on.
+        seven = text_payload(10, "a b c d e f g", conf=0.8904)
+        one = text_payload(5, "abcdefg", conf=0.8904)
+        assert _exemplar_key(seven) == (7, 0.8903999999999999, 10)
+        assert _exemplar_key(one) == (7, 0.8904, 5)
+        assert select_exemplar([seven, one]) == 5
 
 
 class TestIngestAndGrouping:

@@ -112,6 +112,13 @@ class TestReplay:
         with pytest.raises(ReplayError, match=rf"invalid trace: frame {frame}: ts_ms {ts_ms} outside \[0, 2\*\*63\)"):
             replay(frames, [])
 
+    def test_imu_vector_without_three_components_rejected(self):
+        frames = make_frames(duration_s=30)
+        sample = frames[3].imu[0]
+        frames[3] = replace(frames[3], imu=(replace(sample, gyro=sample.gyro[:2]),) + frames[3].imu[1:])
+        with pytest.raises(ReplayError, match="^invalid trace: frame 3: imu sample 0 gyro has 2 components, expected 3$"):
+            replay(frames, [])
+
     def test_last_timestamp_below_2_63_replays(self):
         frames = make_frames(duration_s=30)
         shift = 2**63 - 1 - frames[-1].ts_ms

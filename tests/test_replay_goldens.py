@@ -3,12 +3,15 @@
 A refactor must keep both reports byte-identical; the machine report
 carries every prompt's digest, so prompts are pinned too.  The cases are
 chosen so that server grouping, ``consolidate`` and ``dedup_prompt_ocr``
-each change something on the way to a prompt.
+each change something on the way to a prompt.  One more case, a
+two-frame trace at the similarity gate's threshold, pins the device
+path's float sums through the CLI on every Python.
 
 Regenerate after an intended behaviour change with
 ``PYTHONPATH=src python tests/test_replay_goldens.py``.
 """
 
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -17,9 +20,10 @@ from pathlib import Path
 import pytest
 
 import wearocr.replay as replay_module
-from wearocr.model import FrameRecord, QueryMode, QueryRecord
+from wearocr.cli import main
+from wearocr.model import Detection, DetectionClass, FrameRecord, ImuSample, QueryMode, QueryRecord, Rect, Resolution
 from wearocr.replay import ReplayResult, ShuffleConfig, SimConfig, emit_report, replay
-from wearocr.tracefile import TraceSpec, generate_frames
+from wearocr.tracefile import TraceSpec, generate_frames, write_trace
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 MODES = (QueryMode.QA, QueryMode.READOUT, QueryMode.TRANSLATION)
@@ -120,8 +124,50 @@ def test_cases_exercise_server_dedup(monkeypatch):
     assert counts["deduped"] > 0
 
 
+# Two sharp text frames 500 ms apart whose scene cosine is
+# 0.9983009499075854 when each sum is added left to right, as the device
+# path does on every Python, and 0.9983009499075857 with the compensated
+# ``sum()`` of Python 3.12+.  The config's threshold is the latter, so the
+# second frame passes the similarity gate only under the first rule.
+BOUNDARY_TRACE = GOLDEN_DIR / "boundary_trace.ndjson"
+BOUNDARY_CONFIG = GOLDEN_DIR / "boundary_config.json"
+BOUNDARY_REPORT = GOLDEN_DIR / "boundary_report.ndjson"
+BOUNDARY_SETTINGS = {"selector": {"similarity_threshold": 0.9983009499075857}}
+
+
+def boundary_frames() -> list[FrameRecord]:
+    rng = random.Random(11)
+    a = [rng.uniform(-1, 1) for _ in range(16)]
+    b = [x + rng.uniform(-0.05, 0.05) for x in a]
+    text = (Detection(DetectionClass.TEXT_OBJECT, Rect(0.3, 0.3, 0.4, 0.3), 0.9),)
+
+    def frame(ts_ms: int, sig: list[float], words: tuple[str, ...]) -> FrameRecord:
+        imu = tuple(ImuSample(ts_ms * 1000 + offset, (0.1, 0.0, 0.0), (0.0, 0.0, 0.05)) for offset in (0, 2666, 5333))
+        return FrameRecord(ts_ms, Resolution.MP12, 8000, imu, text, tuple(sig), words)
+
+    return [frame(0, a, ("exit", "gate")), frame(500, b, ("exit", "gate", "north"))]
+
+
+def test_boundary_trace_matches_its_recipe(tmp_path):
+    write_trace(tmp_path / "trace.ndjson", boundary_frames())
+    assert (tmp_path / "trace.ndjson").read_bytes() == BOUNDARY_TRACE.read_bytes()
+    assert json.loads(BOUNDARY_CONFIG.read_text(encoding="utf-8")) == BOUNDARY_SETTINGS
+
+
+def test_boundary_report_is_the_same_on_every_python(capsys):
+    argv = ["report", "--trace", str(BOUNDARY_TRACE), "--config", str(BOUNDARY_CONFIG), "--format", "machine"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert printed == BOUNDARY_REPORT.read_text(encoding="utf-8")
+    assert json.loads(printed.splitlines()[1])["stage_counts"]["after_similarity_filter"] == 2
+
+
 if __name__ == "__main__":
     for name in CASES:
         report = run_case(name).report
         for fmt in FORMATS:
             golden_path(name, fmt).write_text(emit_report(report, fmt), encoding="utf-8")
+    write_trace(BOUNDARY_TRACE, boundary_frames())
+    BOUNDARY_CONFIG.write_text(json.dumps(BOUNDARY_SETTINGS) + "\n", encoding="utf-8")
+    config = SimConfig.from_obj(BOUNDARY_SETTINGS)
+    BOUNDARY_REPORT.write_text(emit_report(replay(boundary_frames(), [], config).report, "machine"), encoding="utf-8")
