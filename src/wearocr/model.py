@@ -255,13 +255,21 @@ class QueryRecord:
     target_lang: str | None = None
 
 
-def _finite(values: Iterable[float]) -> bool:
-    """Whether every value is a finite float; an integer beyond the float
-    range, such as 10**400, is not, as JSON's 1e400 reads as inf."""
-    try:
-        return all(map(math.isfinite, values))
-    except OverflowError:
-        return False
+# -2**63 and 2**63 exactly, as floats: Python compares an int with them exactly.
+_LOW, _HIGH = -(2.0**63), 2.0**63
+
+
+def _bounded(values: Iterable[float]) -> bool:
+    """Whether every value lies in [-2**63, 2**63).
+
+    This refuses nan and the infinities, and integers such as 10**400
+    that no float holds.  Below 2**63 each square is below 2**126, so the
+    sums of products the device pass forms stay far inside the float range.
+    """
+    for v in values:
+        if not _LOW <= v < _HIGH:
+            return False
+    return True
 
 
 def _text_fault(text: str, whitespace: bool) -> str | None:
@@ -321,14 +329,14 @@ def validate_trace(frames: Sequence[FrameRecord]) -> list[str]:
     an empty list means the trace is valid.  Violations are data, not
     faults: nothing is raised.
     """
-    isfinite = math.isfinite
+    low, high = _LOW, _HIGH
     violations: list[str] = []
     sig_dim: int | None = None
     prev_ts: int | None = None
     # Frames of one scene often share one signature tuple (the generator
     # and ``read_trace`` both do this); a tuple is checked once.
     checked_sig: tuple[float, ...] | None = None
-    sig_finite = True
+    sig_ok = True
     # Likewise the IMU samples of a frame often share one gyro tuple.
     checked_gyro: tuple[float, ...] | None = None
     gyro_ok = True
@@ -347,36 +355,37 @@ def validate_trace(frames: Sequence[FrameRecord]) -> list[str]:
         elif len(sig) != sig_dim:
             violations.append(f"frame {i}: scene_sig dimension {len(sig)} != {sig_dim}")
         if sig is not checked_sig:
-            checked_sig, sig_finite = sig, _finite(sig)
-        if not sig_finite:
+            checked_sig, sig_ok = sig, _bounded(sig)
+        if not sig_ok:
             violations.append(f"frame {i}: scene_sig has non-finite component")
         for j, sample in enumerate(frame.imu):
             if sample.ts_us < 0:
                 violations.append(f"frame {i}: imu sample {j} has negative ts_us")
             gyro, accel = sample.gyro, sample.accel
             if gyro is not checked_gyro:
-                checked_gyro, gyro_ok = gyro, len(gyro) == 3 and _finite(gyro)
+                checked_gyro, gyro_ok = gyro, len(gyro) == 3 and _bounded(gyro)
             if gyro_ok and len(accel) == 3:
-                try:  # ``_finite`` inlined: this runs for every IMU sample
-                    if all(map(isfinite, accel)):
-                        continue
-                except OverflowError:
-                    pass
+                ax, ay, az = accel  # ``_bounded`` inlined: this runs for every IMU sample
+                if low <= ax < high and low <= ay < high and low <= az < high:
+                    continue
             for name, vector in (("gyro", gyro), ("accel", accel)):
                 if len(vector) != 3:
                     violations.append(f"frame {i}: imu sample {j} {name} has {len(vector)} components, expected 3")
-            if not (_finite(gyro) and _finite(accel)):
+            if not (_bounded(gyro) and _bounded(accel)):
                 violations.append(f"frame {i}: imu sample {j} has non-finite vector")
         for j, det in enumerate(frame.detections):
             if not (0.0 <= det.conf <= 1.0):
                 violations.append(f"frame {i}: detection {j} confidence out of range")
             if not det.bbox.within_unit_square():
                 violations.append(f"frame {i}: detection {j} bbox outside unit square")
-            if det.keypoints is not None and det.cls is not DetectionClass.HAND_POINTING:
-                violations.append(
-                    f"frame {i}: detection {j} keypoints only legal for HandPointing"
-                )
-            if det.keypoints is not None and not _finite(v for point in det.keypoints for v in point):
+            if det.keypoints is None:
+                continue
+            if det.cls is not DetectionClass.HAND_POINTING:
+                violations.append(f"frame {i}: detection {j} keypoints only legal for HandPointing")
+            for k, point in enumerate(det.keypoints):
+                if len(point) != 2:
+                    violations.append(f"frame {i}: detection {j} keypoint {k} has {len(point)} coordinates, expected 2")
+            if not _bounded(v for point in det.keypoints for v in point):
                 violations.append(f"frame {i}: detection {j} has non-finite keypoint")
         words = frame.gt_words
         # The rule is per character, so one test of the joined words clears them all.

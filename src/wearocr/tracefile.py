@@ -43,6 +43,9 @@ QUERY_FORMAT = "wearocr-queries"
 FORMAT_VERSION = 1
 
 DEFAULT_SIG_DIM = 16
+# Every generated frame's exposure, and each fresh scene's word count range.
+_EXPOSURE_US = 8000
+_WORDS_MIN, _WORDS_MAX = 4, 12
 
 # Small fixed vocabulary for ground-truth text; variety only matters for
 # dedup realism, not semantics.
@@ -81,11 +84,6 @@ class TraceSpec:
     similarity_run_length: float
     selection_events: int = 0
     seed: int = 0
-    sig_dim: int = DEFAULT_SIG_DIM
-    resolution: Resolution = Resolution.MP12
-    exposure_us: int = 8000
-    words_min: int = 4
-    words_max: int = 12
 
     def __post_init__(self) -> None:
         for name in ("duration_s", "fps", "similarity_run_length"):
@@ -101,9 +99,6 @@ class TraceSpec:
             raise ValueError("duration_s must be >= 0 and fps > 0")
         if self.selection_events < 0:
             raise ValueError("selection_events must be >= 0")
-        for name in ("sig_dim", "exposure_us"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def similar_rate(self) -> float:
@@ -128,14 +123,14 @@ def generate_frames(spec: TraceSpec) -> list[FrameRecord]:
     scene_sig: tuple[float, ...] | None = None
     scene_words: tuple[str, ...] = ()
     prev_ts = -1
-    imu_offsets_us = (0, spec.exposure_us // 3, 2 * spec.exposure_us // 3)
+    imu_offsets_us = (0, _EXPOSURE_US // 3, 2 * _EXPOSURE_US // 3)
     text_detections = (Detection(DetectionClass.TEXT_OBJECT, Rect(0.3, 0.3, 0.4, 0.3), 0.9),)
 
     def fresh_sig() -> tuple[float, ...]:
         # One-hot cycling plus jitter: consecutive scenes stay far below
         # any reasonable cosine similarity threshold.
-        base = [-0.05 + 0.1 * uniform01() for _ in range(spec.sig_dim)]
-        base[scene_index % spec.sig_dim] += 1.0
+        base = [-0.05 + 0.1 * uniform01() for _ in range(DEFAULT_SIG_DIM)]
+        base[scene_index % DEFAULT_SIG_DIM] += 1.0
         return tuple(base)
 
     for i in range(count):
@@ -152,7 +147,7 @@ def generate_frames(spec: TraceSpec) -> list[FrameRecord]:
         similar = has_text and bool(scene_words) and uniform01() < spec.similar_rate
         if has_text and not similar and not blurry:
             scene_index += 1
-            n_words = rng.randint(spec.words_min, spec.words_max)
+            n_words = rng.randint(_WORDS_MIN, _WORDS_MAX)
             scene_words = tuple(rng.choice(_VOCAB) for _ in range(n_words))
             scene_sig = fresh_sig()
         elif scene_sig is None:
@@ -168,8 +163,8 @@ def generate_frames(spec: TraceSpec) -> list[FrameRecord]:
         frames.append(
             FrameRecord(
                 ts_ms,
-                spec.resolution,
-                spec.exposure_us,
+                Resolution.MP12,
+                _EXPOSURE_US,
                 imu,
                 text_detections if has_text else (),
                 scene_sig,

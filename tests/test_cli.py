@@ -259,10 +259,14 @@ def test_timestamp_outside_64_bits_is_an_error(inputs, capsys, line, ts_ms):
         ),
     ],
 )
-@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["10**400", "-10**400"])
+@pytest.mark.parametrize(
+    "value", [10**400, -(10**400), 10**200, 2**63, -(2**63) - 1], ids=["10**400", "-10**400", "10**200", "2**63", "-2**63-1"]
+)
 def test_number_beyond_the_float_range_is_an_error(inputs, capsys, edit, violation, value):
-    # Each once ended in an OverflowError traceback, from validate_trace or
-    # from the device pass after the trace had validated.
+    # 10**400 and 10**200 each once ended in an OverflowError traceback,
+    # from validate_trace or from the device pass after the trace had
+    # validated.  2**63 and -2**63-1 lie just outside the range every
+    # number must lie in, [-2**63, 2**63).
     trace, queries, _ = inputs
     lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
     frame = json.loads(lines[3])

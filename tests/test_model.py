@@ -67,6 +67,43 @@ def test_timestamp_range_ends_accepted():
     assert validate_trace([make_frame(0), make_frame(2**63 - 1)]) == []
 
 
+def hand(*keypoints):
+    return (Detection(DetectionClass.HAND_POINTING, Rect(0.2, 0.2, 0.5, 0.3), 0.9, tuple(keypoints)),)
+
+
+# One number of each kind: a scene signature's, a gyro's, an accel's and a keypoint's.
+NUMBER_EDITS = {
+    "scene_sig": (lambda v: {"scene_sig": (v,) + (0.0,) * 15}, "scene_sig has non-finite component"),
+    "gyro": (lambda v: {"imu": (ImuSample(100_000, (0.1, v, 0.0), (0.0, 9.8, 0.0)),)}, "imu sample 0 has non-finite vector"),
+    "accel": (lambda v: {"imu": (ImuSample(100_000, (0.1, 0.0, 0.0), (0.0, 9.8, v)),)}, "imu sample 0 has non-finite vector"),
+    "keypoint": (lambda v: {"detections": hand((0.5, 0.5), (v, 0.5))}, "detection 0 has non-finite keypoint"),
+}
+
+
+@pytest.mark.parametrize("kind", NUMBER_EDITS)
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 10**200], ids=["2**63", "-2**63-1", "10**200"])
+def test_integer_outside_64_bits_reported(kind, value):
+    # 10**200 once validated, then ended the device pass in OverflowError.
+    edit, violation = NUMBER_EDITS[kind]
+    assert validate_trace([make_frame(100, **edit(value))]) == [f"frame 0: {violation}"]
+
+
+@pytest.mark.parametrize("kind", NUMBER_EDITS)
+@pytest.mark.parametrize("value", [2**63 - 1, -(2**63)], ids=["2**63-1", "-2**63"])
+def test_integer_inside_64_bits_accepted(kind, value):
+    edit, _ = NUMBER_EDITS[kind]
+    assert validate_trace([make_frame(100, **edit(value))]) == []
+
+
+def test_keypoint_that_is_no_pair_reported():
+    # Once accepted, then ended replay in IndexError inside select_roi.
+    frame = make_frame(100, detections=hand((0.5,), (0.5, 0.5), (0.1, 0.2, 0.3)))
+    assert validate_trace([frame]) == [
+        "frame 0: detection 0 keypoint 0 has 1 coordinates, expected 2",
+        "frame 0: detection 0 keypoint 2 has 3 coordinates, expected 2",
+    ]
+
+
 def test_confidence_out_of_range_reported():
     bad = make_frame(
         detections=(

@@ -124,6 +124,29 @@ def test_cases_exercise_server_dedup(monkeypatch):
     assert counts["deduped"] > 0
 
 
+def test_report_does_not_depend_on_query_order():
+    # Queries were once answered in input order, so a group's fidelity
+    # source was the first prompt in the file to show it: reversed, this
+    # case recovered 348 tokens, and 347 in order.
+    frames = revisit(two_minute_trace(11), random.Random(11))
+    in_order = queries(2_000)
+    shuffled = in_order.copy()
+    random.Random(11).shuffle(shuffled)
+    base = replay(frames, in_order, SimConfig(seed=11))
+    texts = {p.query.ts_ms: p.text for p in base.prompts}
+    for order in (in_order[::-1], shuffled):
+        result = replay(frames, order, SimConfig(seed=11))
+        report = result.report
+        assert (report.fidelity, report.tokens_recovered, report.tokens_total) == (
+            base.report.fidelity,
+            base.report.tokens_recovered,
+            base.report.tokens_total,
+        )
+        assert [p.query for p in result.prompts] == order
+        assert {p.query.ts_ms: p.text for p in result.prompts} == texts
+        assert sorted(report.prompt_digests) == sorted(base.report.prompt_digests)
+
+
 # Two sharp text frames 500 ms apart whose scene cosine is
 # 0.9983009499075854 when each sum is added left to right, as the device
 # path does on every Python, and 0.9983009499075857 with the compensated

@@ -92,16 +92,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             TraceSpec(10, 0, 0.5, 0.0, 2.0)
 
-    @pytest.mark.parametrize("value", [0, -2])
-    def test_sig_dim_below_one(self, value):
-        with pytest.raises(ValueError, match=f"sig_dim must be >= 1, got {value}"):
-            replace(SPEC, sig_dim=value)
-
-    @pytest.mark.parametrize("value", [0, -1])
-    def test_exposure_below_one(self, value):
-        with pytest.raises(ValueError, match=f"exposure_us must be >= 1, got {value}"):
-            replace(SPEC, exposure_us=value)
-
     @pytest.mark.parametrize("field", ["duration_s", "fps", "similarity_run_length"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_rejected(self, field, value):
@@ -876,19 +866,19 @@ def _set_collector(enabled: bool) -> None:
 
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("valid", [True, False])
-def test_read_trace_restores_collector_state(tmp_path, enabled, valid):
+def test_read_trace_restores_collector_state(tmp_path, monkeypatch, enabled, valid):
     """``read_trace``, ``generate_frames`` and ``replay`` each leave the
     collector as they found it, on success and on error."""
     obj = _frame_line_obj()
-    spec, frames = SPEC, generate_frames(SPEC)[:20]
+    frames = generate_frames(SPEC)[:20]
     if not valid:
         obj["ts_ms"] = "x"
-        # An empty word-count range fails at the first fresh text scene.
-        spec = replace(SPEC, words_min=5, words_max=4)
+        # An empty vocabulary fails at the first fresh text scene.
+        monkeypatch.setattr(tracefile, "_VOCAB", ())
         frames = frames[1::-1]
     calls = [
         (read_trace, (_trace_with_line(tmp_path, obj),), TraceFormatError),
-        (generate_frames, (spec,), ValueError),
+        (generate_frames, (SPEC,), IndexError),
         (replay, (frames, []), ReplayError),
     ]
     was_enabled = gc.isenabled()
