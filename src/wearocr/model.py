@@ -357,7 +357,7 @@ def validate_trace(frames: Sequence[FrameRecord]) -> list[str]:
         if sig is not checked_sig:
             checked_sig, sig_ok = sig, _bounded(sig)
         if not sig_ok:
-            violations.append(f"frame {i}: scene_sig has non-finite component")
+            violations.append(f"frame {i}: scene_sig has a component not in [-2**63, 2**63)")
         for j, sample in enumerate(frame.imu):
             if sample.ts_us < 0:
                 violations.append(f"frame {i}: imu sample {j} has negative ts_us")
@@ -372,7 +372,7 @@ def validate_trace(frames: Sequence[FrameRecord]) -> list[str]:
                 if len(vector) != 3:
                     violations.append(f"frame {i}: imu sample {j} {name} has {len(vector)} components, expected 3")
             if not (_bounded(gyro) and _bounded(accel)):
-                violations.append(f"frame {i}: imu sample {j} has non-finite vector")
+                violations.append(f"frame {i}: imu sample {j} has a vector component not in [-2**63, 2**63)")
         for j, det in enumerate(frame.detections):
             if not (0.0 <= det.conf <= 1.0):
                 violations.append(f"frame {i}: detection {j} confidence out of range")
@@ -386,7 +386,7 @@ def validate_trace(frames: Sequence[FrameRecord]) -> list[str]:
                 if len(point) != 2:
                     violations.append(f"frame {i}: detection {j} keypoint {k} has {len(point)} coordinates, expected 2")
             if not _bounded(v for point in det.keypoints for v in point):
-                violations.append(f"frame {i}: detection {j} has non-finite keypoint")
+                violations.append(f"frame {i}: detection {j} has a keypoint coordinate not in [-2**63, 2**63)")
         words = frame.gt_words
         # The rule is per character, so one test of the joined words clears them all.
         if words and not (all(words) and word_fault("".join(words)) is None):

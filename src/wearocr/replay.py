@@ -300,15 +300,20 @@ def replay(
 
     group_source = {g.group_latest_ts: g.exemplar_ts for g in timeline.groups()}
 
-    # Only queries read the frame indexes.  Answered in ts order (stable on
-    # ties) as a live server would, each query's plan chains from the one
-    # before, and the first prompt to show a group's text scores its fidelity.
+    # Only queries read the frame indexes.  Answered in ts order as a live
+    # server would, each query's plan chains from the one before, and the
+    # first prompt to show a group's text scores its fidelity.  Ties go by
+    # every other field, so that no prompt depends on the input's order.
+    def answer_order(qi: int) -> tuple:
+        q = queries[qi]
+        return (q.ts_ms, q.speech_start_ms, q.mode.value, q.question, q.target_lang is not None, q.target_lang or "")
+
     frame_ts = [f.ts_ms for f in frames] if queries else []
     resolutions = {f.ts_ms: f.resolution for f in frames} if queries else {}
     prompts: list[QueryPrompt | None] = [None] * len(queries)
     fidelity_frames: dict[int, OcrContextEntry] = {}
     plan: FramePlan | None = None
-    for qi in sorted(range(len(queries)), key=lambda i: queries[i].ts_ms):
+    for qi in sorted(range(len(queries)), key=answer_order):
         query = queries[qi]
         plan = plan_frames(frame_ts, accepted.keys(), query, config.planner, plan)
         entries = timeline.build_ocr_context(query, config.planner.ocr_window_ms)

@@ -19,7 +19,6 @@ import math
 import operator
 import random
 from dataclasses import dataclass, replace
-from itertools import islice
 from pathlib import Path
 from typing import Callable, Sequence, TypeVar
 
@@ -34,8 +33,6 @@ from .model import (
     Resolution,
     canonical_json,
     collector_paused,
-    line_fault,
-    word_fault,
 )
 
 TRACE_FORMAT = "wearocr-trace"
@@ -310,9 +307,9 @@ def _imu_error(sample: object, j: int) -> TraceFormatError:
     ts_us, gyro, accel = sample
     if type(ts_us) is not int:
         return _field_error(f"imu[{j}].ts_us", "integer", ts_us)
-    if type(gyro) is not list or len(gyro) != 3 or not _NUMBER.issuperset(map(type, gyro)):
-        return _list_error(f"imu[{j}].gyro", gyro, _NUMBER, 3)
-    return _list_error(f"imu[{j}].accel", accel, _NUMBER, 3)
+    if type(gyro) is not list or not _NUMBER.issuperset(map(type, gyro)):
+        return _list_error(f"imu[{j}].gyro", gyro, _NUMBER)
+    return _list_error(f"imu[{j}].accel", accel, _NUMBER)
 
 
 def _detection(d: object, j: int) -> Detection:
@@ -336,8 +333,8 @@ def _detection(d: object, j: int) -> Detection:
         if type(keypoints) is not list:
             raise _field_error(f"detections[{j}].keypoints", "list", keypoints)
         for i, k in enumerate(keypoints):
-            if type(k) is not list or len(k) != 2 or not _NUMBER.issuperset(map(type, k)):
-                raise _list_error(f"detections[{j}].keypoints[{i}]", k, _NUMBER, 2)
+            if type(k) is not list or not _NUMBER.issuperset(map(type, k)):
+                raise _list_error(f"detections[{j}].keypoints[{i}]", k, _NUMBER)
         keypoints = tuple([tuple(k) for k in keypoints])
     return Detection(_CLASSES[cls], Rect(*bbox), conf, keypoints)
 
@@ -355,19 +352,19 @@ def frame_from_obj(
     obj: dict, previous: FrameRecord | None = None, words: dict[str, str] | None = None
 ) -> FrameRecord:
     """The frame a parsed trace line describes.  A missing or unknown
-    field, a field of the wrong JSON type, or a word that breaks the
-    word rule (``model.word_fault``) raises ``TraceFormatError``.
+    field, or a field of the wrong JSON type, raises ``TraceFormatError``.
+    Values are not checked: a word that breaks the word rule, or a gyro,
+    accel or keypoint of any length, is read as it stands, and
+    ``model.validate_trace`` reports it.
 
     ``scene_sig`` is the ``previous`` frame's, and an IMU sample's
-    ``gyro`` the one before it, when the array holds that tuple's very
-    objects: a tuple of the same objects has their bits and types, so it
-    stands in for a fresh one, and frames are immutable, so they can
-    share it.  Likewise ``exposure_us`` is the previous frame's int when
-    the two are equal, and each word of ``gt_words`` is the one string
-    ``words`` keeps for it: equal exact-type values are interchangeable.
-    A word is checked against the word rule the first time ``words``
-    sees it, so ``words`` lives for one read, which stops at the first
-    error.
+    3-component ``gyro`` the one before it, when the array holds that
+    tuple's very objects: a tuple of the same objects has their bits and
+    types, so it stands in for a fresh one, and frames are immutable, so
+    they can share it.  Likewise ``exposure_us`` is the previous frame's
+    int when the two are equal, and each word of ``gt_words`` is the one
+    string ``words``, when given, keeps for it: equal exact-type values
+    are interchangeable.
     """
     try:
         ts_ms, resolution, exposure_us = obj["ts_ms"], obj["resolution"], obj["exposure_us"]
@@ -403,12 +400,13 @@ def frame_from_obj(
                 type(ts_us) is not int
                 or type(gyro) is not list
                 or type(accel) is not list
-                or len(gyro) != 3
-                or len(accel) != 3
                 or not _NUMBER.issuperset(map(type, accel))
             ):
                 break
-            if gyro[0] is not last_gyro[0] or gyro[1] is not last_gyro[1] or gyro[2] is not last_gyro[2]:
+            # Only 3-component gyros share: comparing items of a shorter one would index past its end.
+            if len(gyro) != 3 or len(last_gyro) != 3 or not (
+                gyro[0] is last_gyro[0] and gyro[1] is last_gyro[1] and gyro[2] is last_gyro[2]
+            ):
                 if not _NUMBER.issuperset(map(type, gyro)):
                     break
                 last_gyro = tuple(gyro)
@@ -427,15 +425,8 @@ def frame_from_obj(
         if not _NUMBER.issuperset(map(type, sig)):
             raise _list_error("scene_sig", sig, _NUMBER)
         shared_sig = tuple(sig)
-    if gt_words:
-        if words is None:
-            words = {}
-        known = len(words)
-        gt_words = tuple(map(words.setdefault, gt_words, gt_words))
-        if len(words) > known:  # check each word the first time the dict sees it, in line order
-            for word in reversed(list(islice(reversed(words), len(words) - known))):
-                if (fault := word_fault(word)) is not None:
-                    raise TraceFormatError(f"field gt_words[{gt_words.index(word)}]: {fault}")
+    if gt_words and words is not None:
+        gt_words = map(words.setdefault, gt_words, gt_words)
     return FrameRecord(
         ts_ms,
         _RESOLUTIONS[resolution],
@@ -461,7 +452,8 @@ def query_to_obj(query: QueryRecord) -> dict:
 
 
 def query_from_obj(obj: dict) -> QueryRecord:
-    """The query a parsed query line describes; errors as ``frame_from_obj``."""
+    """The query a parsed query line describes; errors as ``frame_from_obj``,
+    and likewise no value is checked: ``replay`` applies the line rule."""
     try:
         ts_ms, speech_start_ms, question, mode = obj["ts_ms"], obj["speech_start_ms"], obj["question"], obj["mode"]
     except KeyError as exc:
@@ -479,9 +471,6 @@ def query_from_obj(obj: dict) -> QueryRecord:
         raise _enum_error("mode", _MODES, mode)
     if target_lang is not None and type(target_lang) is not str:
         raise _field_error("target_lang", "string or null", target_lang)
-    for name, text in (("question", question), ("target_lang", target_lang)):
-        if text is not None and (fault := line_fault(text)) is not None:
-            raise TraceFormatError(f"field {name}: {fault}")
     return QueryRecord(ts_ms, speech_start_ms, question, _MODES[mode], target_lang)
 
 

@@ -8,6 +8,7 @@ benchmark's own independent check, ``bench/checks.py``.
 """
 
 import re
+from collections import Counter
 
 from wearocr.enrich import CONSOLIDATE_GAP_MS
 from wearocr.model import OcrPayload, PayloadKind, QueryMode, Resolution
@@ -236,3 +237,38 @@ def oracle_bounded_shuffle(items, bound, rng):
     keyed = [(i + rng.random() * bound, item) for i, item in enumerate(items)]
     keyed.sort(key=lambda pair: pair[0])
     return [item for _, item in keyed]
+
+
+def oracle_answer_order(query):
+    """The order queries are answered in: by ts, then by each other field,
+    an absent language before any given one."""
+    lang = query.target_lang
+    return (query.ts_ms, query.speech_start_ms, query.mode.value, query.question, lang is not None, lang or "")
+
+
+# An OCR line as ``ocr_line`` renders it: its ts, and its text.
+_OCR_LINE = re.compile(r"\[OCR t=(\d+)ms flags=[^\]]*\] (.*)")
+
+
+def oracle_fidelity(queries, prompts, payloads_by_ts, gt_words_by_ts, theta):
+    """Tokens recovered and tokens total, from the prompt texts alone.
+
+    The prompts are walked in answer order, and each OCR line of one
+    (the last line, the question, aside) names, by its ts, the group of
+    ``oracle_groups`` whose latest member sits there.  The first line
+    that names a group scores its exemplar frame: the multiset overlap of
+    the line's whitespace tokens with that frame's ground-truth words.
+    """
+    exemplar_at = {max(g.members): g.exemplar_ts for g in oracle_groups(payloads_by_ts, theta)}
+    first_text = {}
+    for i in sorted(range(len(queries)), key=lambda i: oracle_answer_order(queries[i])):
+        for line in prompts[i].split("\n")[:-1]:
+            match = _OCR_LINE.fullmatch(line)
+            if match:
+                first_text.setdefault(exemplar_at[int(match.group(1))], match.group(2))
+    recovered = total = 0
+    for exemplar, text in first_text.items():
+        truth, seen = Counter(gt_words_by_ts[exemplar]), Counter(text.split())
+        recovered += sum(min(n, seen[word]) for word, n in truth.items())
+        total += sum(truth.values())
+    return recovered, total

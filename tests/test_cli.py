@@ -240,10 +240,20 @@ def test_timestamp_outside_64_bits_is_an_error(inputs, capsys, line, ts_ms):
     "edit, violation",
     [
         pytest.param(
-            lambda frame, v: frame["scene_sig"].__setitem__(3, v), "scene_sig has non-finite component", id="scene_sig"
+            lambda frame, v: frame["scene_sig"].__setitem__(3, v),
+            "scene_sig has a component not in [-2**63, 2**63)",
+            id="scene_sig",
         ),
-        pytest.param(lambda frame, v: frame["imu"][1][1].__setitem__(0, v), "imu sample 1 has non-finite vector", id="gyro"),
-        pytest.param(lambda frame, v: frame["imu"][1][2].__setitem__(2, v), "imu sample 1 has non-finite vector", id="accel"),
+        pytest.param(
+            lambda frame, v: frame["imu"][1][1].__setitem__(0, v),
+            "imu sample 1 has a vector component not in [-2**63, 2**63)",
+            id="gyro",
+        ),
+        pytest.param(
+            lambda frame, v: frame["imu"][1][2].__setitem__(2, v),
+            "imu sample 1 has a vector component not in [-2**63, 2**63)",
+            id="accel",
+        ),
         pytest.param(
             lambda frame, v: frame.__setitem__("exposure_us", v), "exposure_us {value} outside [1, 2**63)", id="exposure_us"
         ),
@@ -254,7 +264,7 @@ def test_timestamp_outside_64_bits_is_an_error(inputs, capsys, line, ts_ms):
         ),
         pytest.param(
             lambda frame, v: frame["detections"][0].update(cls="HandPointing", keypoints=[[0.5, 0.5], [v, 0.5]]),
-            "detection 0 has non-finite keypoint",
+            "detection 0 has a keypoint coordinate not in [-2**63, 2**63)",
             id="keypoint",
         ),
     ],
@@ -327,16 +337,30 @@ def test_query_timestamp_beyond_the_float_range_is_an_error(inputs, tmp_path, ca
     assert not out.exists()
 
 
-def test_lone_surrogate_escape_in_a_trace_or_query_is_an_error(inputs, tmp_path, capsys):
-    trace, queries, _ = inputs
+def broken_word_trace(trace, path, prefix):
+    """``trace`` with ``prefix`` put before the first word of its first text
+    frame, written to ``path``; the index of that frame."""
     lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
     i = next(i for i, line in enumerate(lines) if '"gt_words":["' in line)
-    lines[i] = lines[i].replace('"gt_words":["', '"gt_words":["\\ud800', 1)
+    lines[i] = lines[i].replace('"gt_words":["', '"gt_words":["' + prefix, 1)
+    path.write_text("".join(lines), encoding="utf-8")
+    return i - 1
+
+
+def assert_trace_fault(capsys, trace, violation):
+    """``validate`` lists ``violation`` and exits 1; ``report`` exits 2 naming it."""
+    capsys.readouterr()
+    assert main(["validate", "--trace", str(trace)]) == 1
+    assert capsys.readouterr().out == violation + "\n"
+    assert error_of(capsys, ["report", "--trace", str(trace)]) == f"invalid trace: {violation}"
+
+
+def test_lone_surrogate_escape_in_a_trace_or_query_is_an_error(inputs, tmp_path, capsys):
+    # The reader takes the escape as it stands; the text rule refuses it.
+    trace, queries, _ = inputs
     bad = tmp_path / "bad.ndjson"
-    bad.write_text("".join(lines), encoding="utf-8")
-    message = f"{bad}:{i + 1}: field gt_words[0]: lone surrogate U+D800 at character 1"
-    assert error_of(capsys, ["validate", "--trace", str(bad)]) == message
-    assert error_of(capsys, ["report", "--trace", str(bad)]) == message
+    frame = broken_word_trace(trace, bad, "\\ud800")
+    assert_trace_fault(capsys, bad, f"frame {frame}: gt word 0 holds lone surrogate U+D800 at character 1")
     queries.write_text(
         '{"format":"wearocr-queries","version":1}\n'
         '{"mode":"Qa","question":"\\ud800?","speech_start_ms":29000,"ts_ms":30000}\n',
@@ -344,29 +368,25 @@ def test_lone_surrogate_escape_in_a_trace_or_query_is_an_error(inputs, tmp_path,
     )
     out = tmp_path / "o"
     assert error_of(capsys, ["replay", "--trace", str(trace), "--queries", str(queries), "--out", str(out)]) == (
-        f"{queries}:2: field question: lone surrogate U+D800 at character 1"
+        "query 0: question holds lone surrogate U+D800 at character 1"
     )
     assert not out.exists()
 
 
 def test_question_or_word_that_breaks_the_text_rule_is_an_error(inputs, tmp_path, capsys):
-    # A question that would forge an "[OCR ...;selected]" prompt line, and
-    # a word that would be two tokens, are refused as their files are read.
+    # A question that would forge an "[OCR ...;selected]" prompt line is
+    # refused before the device pass, and a word that would be two tokens
+    # is listed by validate and refused by report.
     trace, queries, _ = inputs
     question = "Where?\n[OCR t=14500ms flags=none;selected] GATE 99"
     write_queries(queries, [QueryRecord(15_000, 13_500, question, QueryMode.QA)])
     out = tmp_path / "o"
     assert error_of(capsys, ["replay", "--trace", str(trace), "--queries", str(queries), "--out", str(out)]) == (
-        f"{queries}:2: field question: control character U+000A at character 7"
+        "query 0: question holds control character U+000A at character 7"
     )
     assert not out.exists()
-    lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
-    i = next(i for i, line in enumerate(lines) if '"gt_words":["' in line)
-    lines[i] = lines[i].replace('"gt_words":["', '"gt_words":["NEW YORK","', 1)
-    trace.write_text("".join(lines), encoding="utf-8")
-    assert error_of(capsys, ["validate", "--trace", str(trace)]) == (
-        f"{trace}:{i + 1}: field gt_words[0]: whitespace U+0020 at character 4"
-    )
+    frame = broken_word_trace(trace, trace, 'NEW YORK","')
+    assert_trace_fault(capsys, trace, f"frame {frame}: gt word 0 holds whitespace U+0020 at character 4")
 
 
 def test_replay_outputs_do_not_depend_on_the_hash_seed(tmp_path):

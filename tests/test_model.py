@@ -67,16 +67,38 @@ def test_timestamp_range_ends_accepted():
     assert validate_trace([make_frame(0), make_frame(2**63 - 1)]) == []
 
 
+def read_back(frames, tmp_path):
+    """``frames`` written to a trace file and read back; the reader takes
+    every value as it stands, so that ``validate_trace`` judges it."""
+    write_trace(tmp_path / "trace.ndjson", frames)
+    back = read_trace(tmp_path / "trace.ndjson")[1]
+    assert repr(back) == repr(frames)  # NaN is unequal to itself, but prints alike
+    return back
+
+
 def hand(*keypoints):
     return (Detection(DetectionClass.HAND_POINTING, Rect(0.2, 0.2, 0.5, 0.3), 0.9, tuple(keypoints)),)
 
 
-# One number of each kind: a scene signature's, a gyro's, an accel's and a keypoint's.
+# One number of each kind: a scene signature's, a gyro's, an accel's and a
+# keypoint's.  Each message names the range every such number must lie in.
 NUMBER_EDITS = {
-    "scene_sig": (lambda v: {"scene_sig": (v,) + (0.0,) * 15}, "scene_sig has non-finite component"),
-    "gyro": (lambda v: {"imu": (ImuSample(100_000, (0.1, v, 0.0), (0.0, 9.8, 0.0)),)}, "imu sample 0 has non-finite vector"),
-    "accel": (lambda v: {"imu": (ImuSample(100_000, (0.1, 0.0, 0.0), (0.0, 9.8, v)),)}, "imu sample 0 has non-finite vector"),
-    "keypoint": (lambda v: {"detections": hand((0.5, 0.5), (v, 0.5))}, "detection 0 has non-finite keypoint"),
+    "scene_sig": (
+        lambda v: {"scene_sig": (v,) + (0.0,) * 15},
+        "scene_sig has a component not in [-2**63, 2**63)",
+    ),
+    "gyro": (
+        lambda v: {"imu": (ImuSample(100_000, (0.1, v, 0.0), (0.0, 9.8, 0.0)),)},
+        "imu sample 0 has a vector component not in [-2**63, 2**63)",
+    ),
+    "accel": (
+        lambda v: {"imu": (ImuSample(100_000, (0.1, 0.0, 0.0), (0.0, 9.8, v)),)},
+        "imu sample 0 has a vector component not in [-2**63, 2**63)",
+    ),
+    "keypoint": (
+        lambda v: {"detections": hand((0.5, 0.5), (v, 0.5))},
+        "detection 0 has a keypoint coordinate not in [-2**63, 2**63)",
+    ),
 }
 
 
@@ -95,10 +117,10 @@ def test_integer_inside_64_bits_accepted(kind, value):
     assert validate_trace([make_frame(100, **edit(value))]) == []
 
 
-def test_keypoint_that_is_no_pair_reported():
+def test_keypoint_that_is_no_pair_reported(tmp_path):
     # Once accepted, then ended replay in IndexError inside select_roi.
     frame = make_frame(100, detections=hand((0.5,), (0.5, 0.5), (0.1, 0.2, 0.3)))
-    assert validate_trace([frame]) == [
+    assert validate_trace([frame]) == validate_trace(read_back([frame], tmp_path)) == [
         "frame 0: detection 0 keypoint 0 has 1 coordinates, expected 2",
         "frame 0: detection 0 keypoint 2 has 3 coordinates, expected 2",
     ]
@@ -124,37 +146,39 @@ def test_non_finite_signature_reported_on_every_frame_sharing_it():
     frames = [make_frame(100, scene_sig=bad_sig), make_frame(200, scene_sig=bad_sig), make_frame(300)]
     frames.append(make_frame(400, scene_sig=frames[0].scene_sig))
     assert validate_trace(frames) == [
-        f"frame {i}: scene_sig has non-finite component" for i in (0, 1, 3)
+        f"frame {i}: scene_sig has a component not in [-2**63, 2**63)" for i in (0, 1, 3)
     ]
 
 
-def test_imu_vector_without_three_components_reported():
+def test_imu_vector_without_three_components_reported(tmp_path):
     frames = [
         make_frame(100, imu=(ImuSample(100_000, (0.1, 0.0), (0.0, 9.8, 0.0)),)),
         make_frame(200, imu=(ImuSample(200_000, (0.1, 0.0, 0.0), (0.0, 9.8, 0.0, 1.0)),)),
         make_frame(300, imu=(ImuSample(300_000, (), (math.inf,)),)),
     ]
-    assert validate_trace(frames) == [
+    assert validate_trace(frames) == validate_trace(read_back(frames, tmp_path)) == [
         "frame 0: imu sample 0 gyro has 2 components, expected 3",
         "frame 1: imu sample 0 accel has 4 components, expected 3",
         "frame 2: imu sample 0 gyro has 0 components, expected 3",
         "frame 2: imu sample 0 accel has 1 components, expected 3",
-        "frame 2: imu sample 0 has non-finite vector",
+        "frame 2: imu sample 0 has a vector component not in [-2**63, 2**63)",
     ]
 
 
-def test_imu_faults_reported_on_every_sample_sharing_a_gyro():
+def test_imu_faults_reported_on_every_sample_sharing_a_gyro(tmp_path):
     bad, good = (math.nan, 0.0, 0.0), (0.0, 0.0, 0.0)
     imu = tuple(ImuSample(100_000 + k, gyro, (0.0, 0.0, 1.0)) for k, gyro in enumerate((bad, bad, good, bad)))
     short = (0.0, 0.0)
     imu += (ImuSample(100_004, short, (0.0, 0.0, 1.0)), ImuSample(100_005, short, (0.0, 0.0, 10**400)))
-    assert validate_trace([make_frame(100, imu=imu)]) == [
-        "frame 0: imu sample 0 has non-finite vector",
-        "frame 0: imu sample 1 has non-finite vector",
-        "frame 0: imu sample 3 has non-finite vector",
+    # 10**400 reads back as an int; the file holds every digit.
+    frames = [make_frame(100, imu=imu)]
+    assert validate_trace(frames) == validate_trace(read_back(frames, tmp_path)) == [
+        "frame 0: imu sample 0 has a vector component not in [-2**63, 2**63)",
+        "frame 0: imu sample 1 has a vector component not in [-2**63, 2**63)",
+        "frame 0: imu sample 3 has a vector component not in [-2**63, 2**63)",
         "frame 0: imu sample 4 gyro has 2 components, expected 3",
         "frame 0: imu sample 5 gyro has 2 components, expected 3",
-        "frame 0: imu sample 5 has non-finite vector",
+        "frame 0: imu sample 5 has a vector component not in [-2**63, 2**63)",
     ]
 
 
@@ -183,9 +207,9 @@ def test_keypoints_only_on_hand_pointing():
         ("\ud800", "lone surrogate U+D800 at character 1"),
     ],
 )
-def test_word_that_breaks_the_word_rule_reported(word, fault):
+def test_word_that_breaks_the_word_rule_reported(tmp_path, word, fault):
     frames = [make_frame(100, gt_words=("gate", word)), make_frame(200, gt_words=("", word))]
-    assert validate_trace(frames) == [
+    assert validate_trace(frames) == validate_trace(read_back(frames, tmp_path)) == [
         f"frame 0: gt word 1 holds {fault}",
         "frame 1: gt word 0 is empty",
         f"frame 1: gt word 1 holds {fault}",

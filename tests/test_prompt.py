@@ -72,6 +72,13 @@ class TestPlanFrames:
                 ts for ts in frame_ts if start <= ts <= q.ts_ms and ts in accepted
             )
 
+    def test_zero_lookback_leaves_a_frame_at_speech_start_to_in_query(self):
+        # Every grid point sits at the speech start, whose frame is in-query, not pre-query.
+        frame_ts = [8_000, 8_500, 9_000, 9_500]
+        plan = plan_frames(frame_ts, {9_000}, query(ts=10_000, start=9_000), PlannerConfig(lookback_ms=0, pre_n=4))
+        assert plan.pre_query == ()
+        assert plan.in_query == (9_000,)
+
     def test_in_query_empty_when_speech_starts_after_query(self):
         frame_ts = list(range(0, 20_000, 500))
         plan = plan_frames(frame_ts, set(frame_ts), query(ts=9_000, start=10_000), PlannerConfig())

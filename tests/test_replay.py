@@ -6,14 +6,16 @@ import re
 import signal
 import tracemalloc
 import types
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_bounded_shuffle
+from oracles import oracle_bounded_shuffle, oracle_fidelity
+from test_replay_goldens import CASES as GOLDEN_CASES, case_inputs, revisit, two_minute_trace
 import wearocr.replay as replay_module
 from wearocr.model import FrameRecord, PayloadKind, QueryMode, QueryRecord, Resolution
 from wearocr.osm import SessionTimeline
@@ -649,3 +651,116 @@ def test_replay_keeps_one_payload_per_textless_kind():
         del result
     assert textless[8000] - textless[2000] > 5000
     assert kept[8000] - kept[2000] < 120 * (textless[8000] - textless[2000]), (kept, textless)
+
+
+# -- answer order, and fidelity against its oracle -----------------------------
+
+ORDER_FRAMES = make_frames()
+
+
+def occurrences(queries):
+    """Each query with the number of equal queries before it: equal queries
+    are interchangeable, so the n-th of them takes the n-th one's answer."""
+    seen = Counter()
+    keys = []
+    for query in queries:
+        keys.append((query, seen[query]))
+        seen[query] += 1
+    return keys
+
+
+@st.composite
+def tied_queries(draw):
+    """Queries from small pools, so that timestamps, speech starts and
+    whole queries repeat; a None and an empty language tie on every
+    other field."""
+    queries = []
+    for _ in range(draw(st.integers(1, 6))):
+        ts = draw(st.sampled_from([20_000, 30_000, 30_000, 45_000]))
+        mode = draw(st.sampled_from(list(QueryMode)))
+        lang = draw(st.sampled_from([None, "", "French"]))
+        queries.append(
+            QueryRecord(
+                ts,
+                ts - draw(st.sampled_from([0, 1_000, 10_000])),
+                draw(st.sampled_from(["?", "What gate?"])),
+                mode,
+                "French" if mode is QueryMode.TRANSLATION else lang,
+            )
+        )
+    return queries
+
+
+# An absent and an empty language tie on every other field.  After an
+# earlier query, the first of the two shows that query's frames among its
+# historical refs and the second no longer does, so answered in input
+# order, each would take the other's prompt when swapped.
+_NO_AND_EMPTY_LANGUAGE = [QueryRecord(10_000, 9_000, "?", QueryMode.QA)] + [
+    QueryRecord(30_000, 29_000, "?", QueryMode.QA, lang) for lang in (None, "")
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(tied_queries().flatmap(lambda queries: st.tuples(st.just(queries), st.permutations(range(len(queries))))))
+@example((_NO_AND_EMPTY_LANGUAGE, [0, 2, 1]))
+def test_prompts_do_not_depend_on_query_order(queries_and_order):
+    queries, order = queries_and_order
+    permuted = [queries[i] for i in order]
+    base = replay(ORDER_FRAMES, queries, SimConfig(seed=3))
+    result = replay(ORDER_FRAMES, permuted, SimConfig(seed=3))
+    prompts = dict(zip(occurrences(queries), base.prompts))
+    digests = dict(zip(occurrences(queries), base.report.prompt_digests))
+    assert list(result.prompts) == [prompts[key] for key in occurrences(permuted)]
+    assert list(result.report.prompt_digests) == [digests[key] for key in occurrences(permuted)]
+    assert replace(result.report, prompt_digests=()) == replace(base.report, prompt_digests=())
+
+
+def test_queries_sharing_a_timestamp_keep_their_prompts_when_swapped():
+    # Sorted by ts alone, the later of the two tied queries chained its
+    # historical frame refs from whichever came first in the input.
+    tied = [
+        QueryRecord(30_000, 29_000, "What does the sign say?", QueryMode.QA),
+        QueryRecord(30_000, 20_000, "What does the sign say?", QueryMode.QA),
+        QueryRecord(40_000, 39_000, "Read this to me", QueryMode.READOUT),
+    ]
+    base = replay(ORDER_FRAMES, tied)
+    swapped = replay(ORDER_FRAMES, [tied[1], tied[0], tied[2]])
+    assert [p.text for p in swapped.prompts] == [base.prompts[1].text, base.prompts[0].text, base.prompts[2].text]
+    assert base.prompts[0].text != base.prompts[1].text
+
+
+def assert_fidelity_matches_oracle(frames, queries, config):
+    result = replay(frames, queries, config)
+    payloads = {p.frame_ts_ms: p for p in result.timeline.payloads()}
+    gt_words = {f.ts_ms: f.gt_words for f in frames}
+    prompts = [p.text for p in result.prompts]
+    expected = oracle_fidelity(queries, prompts, payloads, gt_words, config.text_similarity_threshold)
+    assert (result.report.tokens_recovered, result.report.tokens_total) == expected
+    return expected
+
+
+# The replay goldens, and the revisit case at seed 11, where the last
+# prompt to show a group's text would score one token more than the first.
+@pytest.mark.parametrize("name", [*GOLDEN_CASES, "revisit-s11"])
+def test_fidelity_matches_oracle_on_the_replay_goldens(name):
+    recovered, total = assert_fidelity_matches_oracle(*case_inputs(name))
+    assert 0 < recovered < total
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.booleans(),
+    st.lists(st.tuples(st.integers(0, 90_000), st.sampled_from([0, 1_500, 10_000]), st.sampled_from(list(QueryMode)))),
+    st.sampled_from([0.5, 0.8, 1.0]),
+)
+def test_fidelity_matches_oracle_on_random_traces(seed, revisits, rows, theta):
+    frames = two_minute_trace(seed % 1000, selection_events=seed % 3)[:180]
+    if revisits:
+        frames = revisit(frames, random.Random(seed))
+    queries = [
+        QueryRecord(ts, ts - offset, "?", mode, "French" if mode is QueryMode.TRANSLATION else None)
+        for ts, offset, mode in rows
+    ]
+    config = SimConfig(seed=seed, text_similarity_threshold=theta, shuffle=ShuffleConfig(enabled=seed % 2 == 0))
+    assert_fidelity_matches_oracle(frames, queries, config)

@@ -73,15 +73,19 @@ def queries(step_ms: int) -> list[QueryRecord]:
     return out
 
 
-def run_case(name: str) -> ReplayResult:
+def case_inputs(name: str) -> tuple[list[FrameRecord], list[QueryRecord], SimConfig]:
+    """The frames, queries and config of a case named ``<kind>-s<seed>``."""
     kind, seed_text = name.rsplit("-s", 1)
     seed = int(seed_text)
     if kind == "selections":
         frames = two_minute_trace(seed, selection_events=3)
-        config = SimConfig(seed=seed, shuffle=ShuffleConfig(enabled=True))
-        return replay(frames, queries(10_000), config)
+        return frames, queries(10_000), SimConfig(seed=seed, shuffle=ShuffleConfig(enabled=True))
     frames = revisit(two_minute_trace(seed), random.Random(seed))
-    return replay(frames, queries(2_000), SimConfig(seed=seed))
+    return frames, queries(2_000), SimConfig(seed=seed)
+
+
+def run_case(name: str) -> ReplayResult:
+    return replay(*case_inputs(name))
 
 
 CASES = ("selections-s2", "revisit-s4", "revisit-s6")

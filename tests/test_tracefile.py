@@ -1,5 +1,7 @@
+import contextlib
 import functools
 import gc
+import io
 import json
 import math
 import re
@@ -12,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wearocr import tracefile
+from wearocr.cli import main
 from wearocr.model import (
     Detection,
     DetectionClass,
@@ -21,7 +24,9 @@ from wearocr.model import (
     QueryRecord,
     Rect,
     Resolution,
+    line_fault,
     validate_trace,
+    word_fault,
 )
 from wearocr.tracefile import (
     FORMAT_VERSION,
@@ -278,31 +283,33 @@ class TestFileRoundTrip:
         with pytest.raises(TraceFormatError, match=r"queries\.ndjson:1: not UTF-8"):
             read_queries(path)
 
-    def test_lone_surrogate_word_names_the_line_and_field(self, tmp_path):
+    def test_lone_surrogate_word_is_read_then_reported(self, tmp_path):
         # The file is ASCII: the writer escapes the surrogate as \ud800,
-        # which decodes to a string no UTF-8 encoder takes.
-        # The word follows one read before and precedes another new one.
+        # which decodes to a string no UTF-8 encoder takes.  The reader
+        # takes it back as written; the word rule is validate_trace's.
         path = tmp_path / "trace.ndjson"
         frames = generate_frames(SPEC)
         first, i = [i for i, f in enumerate(frames) if f.gt_words][::3][:2]
         frames[i] = replace(frames[i], gt_words=(frames[first].gt_words[0], "gate\ud800", "fresh"))
         write_trace(path, frames)
         assert path.read_bytes().isascii()
-        with pytest.raises(TraceFormatError) as info:
-            read_trace(path)
-        assert str(info.value) == f"{path}:{i + 2}: field gt_words[1]: lone surrogate U+D800 at character 5"
+        back = read_trace(path)[1]
+        assert back == frames
+        assert validate_trace(back) == [f"frame {i}: gt word 1 holds lone surrogate U+D800 at character 5"]
 
-    def test_lone_surrogate_query_text_names_the_line_and_field(self, tmp_path):
+    def test_lone_surrogate_query_text_is_read_then_refused(self, tmp_path):
         path = tmp_path / "queries.ndjson"
-        for field, value, message in [
-            ("question", "\udfff?", "field question: lone surrogate U+DFFF at character 1"),
-            ("target_lang", "Fran\ud83d", "field target_lang: lone surrogate U+D83D at character 5"),
+        for field, value, fault in [
+            ("question", "\udfff?", "lone surrogate U+DFFF at character 1"),
+            ("target_lang", "Fran\ud83d", "lone surrogate U+D83D at character 5"),
         ]:
             query = QueryRecord(2, 1, "?", QueryMode.TRANSLATION, "French")
-            write_queries(path, [query, replace(query, **{field: value})])
-            with pytest.raises(TraceFormatError) as info:
-                read_queries(path)
-            assert str(info.value) == f"{path}:3: {message}"
+            queries = [query, replace(query, **{field: value})]
+            write_queries(path, queries)
+            assert read_queries(path) == queries
+            with pytest.raises(ReplayError) as info:
+                replay([], read_queries(path))
+            assert str(info.value) == f"query 1: {field} holds {fault}"
 
     def test_surrogate_pair_escapes_read_as_one_character(self, tmp_path):
         frames = generate_frames(SPEC)
@@ -364,10 +371,12 @@ def test_frame_round_trips_through_obj_and_json(frame):
 
 # Every float, including NaN, infinities, signed zeros and subnormals.
 any_float = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]))
-# Text with quotes, backslashes, control and non-ASCII characters.
-words_text = st.text(alphabet=st.sampled_from('ab "\\\n\x00\u00e9\u6771\u2028\U0001f600'), max_size=6)
-# The same without the characters the word rule refuses, for frames the reader must take back.
-rule_words = st.text(alphabet=st.sampled_from('ab"\\\u00ad\u00e9\u6771\U0001f600'), max_size=6)
+# Text with quotes, backslashes, whitespace, controls, a line separator, a
+# lone surrogate and other non-ASCII characters: the reader takes back
+# every word, and the word rule is ``validate_trace``'s.
+words_text = st.text(alphabet=st.sampled_from('ab "\\\n\x00\u00e9\u6771\u2028\ud800\U0001f600'), max_size=6)
+# Vectors of every length up to 4: a vector's length is a value rule too.
+any_vector = st.lists(any_float, max_size=4).map(tuple)
 
 
 def any_detections():
@@ -377,7 +386,7 @@ def any_detections():
             st.sampled_from(list(DetectionClass)),
             st.builds(Rect, any_float, any_float, any_float, any_float),
             any_float,
-            st.one_of(st.none(), st.lists(st.tuples(any_float, any_float), max_size=3).map(tuple)),
+            st.one_of(st.none(), st.lists(st.lists(any_float, max_size=3).map(tuple), max_size=3).map(tuple)),
         ),
         max_size=2,
     ).map(tuple)
@@ -387,6 +396,12 @@ def with_zero_twins(vectors):
     """``vectors`` and, for each, its twin with every zero's sign flipped:
     equal to it, but with other bits wherever it holds a zero."""
     return vectors + [tuple(-x if x == 0 else x for x in v) for v in vectors]
+
+
+def with_prefixes(vectors):
+    """``vectors`` and each one's first two items: read after it, or before
+    it, a prefix holds the very float objects of the longer vector."""
+    return vectors + [v[:2] for v in vectors]
 
 
 @st.composite
@@ -407,9 +422,11 @@ def frame_lists(draw, words=words_text):
         for name, pool in pools.items():
             value = draw(st.sampled_from(pool))
             shared[name] = tuple(list(value)) if draw(st.booleans()) else value
-        # A frame's samples often repeat a gyro vector, as generated ones do.
-        gyro = st.sampled_from(with_zero_twins(draw(st.lists(vec3, min_size=1, max_size=2))))
-        imu = draw(st.lists(st.builds(ImuSample, st.integers(0, 2**53), gyro, vec3), max_size=3).map(tuple))
+        # A frame's samples often repeat a gyro vector, as generated ones do,
+        # and a short one may come before or after a 3-component one.
+        gyros = draw(st.lists(st.one_of(vec3, any_vector), min_size=1, max_size=2))
+        gyro = st.sampled_from(with_prefixes(with_zero_twins(gyros)))
+        imu = draw(st.lists(st.builds(ImuSample, st.integers(0, 2**53), gyro, any_vector), max_size=4).map(tuple))
         resolution = draw(st.sampled_from(list(Resolution)))
         frames.append(FrameRecord(ts_ms, resolution, 8000, imu, user_selection=draw(st.booleans()), **shared))
     return frames
@@ -448,7 +465,15 @@ def float_bits(value):
     return value
 
 
-@given(frame_lists(rule_words))
+# A 2-component gyro, then a 3-component one holding the same float
+# objects first: only 3-component tuples may be compared for sharing.
+_SHORT_THEN_LONG_GYRO = [
+    FrameRecord(0, Resolution.MP12, 8000, (ImuSample(0, (0.0, 0.0), (1.0,)), ImuSample(1, (0.0, 0.0, 0.0), ())), (), (), ())
+]
+
+
+@given(frame_lists())
+@example(_SHORT_THEN_LONG_GYRO)
 @settings(max_examples=200, deadline=None)
 def test_read_trace_returns_written_frames_bit_for_bit(frames):
     with tempfile.TemporaryDirectory() as tmp:
@@ -457,7 +482,9 @@ def test_read_trace_returns_written_frames_bit_for_bit(frames):
         back = read_trace(path)[1]
     assert float_bits(back) == float_bits(frames)
     pairs = [(before.scene_sig, after.scene_sig) for before, after in zip(back, back[1:])]
-    pairs += [(before.gyro, after.gyro) for frame in back for before, after in zip(frame.imu, frame.imu[1:])]
+    # Only a 3-component gyro is shared.
+    samples = [(before.gyro, after.gyro) for frame in back for before, after in zip(frame.imu, frame.imu[1:])]
+    pairs += [(before, after) for before, after in samples if len(before) == len(after) == 3]
     for before, after in pairs:
         # ``float_bits`` keeps ints as ints, so equal bits means equal types too.
         same_bits = float_bits(after) == float_bits(before)
@@ -467,7 +494,7 @@ def test_read_trace_returns_written_frames_bit_for_bit(frames):
             assert not same_bits
 
 
-# -- the text rules at read time -----------------------------------------------
+# -- the readers take values as they stand -------------------------------------
 
 # Characters on both sides of the rules: whitespace, controls, line breaks
 # and lone surrogates, which they refuse, and a soft hyphen, a private-use,
@@ -478,22 +505,50 @@ edge_chars = st.one_of(
 )
 
 
+@given(st.lists(st.text(alphabet=edge_chars, max_size=3), min_size=1, max_size=4))
+@example(["a b", "c\td"])
+@settings(max_examples=300, deadline=None)
+def test_reader_takes_back_any_words_and_validate_trace_names_each_fault(words):
+    frame = FrameRecord(1, Resolution.MP12, 8000, (), (), (0.5,), tuple(words))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.ndjson"
+        write_trace(path, [frame])
+        back = read_trace(path)[1]
+    assert back == [frame]
+    faults = [
+        f"frame 0: gt word {j} " + (f"holds {word_fault(word)}" if word else "is empty")
+        for j, word in enumerate(words)
+        if not word or word_fault(word) is not None
+    ]
+    assert validate_trace(back) == faults
+
+
+def validate_file(path):
+    """``wearocr validate``'s exit code and printed lines for ``path``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["validate", "--trace", str(path)])
+    return code, out.getvalue().splitlines()
+
+
 @given(st.text(alphabet=edge_chars, min_size=1, max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_reader_refuses_a_word_exactly_when_validate_trace_does(word):
+    # The reading path of ``wearocr validate`` takes the word back as
+    # written, so it refuses the file exactly when ``validate_trace``
+    # refuses the frame before it was written.
     frame = FrameRecord(1, Resolution.MP12, 8000, (), (), (0.5,), ("exit", word))
     violations = validate_trace([frame])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.ndjson"
         write_trace(path, [frame])
-        if not violations:
-            assert read_trace(path)[1] == [frame]
-            return
-        with pytest.raises(TraceFormatError) as info:
-            read_trace(path)
-    fault = re.fullmatch("frame 0: gt word 1 holds (.+)", violations[0]).group(1)
-    assert len(violations) == 1
-    assert str(info.value) == f"{path}:2: field gt_words[1]: {fault}"
+        assert read_trace(path)[1] == [frame]
+        code, lines = validate_file(path)
+    if not violations:
+        assert (code, lines) == (0, ["ok: 1 frames"])
+        return
+    assert violations == [f"frame 0: gt word 1 holds {word_fault(word)}"]
+    assert (code, lines) == (1, violations)
 
 
 @given(st.lists(st.text(alphabet=edge_chars, min_size=1, max_size=3), min_size=1, max_size=4))
@@ -505,41 +560,41 @@ def test_reader_names_the_first_word_validate_trace_names(words):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.ndjson"
         write_trace(path, [frame])
-        if not violations:
-            assert read_trace(path)[1] == [frame]
-            return
-        with pytest.raises(TraceFormatError) as info:
-            read_trace(path)
-    index, fault = re.fullmatch(r"frame 0: gt word (\d+) holds (.+)", violations[0]).groups()
-    assert str(info.value) == f"{path}:2: field gt_words[{index}]: {fault}"
+        code, lines = validate_file(path)
+    faulty = [j for j, word in enumerate(words) if word_fault(word) is not None]
+    if not faulty:
+        assert (code, lines) == (0, ["ok: 1 frames"])
+        return
+    assert code == 1
+    assert lines[0] == violations[0] == f"frame 0: gt word {faulty[0]} holds {word_fault(words[faulty[0]])}"
 
 
 def test_reader_names_the_first_of_two_faulty_words(tmp_path):
     frame = FrameRecord(1, Resolution.MP12, 8000, (), (), (0.5,), ("a b", "c\td"))
-    assert validate_trace([frame])[0] == "frame 0: gt word 0 holds whitespace U+0020 at character 2"
     write_trace(tmp_path / "trace.ndjson", [frame])
-    with pytest.raises(TraceFormatError, match=r":2: field gt_words\[0\]: whitespace U\+0020 at character 2$"):
-        read_trace(tmp_path / "trace.ndjson")
+    assert read_trace(tmp_path / "trace.ndjson")[1] == [frame]
+    assert validate_file(tmp_path / "trace.ndjson") == (1, [
+        "frame 0: gt word 0 holds whitespace U+0020 at character 2",
+        "frame 0: gt word 1 holds control character U+0009 at character 2",
+    ])
 
 
 @given(st.text(alphabet=edge_chars, min_size=1, max_size=4), st.sampled_from(["question", "target_lang"]))
 @settings(max_examples=300, deadline=None)
-def test_reader_refuses_a_question_or_language_exactly_when_replay_does(text, field):
+def test_reader_takes_back_any_question_or_language_and_replay_judges_it(text, field):
     query = replace(QueryRecord(2, 1, "?", QueryMode.TRANSLATION, "French"), **{field: text})
-    try:
-        replay([], [query])
-        fault = None
-    except ReplayError as exc:
-        fault = re.fullmatch(f"query 0: {field} holds (.+)", str(exc)).group(1)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "queries.ndjson"
         write_queries(path, [query])
-        if fault is None:
-            assert read_queries(path) == [query]
-            return
-        with pytest.raises(TraceFormatError) as info:
-            read_queries(path)
-    assert str(info.value) == f"{path}:2: field {field}: {fault}"
+        back = read_queries(path)
+    assert back == [query]
+    fault = line_fault(text)
+    if fault is None:
+        assert [p.query for p in replay([], back).prompts] == [query]
+        return
+    with pytest.raises(ReplayError) as info:
+        replay([], back)
+    assert str(info.value) == f"query 0: {field} holds {fault}"
 
 
 def test_signed_zeros_and_integers_are_not_merged(tmp_path):
@@ -727,8 +782,9 @@ FRAME_FIELD_CASES = [
     (("imu", 0), "abc", "field imu[0]: expected [ts_us, gyro, accel], got str"),
     (("imu", 1), [1, [0.0, 0.0, 0.0]], "field imu[1]: expected [ts_us, gyro, accel], got list of 2"),
     (("imu", 1, 0), 1.5, "field imu[1].ts_us: expected integer, got float"),
-    (("imu", 0, 1), "xyz", "field imu[0].gyro: expected list of 3 numbers, got str"),
-    (("imu", 0, 1), [1.0, 2.0], "field imu[0].gyro: expected list of 3 numbers, got list of 2"),
+    (("imu", 0, 1), "xyz", "field imu[0].gyro: expected list of numbers, got str"),
+    # A vector's length is a value rule (``validate_trace``); its items' types are the reader's.
+    (("imu", 0, 1), [1.0, "2.0"], "field imu[0].gyro[1]: expected number, got str"),
     (("imu", 0, 1, 0), True, "field imu[0].gyro[0]: expected number, got bool"),
     (("imu", 2, 2, 1), "0.5", "field imu[2].accel[1]: expected number, got str"),
     (("detections",), {}, "field detections: expected list, got dict"),
@@ -740,7 +796,7 @@ FRAME_FIELD_CASES = [
     (("detections", 1, "bbox", 2), None, "field detections[1].bbox[2]: expected number, got NoneType"),
     (("detections", 1, "conf"), "high", "field detections[1].conf: expected number, got str"),
     (("detections", 0, "keypoints"), "x", "field detections[0].keypoints: expected list, got str"),
-    (("detections", 0, "keypoints", 1), [0.3], "field detections[0].keypoints[1]: expected list of 2 numbers, got list of 1"),
+    (("detections", 0, "keypoints", 1), ["0.3"], "field detections[0].keypoints[1][0]: expected number, got str"),
     (("detections", 1, "keypoints"), None, "field detections[1].keypoints: expected list, got NoneType"),
     (("scene_sig",), "abc", "field scene_sig: expected list of numbers, got str"),
     (("scene_sig", 3), "x", "field scene_sig[3]: expected number, got str"),
