@@ -231,6 +231,16 @@ def test_text_rules_by_character():
         assert (line_fault(f"a{ch}b") is None) == (category not in ("Cc", "Cs", "Zl", "Zp")), repr(ch)
 
 
+def test_whitespace_is_the_same_29_code_points():
+    """``str.split()`` and the word rule rest on ``str.isspace``, which
+    follows the interpreter's Unicode database: pinned, each supported
+    Python is checked to agree."""
+    assert {c for c in range(sys.maxunicode + 1) if chr(c).isspace()} == {
+        0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F, 0x20, 0x85, 0xA0, 0x1680, 0x2000, 0x2001,
+        0x2002, 0x2003, 0x2004, 0x2005, 0x2006, 0x2007, 0x2008, 0x2009, 0x200A, 0x2028, 0x2029, 0x202F, 0x205F, 0x3000,
+    }
+
+
 def test_validate_is_deterministic():
     frames = [make_frame(100), make_frame(100, exposure_us=0)]
     assert validate_trace(frames) == validate_trace(frames)

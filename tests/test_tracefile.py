@@ -1,4 +1,6 @@
 import contextlib
+import decimal
+import enum
 import functools
 import gc
 import io
@@ -6,6 +8,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -452,6 +455,65 @@ def test_write_trace_equals_object_form_oracle(frames, stats):
         path = Path(tmp) / "trace.ndjson"
         write_trace(path, frames, stats=stats)
         assert path.read_bytes() == oracle_trace_bytes(frames, stats)
+
+
+class Level(enum.IntEnum):
+    HIGH = 2**63
+
+
+# ``write_trace`` writes an exact int as ``int.__repr__`` and a bool flag
+# from a table; everything else, including equal values of other types,
+# must reach the encoder and come out as ``json.dumps`` writes it, or fail
+# as it fails.
+any_number = st.one_of(
+    st.integers(),
+    st.sampled_from([-(2**63) - 1, -(2**63), 2**63 - 1, 2**63, 2**64, 10**30]),
+    st.booleans(),
+    st.sampled_from(list(Level)),
+    any_float,
+    st.sampled_from([None, decimal.Decimal(1), 1j]),
+)
+any_flag = st.sampled_from([True, False, 0, 1, 0.0])
+
+
+@given(frame_lists(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_write_trace_writes_any_number_and_flag_as_json_does(frames, data):
+    frames = [
+        replace(f, ts_ms=data.draw(any_number), exposure_us=data.draw(any_number), user_selection=data.draw(any_flag))
+        for f in frames
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.ndjson"
+        try:
+            expected = oracle_trace_bytes(frames)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                write_trace(path, frames)
+            assert str(raised.value) == str(exc)
+        else:
+            write_trace(path, frames)
+            assert path.read_bytes() == expected
+
+
+def test_write_trace_streams_its_lines(tmp_path):
+    """The writer's peak above the frames stays far below the file's size.
+
+    It holds one line and the texts of the values frames share, about
+    68 KB here, never the file's text: a writer that joins its lines
+    first peaks above the whole file, here 7 MB.
+    """
+    frames = generate_frames(TraceSpec(5000, 2, 0.1, 0.1, 20.0, seed=3))
+    path = tmp_path / "trace.ndjson"
+    gc.collect()
+    tracemalloc.start()
+    try:
+        write_trace(path, frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(frames) == 10_000 and path.stat().st_size > 6_000_000
+    assert peak < 256 * 1024, peak
 
 
 def float_bits(value):
