@@ -23,8 +23,13 @@ def normalize(text: str) -> str:
 
     Whitespace is what ``str.split()`` splits on, the same set as the
     regular expression ``\\s``; every character ``_CONTROL`` deletes is
-    non-printable, so printable text skips the deletion.
+    non-printable, so printable text skips the deletion.  Printable
+    ASCII holds no whitespace but the space, so such text with no space
+    at either end and no two in a row is already normal: it is returned
+    as is.
     """
+    if text.isascii() and text.isprintable() and "  " not in text and text.strip(" ") == text:
+        return text
     if not text.isprintable():
         text = text.translate(_CONTROL)
     return " ".join(text.split())

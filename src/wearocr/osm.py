@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from operator import add, attrgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .model import OcrPayload, PayloadKind, QualityFlag, QueryRecord
 
@@ -48,20 +49,50 @@ def near_duplicate(common: int, size_a: int, size_b: int, theta: float) -> bool:
     return (common / union if union else 1.0) >= theta
 
 
-@functools.lru_cache(maxsize=16)
-def size_filter(max_size: int, theta: float) -> tuple[frozenset[int], ...]:
-    """Size filter up to ``max_size``: item ``a`` holds the sizes a set of ``a`` tokens can match.
+@functools.lru_cache(maxsize=1024)
+def size_bounds(size: int, theta: float) -> tuple[int, int | float]:
+    """``(lo, hi)``: a set of ``size`` tokens can match one of ``m`` tokens only if ``lo <= m <= hi``.
 
-    A set of ``a`` tokens and one of ``b`` share at most ``min(a, b)``,
-    so ``b`` is kept when ``near_duplicate(min(a, b), a, b, theta)``;
-    float division is monotone, so a size left out is one the exact
-    test rejects at every overlap.  Cached, so that every query's dedup
-    reuses one table.
+    Two sets share at most ``min(size, m)`` tokens, so ``m`` can match
+    exactly when ``near_duplicate(min(size, m), size, m, theta)``; float
+    division is monotone, so those ``m`` form the range ``lo..hi``
+    around ``size``.  ``lo`` is also the fewest tokens a near-duplicate
+    shares with the set, the prefix filter's overlap bound.  The range
+    is empty (``lo = size + 1``) when no size matches (``theta > 1`` or
+    NaN), and ``hi`` is ``math.inf`` when every size does
+    (``theta <= 0``).  The ends start from the exact ``ceil(theta *
+    size)`` and ``floor(size / theta)`` and are then moved by
+    ``near_duplicate`` itself, so a size the float test accepts is
+    never left out.  That takes a few calls at any ``size``, more only
+    for a ``theta`` near 0, where float rounding moves ``hi`` far; the
+    result is cached.
     """
-    return tuple(
-        frozenset(b for b in range(max_size + 1) if near_duplicate(min(a, b), a, b, theta))
-        for a in range(max_size + 1)
-    )
+    if not theta <= 1:  # > 1 or NaN
+        return size + 1, size
+    if theta <= 0:
+        return 0, math.inf
+    num, den = theta.as_integer_ratio()
+    lo = _widen(lambda m: m >= 0 and near_duplicate(m, size, m, theta), -(-size * num // den), -1)
+    hi = _widen(lambda m: near_duplicate(size, size, m, theta), size * den // num, 1)
+    return lo, hi
+
+
+def _widen(matches: Callable[[int], bool], edge: int, step: int) -> int:
+    """The last ``m`` that ``matches`` going from ``edge`` by ``step``: it
+    holds at ``edge`` and, once false, stays false.  Galloping, then
+    bisecting, so the distance from ``edge`` costs its logarithm."""
+    reach = 1
+    while matches(edge + step * reach):
+        edge += step * reach
+        reach *= 2
+    while reach > 1:  # matches(edge) holds, matches(edge + step * reach) does not
+        half = reach // 2
+        if matches(edge + step * half):
+            edge += step * half
+            reach -= half
+        else:
+            reach = half
+    return edge
 
 
 # Kept for the benchmark alone: bench/layers.py counts its calls as osm.similarity_evals (ROADMAP item 1).
@@ -80,16 +111,6 @@ def _exemplar_key(p: OcrPayload) -> tuple[int, float, int]:
     chars = sum(len(s.text) for s in p.spans)
     mean_conf = functools.reduce(add, [s.conf for s in p.spans], 0) / len(p.spans) if p.spans else 0.0
     return (chars, mean_conf, p.frame_ts_ms)
-
-
-def _min_overlap(size: int, theta: float) -> int:
-    """Fewest tokens a near-duplicate of a set of ``size`` shares with it; ``size + 1`` if none.
-
-    A set sharing ``i`` tokens matches best when it holds just those
-    ``i``, with the union ``size``; any larger union lowers the
-    similarity.
-    """
-    return next((i for i in range(size + 1) if near_duplicate(i, size, i, theta)), size + 1)
 
 
 @dataclass(frozen=True)
@@ -219,10 +240,10 @@ class SessionTimeline:
         # token index filtered as in set-similarity joins (AllPairs,
         # PPJoin).  Tokens are ranked by document frequency, then by
         # string; a set of n tokens matching at theta shares at least
-        # _min_overlap(n) of them, so two matching sets share a token
-        # within their n - _min_overlap(n) + 1 lowest ranks ("prefix").
+        # lo = size_bounds(n)[0] of them, so two matching sets share a
+        # token within their n - lo + 1 lowest ranks ("prefix").
         # The index maps each key of a group's current exemplar to the
-        # group.  Candidates pass a size filter and the exact test in
+        # group.  Candidates pass the size bounds and the exact test in
         # creation order; the first match wins, as in a full scan.  Both
         # filters are near_duplicate itself at the best case for the
         # sizes, so neither rejects a pair the exact test accepts.
@@ -245,13 +266,11 @@ class SessionTimeline:
         rank = {t: r for r, t in enumerate(sorted(df, key=lambda t: (df[t], t)))}
         for ts, toks in tokens.items():
             tokens[ts] = tuple(sorted(map(rank.__getitem__, toks)))
-        max_size = max(map(len, tokens.values()), default=0)
-        need = [_min_overlap(n, theta) for n in range(max_size + 1)]
-        fits = size_filter(max_size, theta)
+        bounds = {n: size_bounds(n, theta) for n in set(map(len, tokens.values()))}
 
         def keys(ts: int) -> tuple[int, ...]:
             toks = tokens[ts]
-            return toks[: len(toks) - need[len(toks)] + 1] if theta > 0 and toks else (_ANY_KEY,)
+            return toks[: len(toks) - bounds[len(toks)][0] + 1] if theta > 0 and toks else (_ANY_KEY,)
 
         member_lists: list[list[int]] = []
         exemplars: list[int] = []
@@ -262,10 +281,10 @@ class SessionTimeline:
             if not payload.selection:
                 toks = tokens[ts]
                 mine = set(toks)
-                sizes = fits[len(toks)]
+                lo, hi = bounds[len(toks)]
                 for gi in sorted(set().union(*(index.get(k, ()) for k in keys(ts)))):
                     other = tokens[exemplars[gi]]
-                    if len(other) in sizes and near_duplicate(
+                    if lo <= len(other) <= hi and near_duplicate(
                         len(mine.intersection(other)), len(toks), len(other), theta
                     ):
                         match = gi

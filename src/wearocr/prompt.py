@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Container, Mapping, Sequence
 
 from .model import QueryMode, QueryRecord, Resolution
-from .osm import DEFAULT_TEXT_SIMILARITY_THRESHOLD, OcrContextEntry, near_duplicate, size_filter
+from .osm import DEFAULT_TEXT_SIMILARITY_THRESHOLD, OcrContextEntry, near_duplicate, size_bounds
 
 READOUT_PREAMBLE = "Read this word by word, spell out license plates character by character"
 TRANSLATION_PREAMBLE_TEMPLATE = "Translate this word by word into {language}"
@@ -102,17 +102,21 @@ def dedup_prompt_ocr(
     deduplicated away.  Idempotent.
     """
     retained: list[OcrContextEntry] = []
-    fits = size_filter(max((len(e.tokens) for e in entries), default=0), threshold)
+    kept: list[frozenset[str]] = []  # the token sets of ``retained``
     for entry in entries:
         tokens = entry.tokens
-        sizes = fits[len(tokens)]
-        if not entry.is_selection and any(
-            near_duplicate(len(tokens & kept.tokens), len(tokens), len(kept.tokens), threshold)
-            for kept in retained
-            if len(kept.tokens) in sizes
-        ):
-            continue
+        if not entry.is_selection:
+            size = len(tokens)
+            lo, hi = size_bounds(size, threshold)
+            duplicate = False
+            for other in kept:
+                if lo <= len(other) <= hi and near_duplicate(len(tokens & other), size, len(other), threshold):
+                    duplicate = True
+                    break
+            if duplicate:
+                continue
         retained.append(entry)
+        kept.append(tokens)
     return retained
 
 

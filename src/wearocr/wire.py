@@ -158,13 +158,19 @@ class _Layout:
 
     def unpack(self, data: bytes, pos: int) -> tuple:
         """The fields at ``pos``; a frame that ends first is corrupt at the
-        first field past its end."""
+        first field past its end (``truncated``)."""
         if pos + self.size > len(data):
-            for _, fmt in self.fields:
-                if pos + fmt.size > len(data):
-                    raise CorruptFrameError("body truncated", pos)
-                pos += fmt.size
+            raise self.truncated(data, pos)
         return self.struct.unpack_from(data, pos)
+
+    def truncated(self, data: bytes, pos: int) -> CorruptFrameError:
+        """The error for the fields at ``pos`` in a frame that ends before
+        they do: the first field past its end, at that field's offset."""
+        for _, fmt in self.fields:
+            if pos + fmt.size > len(data):
+                return CorruptFrameError("body truncated", pos)
+            pos += fmt.size
+        raise AssertionError("the fields fit in the frame")
 
 
 # Every frame starts with its body length and this header.
@@ -188,16 +194,31 @@ _SELECTION_HEAD = _Layout(*_FRAME, *_SELECTION_FIELDS.fields)
 
 
 def _span_bytes(spans: tuple[TextSpan, ...], offset: int) -> bytes:
-    """The encoded spans, the first at frame offset ``offset``."""
+    """The encoded spans, the first at frame offset ``offset``.
+
+    One ``pack`` of each span's length and one of its five doubles;
+    when one fails, the spans are packed again field by field, which
+    raises the ``WireError`` naming the first field at fault.
+    """
     parts: list[bytes] = []
-    for span in spans:
-        raw = span.text.encode("utf-8")
-        parts.append(_TEXT_LENGTH.pack(offset, len(raw)))
-        parts.append(raw)
-        offset += _TEXT_LENGTH.size + len(raw)
-        bbox = span.bbox
-        parts.append(_SPAN_BOX.pack(offset, bbox.x, bbox.y, bbox.w, bbox.h, span.conf))
-        offset += _SPAN_BOX.size
+    append = parts.append
+    pack_length, pack_box = _TEXT_LENGTH.struct.pack, _SPAN_BOX.struct.pack
+    try:
+        for span in spans:
+            raw = span.text.encode("utf-8")
+            bbox = span.bbox
+            append(pack_length(len(raw)))
+            append(raw)
+            append(pack_box(bbox.x, bbox.y, bbox.w, bbox.h, span.conf))
+    except struct.error:
+        for span in spans:
+            raw = span.text.encode("utf-8")
+            _TEXT_LENGTH.pack(offset, len(raw))
+            offset += _TEXT_LENGTH.size + len(raw)
+            bbox = span.bbox
+            _SPAN_BOX.pack(offset, bbox.x, bbox.y, bbox.w, bbox.h, span.conf)
+            offset += _SPAN_BOX.size
+        raise
     return b"".join(parts)
 
 
@@ -284,20 +305,30 @@ def decode(data: bytes) -> WireMessage:
         pos += n_flags
         (n_spans,) = _SPANS_COUNT.unpack(data, pos)
         pos += _SPANS_COUNT.size
+        # Each span: one unpack of its length and one of its five
+        # doubles, bounds checked here; a frame that ends inside a span
+        # is named by the _Layout the fields belong to.
         spans = []
+        append = spans.append
+        unpack_length, length_size = _TEXT_LENGTH.struct.unpack_from, _TEXT_LENGTH.size
+        unpack_box, box_size = _SPAN_BOX.struct.unpack_from, _SPAN_BOX.size
         for _ in range(n_spans):
-            (n,) = _TEXT_LENGTH.unpack(data, pos)
-            pos += _TEXT_LENGTH.size
-            if pos + n > size:
+            if pos + length_size > size:
+                raise _TEXT_LENGTH.truncated(data, pos)
+            (n,) = unpack_length(data, pos)
+            pos += length_size
+            end = pos + n
+            if end > size:
                 raise CorruptFrameError("body truncated", pos)
             try:
-                text = data[pos : pos + n].decode("utf-8")
+                text = data[pos:end].decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CorruptFrameError(f"string is not UTF-8: {exc.reason}", pos) from None
-            pos += n
-            x, y, w, h, conf = _SPAN_BOX.unpack(data, pos)
-            pos += _SPAN_BOX.size
-            spans.append(TextSpan(text, Rect(x, y, w, h), conf))
+            if end + box_size > size:
+                raise _SPAN_BOX.truncated(data, end)
+            x, y, w, h, conf = unpack_box(data, end)
+            pos = end + box_size
+            append(TextSpan(text, Rect(x, y, w, h), conf))
         body = OcrPayload(kind, frame_ts, tuple(spans), selection == 1, flags)
         violations = validate_payload(body)
         if violations:

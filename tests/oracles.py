@@ -30,6 +30,21 @@ def text_similarity(a, b):
     return len(ta & tb) / union if union else 1.0
 
 
+def oracle_sizes_match(n, m, theta):
+    """Whether a set of ``n`` tokens can match one of ``m`` at ``theta``:
+    they share at most ``min(n, m)`` tokens, so their similarity is at
+    most ``min(n, m) / max(n, m)``, and 1.0 when both are empty."""
+    best = min(n, m) / max(n, m) if max(n, m) else 1.0
+    return best >= theta
+
+
+def oracle_min_overlap(n, theta):
+    """The fewest tokens a near-duplicate of a set of ``n`` shares with
+    it, ``n + 1`` if none: sharing ``i``, a set matches best when it
+    holds just those ``i``, at similarity ``i / n``."""
+    return next((i for i in range(n + 1) if (i / n if n else 1.0) >= theta), n + 1)
+
+
 def span_texts(payload):
     return [s.text for s in payload.spans]
 

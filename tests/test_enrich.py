@@ -46,6 +46,23 @@ class TestNormalize:
     def test_idempotent(self, text):
         assert normalize(normalize(text)) == normalize(text)
 
+    # Runs of letters, spaces and the whitespace and control characters
+    # next to them, so that text is often already normal and often one
+    # character away from it.
+    @given(
+        st.lists(
+            st.sampled_from(["a", "Z", "q", " ", "  ", "\t", "\x00", "\u00a0", "\u3000"]), max_size=12
+        ).map("".join)
+    )
+    @settings(max_examples=500)
+    def test_matches_split_join_and_keeps_normal_entries(self, text):
+        expected = " ".join(text.translate(dict.fromkeys([*range(0x09), *range(0x0B, 0x20), 0x7F])).split())
+        assert normalize(text) == expected
+        e = entry(10, text)
+        (out,) = normalize_entries([e])
+        assert (out is e) == (expected == text)
+        assert out == replace(e, text=expected)
+
     def test_normalize_entries_maps_text_only(self):
         entries = [entry(10, " a  b ", flags=frozenset({QualityFlag.BLURRY}), selected=True)]
         out = normalize_entries(entries)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -9,12 +10,15 @@ from oracles import (
     oracle_get,
     oracle_get_batch,
     oracle_groups,
+    oracle_min_overlap,
+    oracle_sizes_match,
     select_exemplar,
     span_texts,
     text_similarity,
 )
 from wearocr.model import OcrPayload, PayloadKind, QualityFlag, QueryMode, QueryRecord, Rect, TextSpan
-from wearocr.osm import SessionTimeline, _exemplar_key, _min_overlap, near_duplicate, size_filter
+from wearocr import osm
+from wearocr.osm import SessionTimeline, _exemplar_key, near_duplicate, size_bounds
 
 
 def text_payload(ts, text, selection=False, conf=0.9, flags=frozenset()):
@@ -415,10 +419,43 @@ class TestNearDuplicateRule:
         match = near_duplicate(common, len(a), len(b), theta)
         assert match == (text_similarity([" ".join(a)], [" ".join(b)]) >= theta)
         if match:
-            # The size filter's test, and the prefix filter's overlap bound.
-            assert len(b) in size_filter(max(len(a), len(b)), theta)[len(a)]
+            # The size bounds, and the prefix filter's overlap bound.
+            lo, hi = size_bounds(len(a), theta)
+            assert lo <= len(b) <= hi
             for size in filter(None, (len(a), len(b))):
-                assert common >= _min_overlap(size, theta)
+                assert common >= size_bounds(size, theta)[0]
+
+
+class TestSizeBounds:
+    @pytest.mark.parametrize("theta", [-1, -0.0, 0, 1e-300, 0.3, 0.5, 0.8, 0.9, 1, 1.5, math.nan])
+    def test_match_brute_force(self, theta):
+        for n in range(81):
+            lo, hi = size_bounds(n, theta)
+            assert lo == oracle_min_overlap(n, theta), n
+            assert [m for m in range(81) if lo <= m <= hi] == [
+                m for m in range(81) if oracle_sizes_match(n, m, theta)
+            ], n
+            if hi == math.inf:
+                assert oracle_sizes_match(n, 10**400, theta)
+            elif lo <= hi:  # the largest size that can match, however far past 80
+                assert oracle_sizes_match(n, hi, theta) and not oracle_sizes_match(n, hi + 1, theta), n
+
+    def test_constant_work_for_any_size(self, monkeypatch):
+        # Bounds from a table or a scan of the sizes would never finish here.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            assert len(calls) <= 8, calls
+            return near_duplicate(*args)
+
+        monkeypatch.setattr(osm, "near_duplicate", counted)
+        size_bounds.cache_clear()
+        try:
+            assert size_bounds(10**12, 0.8) == (8 * 10**11, 125 * 10**10)
+        finally:
+            size_bounds.cache_clear()
+        assert calls
 
 
 # Each example draws its words from a few of the vocabulary's, so that

@@ -244,6 +244,30 @@ class TestCodec:
         with pytest.raises(wire.WireError, match=field):
             wire.encode(wire.WireMessage(1, body))
 
+    # Three spans and one flag code.  The fixed fields take 27 bytes
+    # (length 4, type 1, session 8, kind 1, ts 8, selection 1, flag
+    # count 4), then the flag code 1 and the spans count 4: the first
+    # span starts at 32.  A span takes 4 + len(text) + 5 * 8 bytes, so
+    # "a" ends at 32 + 45 = 77 and "bc" at 77 + 46 = 123.  In the third,
+    # "def", the box starts at 123 + 4 + 3 = 130: bbox.w at 146, conf at 162.
+    @pytest.mark.parametrize(
+        "bbox, conf, field, offset",
+        [
+            (Rect(0, 0, "wide", 1), 0.5, "span.bbox.w", 146),
+            (Rect(0, 0, 1, 1), "high", "span.conf", 162),
+        ],
+    )
+    def test_encode_names_a_fault_in_a_later_span_at_its_offset(self, bbox, conf, field, offset):
+        spans = (
+            TextSpan("a", Rect(0, 0, 1, 1), 0.9), TextSpan("bc", Rect(0, 0, 1, 1), 0.9), TextSpan("def", bbox, conf)
+        )
+        body = OcrPayload(
+            kind=PayloadKind.TEXT_OCR, frame_ts_ms=0, spans=spans, quality_flags=frozenset({QualityFlag.BLURRY})
+        )
+        with pytest.raises(wire.WireError, match=f"field {field} cannot be encoded as f64") as excinfo:
+            wire.encode(wire.WireMessage(1, body))
+        assert excinfo.value.offset == offset
+
     def test_encode_rejects_negative_session_id(self):
         with pytest.raises(wire.WireError, match="session_id") as excinfo:
             wire.encode(wire.WireMessage(-1, wire.SessionEnd()))
