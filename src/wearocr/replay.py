@@ -290,13 +290,19 @@ def replay(
     ledger = wire.UplinkLedger()
     timeline = SessionTimeline(config.text_similarity_threshold)
     turns = iter(lambda: list(islice(payloads, 256)), [])
+    # The link's names are looked up once per call, not once per message;
+    # a wrapper installed on them before the call is the one bound.
+    session_id, message, encode, account, decode = (
+        config.session_id, wire.WireMessage, wire.encode, wire.account, wire.decode
+    )
+    ingest = timeline.ingest
     for body in chain(head, chain.from_iterable(turns), (wire.SessionEnd(),)):
-        msg = wire.WireMessage(config.session_id, body)
-        frame = wire.encode(msg)
-        ledger = wire.account(ledger, msg, frame)
-        received = wire.decode(frame).body
+        msg = message(session_id, body)
+        frame = encode(msg)
+        ledger = account(ledger, msg, frame)
+        received = decode(frame).body
         if isinstance(received, OcrPayload):
-            timeline.ingest(received)
+            ingest(received)
 
     group_source = {g.group_latest_ts: g.exemplar_ts for g in timeline.groups()}
 

@@ -246,7 +246,8 @@ def process_frame(
     if is_blurry(motion_energy(frame), frame.exposure_us):
         return (*_REJECT_BLUR, state)
 
-    choice = select_roi(frame.detections)
+    # select_roi(()) is None: a frame without detections skips the search.
+    choice = select_roi(frame.detections) if frame.detections else None
     if choice is None:
         return (*_REJECT_NO_TEXT, state)
     selected = choice.selection or frame.user_selection

@@ -194,6 +194,8 @@ _QUERY_FIELDS = ("ts_ms", "speech_start_ms", "question", "mode", "target_lang")
 # repeats fall within a few lines of each other.
 _FLOAT_MEMO_SIZE = 4096
 _BOM_MESSAGE = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+# What JSON counts as whitespace, and so all a blank line may hold.
+_JSON_SPACE = " \t\n\r"
 
 
 def _detections_json(detections: Sequence[Detection]) -> str:
@@ -497,7 +499,9 @@ def write_generated_trace(path: str | Path, spec: TraceSpec) -> list[FrameRecord
     return frames
 
 
-def _parse_line(path: str | Path, lineno: int, line: str, decode: Callable[[str], object]) -> dict:
+def _parse_line(
+    path: str | Path, lineno: int, line: str, raw_decode: Callable[[str, int], tuple[object, int]]
+) -> dict:
     # Lines are decoded with surrogateescape, so a byte that is not
     # UTF-8 shows up here as a lone surrogate, which cannot re-encode.
     if not line.isascii():
@@ -508,7 +512,15 @@ def _parse_line(path: str | Path, lineno: int, line: str, decode: Callable[[str]
                 f"{path}:{lineno}: not UTF-8 at character {exc.start + 1}"
             ) from None
     try:
-        obj = decode(line)
+        # What ``JSONDecoder.decode(line)`` does, in one call to the C
+        # scanner: the value from the first character that is not JSON
+        # whitespace, then "Extra data" unless only JSON whitespace
+        # follows it.  The line is not cut on the right before the scan,
+        # so a string the line ends inside fails as decode fails, on the
+        # newline as an invalid control character.
+        obj, end = raw_decode(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+        if end != len(line) and line[end:].strip(_JSON_SPACE):
+            raise json.JSONDecodeError("Extra data", line, end)
     except (ValueError, RecursionError) as exc:
         # ``json.loads`` names a leading byte-order mark, which a decoder
         # reports as a bad value; the message stays the one it gave.
@@ -523,7 +535,10 @@ def _read_lines(
     path: str | Path, expected_format: str, convert: Callable[[dict], T]
 ) -> tuple[dict, list[T]]:
     """Header and converted records; bad input raises ``TraceFormatError``
-    as ``path:line: ...`` and the file is closed on every path.
+    as ``path:line: ...`` and the file is closed on every path.  A record
+    line that holds only JSON whitespace (``" \\t\\n\\r"``) is blank and
+    skipped; any other line must hold one JSON object, so a line of, say,
+    a form feed or a no-break space is refused as not JSON.
 
     Lines are parsed by one decoder per call, whose ``parse_float`` is a
     bounded memo from a float's text to its value: equal texts give one
@@ -532,12 +547,12 @@ def _read_lines(
     ``-0.0``, or ``1`` and ``1.0``, keep their bits and types; float
     objects are immutable, so sharing them is safe.
     """
-    decode = json.JSONDecoder(parse_float=functools.lru_cache(maxsize=_FLOAT_MEMO_SIZE)(float)).decode
+    raw_decode = json.JSONDecoder(parse_float=functools.lru_cache(maxsize=_FLOAT_MEMO_SIZE)(float)).raw_decode
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header_line = fh.readline()
         if not header_line:
             raise TraceFormatError(f"{path}:1: empty file, missing header")
-        header = _parse_line(path, 1, header_line, decode)
+        header = _parse_line(path, 1, header_line, raw_decode)
         if header.get("format") != expected_format:
             raise TraceFormatError(
                 f"{path}:1: expected format {expected_format!r}, got {header.get('format')!r}"
@@ -546,9 +561,9 @@ def _read_lines(
             raise TraceFormatError(f"{path}:1: unsupported version {header.get('version')!r}")
         records = []
         for lineno, line in enumerate(fh, start=2):
-            if line.isspace():
+            if not line.lstrip(_JSON_SPACE):
                 continue
-            obj = _parse_line(path, lineno, line, decode)
+            obj = _parse_line(path, lineno, line, raw_decode)
             try:
                 records.append(convert(obj))
             except TraceFormatError as exc:

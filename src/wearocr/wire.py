@@ -182,6 +182,9 @@ _OCR_HEAD = _Layout(
     *_FRAME, ("kind", _U8), ("frame_ts_ms", _U64), ("selection", _U8), ("quality_flags count", _U32)
 )
 _SPANS_COUNT = _Layout(("spans count", _U32))
+# The tail of a payload without spans, after each flag set's codes: most
+# payloads carry no text.
+_SPANLESS_TAIL = {codes: codes + _U32.pack(0) for codes in _FLAG_BYTES.values()}
 # A span: text length, UTF-8 text, then box and confidence.
 _TEXT_LENGTH = _Layout(("span.text", _U32))
 _SPAN_BOX = _Layout(*((f"span.{name}", _F64) for name in ("bbox.x", "bbox.y", "bbox.w", "bbox.h", "conf")))
@@ -225,20 +228,22 @@ def _span_bytes(spans: tuple[TextSpan, ...], offset: int) -> bytes:
 def encode(msg: WireMessage) -> bytes:
     """The frame for ``msg``; ``WireError`` names a field out of its range."""
     body = msg.body
-    msg_type = msg.msg_type
+    msg_type = _MSG_TYPE[type(body)]
     if msg_type == MSG_OCR_PAYLOAD:
         # The variable tail first, so that its length can go into the
         # one pack of the length and the fixed fields.
         codes = _FLAG_BYTES[body.quality_flags]
         fields = (msg_type, msg.session_id, int(body.kind), body.frame_ts_ms, 1 if body.selection else 0, len(codes))
         spans = body.spans
-        tail = codes + _U32.pack(len(spans))
         if spans:
+            tail = codes + _U32.pack(len(spans))
             try:
                 tail += _span_bytes(spans, _OCR_HEAD.size + len(tail))
             except WireError:
                 _OCR_HEAD.pack(0, 0, *fields)  # a fixed field at fault comes first
                 raise
+        else:
+            tail = _SPANLESS_TAIL[codes]
         return _OCR_HEAD.pack(0, _OCR_HEAD.size - 4 + len(tail), *fields) + tail
     if msg_type == MSG_VIDEO_SEGMENT:
         return _VIDEO_HEAD.pack(
@@ -266,6 +271,38 @@ def _ocr_fields_fault(data: bytes) -> CorruptFrameError:
             return CorruptFrameError(f"selection byte {value} is neither 0 nor 1", pos)
         pos += fmt.size
     raise AssertionError("the fixed fields hold no fault")
+
+
+def _decode_spans(data: bytes, pos: int, n_spans: int) -> tuple[tuple[TextSpan, ...], int]:
+    """The ``n_spans`` spans from ``pos`` on, and the offset after them.
+
+    Each span: one unpack of its length and one of its five doubles,
+    bounds checked here; a frame that ends inside a span is named by the
+    _Layout the fields belong to.
+    """
+    size = len(data)
+    spans = []
+    append = spans.append
+    unpack_length, length_size = _TEXT_LENGTH.struct.unpack_from, _TEXT_LENGTH.size
+    unpack_box, box_size = _SPAN_BOX.struct.unpack_from, _SPAN_BOX.size
+    for _ in range(n_spans):
+        if pos + length_size > size:
+            raise _TEXT_LENGTH.truncated(data, pos)
+        (n,) = unpack_length(data, pos)
+        pos += length_size
+        end = pos + n
+        if end > size:
+            raise CorruptFrameError("body truncated", pos)
+        try:
+            text = data[pos:end].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CorruptFrameError(f"string is not UTF-8: {exc.reason}", pos) from None
+        if end + box_size > size:
+            raise _SPAN_BOX.truncated(data, end)
+        x, y, w, h, conf = unpack_box(data, end)
+        pos = end + box_size
+        append(TextSpan(text, Rect(x, y, w, h), conf))
+    return tuple(spans), pos
 
 
 def decode(data: bytes) -> WireMessage:
@@ -305,31 +342,10 @@ def decode(data: bytes) -> WireMessage:
         pos += n_flags
         (n_spans,) = _SPANS_COUNT.unpack(data, pos)
         pos += _SPANS_COUNT.size
-        # Each span: one unpack of its length and one of its five
-        # doubles, bounds checked here; a frame that ends inside a span
-        # is named by the _Layout the fields belong to.
-        spans = []
-        append = spans.append
-        unpack_length, length_size = _TEXT_LENGTH.struct.unpack_from, _TEXT_LENGTH.size
-        unpack_box, box_size = _SPAN_BOX.struct.unpack_from, _SPAN_BOX.size
-        for _ in range(n_spans):
-            if pos + length_size > size:
-                raise _TEXT_LENGTH.truncated(data, pos)
-            (n,) = unpack_length(data, pos)
-            pos += length_size
-            end = pos + n
-            if end > size:
-                raise CorruptFrameError("body truncated", pos)
-            try:
-                text = data[pos:end].decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CorruptFrameError(f"string is not UTF-8: {exc.reason}", pos) from None
-            if end + box_size > size:
-                raise _SPAN_BOX.truncated(data, end)
-            x, y, w, h, conf = unpack_box(data, end)
-            pos = end + box_size
-            append(TextSpan(text, Rect(x, y, w, h), conf))
-        body = OcrPayload(kind, frame_ts, tuple(spans), selection == 1, flags)
+        spans: tuple[TextSpan, ...] = ()
+        if n_spans:
+            spans, pos = _decode_spans(data, pos, n_spans)
+        body = OcrPayload(kind, frame_ts, spans, selection == 1, flags)
         violations = validate_payload(body)
         if violations:
             raise CorruptFrameError(f"invalid payload: {violations[0]}", _HEAD.size)

@@ -7,6 +7,7 @@ and cross-checks grouping and the causal context chain against the
 benchmark's own independent check, ``bench/checks.py``.
 """
 
+import json
 import re
 from collections import Counter
 
@@ -287,3 +288,30 @@ def oracle_fidelity(queries, prompts, payloads_by_ts, gt_words_by_ts, theta):
         recovered += sum(min(n, seen[word]) for word, n in truth.items())
         total += sum(truth.values())
     return recovered, total
+
+
+def oracle_read_objects(path):
+    """The objects of an NDJSON file's lines, header first, each line
+    parsed on its own by ``json.JSONDecoder().decode``.
+
+    Lines split as a text-mode file splits them (``\\n``, ``\\r``,
+    ``\\r\\n``).  A record line that holds only JSON whitespace
+    (space, tab, line feed, carriage return) is blank and skipped; any
+    other line that is not one JSON value raises ``ValueError`` with the
+    reader's text, ``<path>:<n>: not JSON: <msg>``, where a leading
+    byte-order mark is named as ``json.loads`` names it.  Lines are
+    neither checked for UTF-8 nor for being objects.
+    """
+    decode = json.JSONDecoder().decode
+    objects = []
+    with open(path, encoding="utf-8") as fh:
+        for n, line in enumerate(fh, start=1):
+            if n > 1 and not line.strip(" \t\n\r"):
+                continue
+            try:
+                if line.startswith("\ufeff"):
+                    raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+                objects.append(decode(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{n}: not JSON: {exc.msg}") from None
+    return objects

@@ -19,6 +19,8 @@ from oracles import (
 from wearocr.model import OcrPayload, PayloadKind, QualityFlag, QueryMode, QueryRecord, Rect, TextSpan
 from wearocr import osm
 from wearocr.osm import SessionTimeline, _exemplar_key, near_duplicate, size_bounds
+from wearocr.replay import ShuffleConfig, SimConfig, replay
+from wearocr.tracefile import TraceSpec, generate_frames
 
 
 def text_payload(ts, text, selection=False, conf=0.9, flags=frozenset()):
@@ -569,3 +571,69 @@ class TestStoreMatchesPlainDict:
         for ts, window in queries:
             query = query_at(ts)
             assert timeline.build_ocr_context(query, window) == oracle_context(final, groups, query, window)
+
+
+_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("ingest"), _any_payload()),
+        st.tuples(st.just("get"), st.integers(-5, 135)),
+        st.tuples(st.just("get_batch"), st.lists(st.integers(-5, 135), min_size=1, max_size=4)),
+        st.tuples(st.just("group_of"), st.integers(-5, 135)),
+    ),
+    max_size=40,
+)
+
+
+class TestViewsBuiltOnDemand:
+    """Retrieval's views are built on the first ``get``, ``get_batch`` or
+    ``group_of`` after an ingest; every answer is the oracles' for the
+    payloads stored so far."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(steps=_steps, theta=st.sampled_from([0.5, 0.8, 1.0]))
+    @example(
+        steps=[
+            ("ingest", text_payload(10, "gate b12")), ("group_of", 10), ("get", 15), ("get_batch", [10, 15]),
+            ("ingest", empty_payload(10)), ("group_of", 10), ("get", 15), ("get_batch", [10, 15]),
+            ("ingest", text_payload(10, "exit now")), ("get_batch", [15]), ("group_of", 10), ("get", 15),
+        ],
+        theta=0.8,
+    )
+    def test_answers_between_ingests_match_the_oracles(self, steps, theta):
+        timeline = SessionTimeline(theta)
+        stored = {}
+        for op, arg in steps:
+            if op == "ingest":
+                timeline.ingest(arg)
+                stored[arg.frame_ts_ms] = arg  # a later payload replaces one at its ts
+            elif op == "get":
+                assert timeline.get(arg) == oracle_get(list(stored.values()), arg)
+            elif op == "get_batch":
+                assert timeline.get_batch(arg) == oracle_get_batch(stored, oracle_groups(stored, theta), arg)
+            else:
+                groups = oracle_groups(stored, theta)
+                assert timeline.group_of(arg) == next((g for g in groups if arg in g.members), None)
+
+
+def test_replay_builds_no_retrieval_view(monkeypatch):
+    built = []
+    for name in ("valid_ts", "group_by_ts"):
+        build = getattr(osm._Views, name).func
+
+        def recording(views, build=build, name=name):
+            built.append(name)
+            return build(views)
+
+        monkeypatch.setattr(osm._Views, name, property(recording))
+    spec = TraceSpec(
+        duration_s=120, fps=2, text_density=0.632, blur_rate=0.02, similarity_run_length=1.912,
+        selection_events=3, seed=5,
+    )
+    queries = [query_at(ts) for ts in range(10_000, 120_001, 10_000)]
+    result = replay(generate_frames(spec), queries, SimConfig(seed=3, shuffle=ShuffleConfig(enabled=True)))
+    assert any("[OCR t=" in p.text for p in result.prompts)
+    assert built == []
+    # The probe sees retrieval build each view.
+    result.timeline.get(60_000)
+    result.timeline.group_of(60_000)
+    assert built == ["valid_ts", "group_by_ts"]

@@ -46,6 +46,8 @@ from wearocr.tracefile import (
 )
 from wearocr.replay import ReplayError, replay
 
+from oracles import oracle_read_objects
+
 
 def frame_to_obj(frame: FrameRecord) -> dict:
     """The object form of a frame line, built field by field: the oracle
@@ -1019,6 +1021,90 @@ def test_null_target_lang_reads_as_none(tmp_path):
     with open(path, "a", encoding="utf-8") as fh:
         fh.write('{"mode":"Qa","question":"?","speech_start_ms":1,"target_lang":null,"ts_ms":2}\n')
     assert read_queries(path) == [QueryRecord(2, 1, "?", QueryMode.QA)]
+
+
+# -- padded lines ------------------------------------------------------------------
+
+# JSON whitespace but the line feed, and characters that str.isspace() or
+# Unicode count as space but JSON does not: vertical tab, form feed, file
+# separator, no-break space, line separator, byte-order mark.  A carriage
+# return ends a line, as a line feed does.
+_SPACES = " \t\x0b\x0c\x1c\xa0\u2028\ufeff"
+PADDING = st.text(st.sampled_from(_SPACES + "\r"), max_size=4)
+# Data after a record on its line: any characters but line breaks and lone
+# surrogates, which UTF-8 cannot hold, or a second JSON value, after padding
+# that does not end the line.
+TRAILING = st.tuples(
+    st.text(st.sampled_from(_SPACES), max_size=2),
+    st.one_of(
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), min_size=1, max_size=4),
+        st.sampled_from(["{}", "1", "[]", '"x"', "null"]),
+    ),
+).map("".join)
+
+
+@functools.lru_cache(maxsize=None)
+def one_record_files() -> dict[str, tuple[str, str, object]]:
+    """Each reader's file of one record: header line, record line and the record."""
+    frame = next(f for f in generate_frames(SPEC) if f.detections)
+    query = QueryRecord(1_000, 500, "Traduis ça", QueryMode.TRANSLATION, "Español")
+    with tempfile.TemporaryDirectory() as tmp:
+        write_trace(Path(tmp) / "f", [frame])
+        trace = (Path(tmp) / "f").read_text(encoding="utf-8").splitlines(keepends=True)
+        write_queries(Path(tmp) / "f", [query])
+        queries = (Path(tmp) / "f").read_text(encoding="utf-8").splitlines(keepends=True)
+    return {"trace": (*trace, frame), "queries": (*queries, query)}
+
+
+RECORDS = {"trace": lambda path: read_trace(path)[1], "queries": read_queries}
+# What follows the record on its line: padding, perhaps after the record is
+# cut short at a position taken modulo its length, or trailing data.
+ENDINGS = st.one_of(
+    st.tuples(PADDING, st.one_of(st.none(), st.integers(min_value=0))),
+    st.tuples(TRAILING, st.none()),
+)
+
+
+@given(st.sampled_from(sorted(RECORDS)), PADDING, ENDINGS)
+@example("trace", "\r\x0c", ("", None))  # a line of one form feed after a blank one
+@example("queries", "", ("\r\xa0", None))  # a line of one no-break space after the record
+@example("queries", "\u2028", ("", None))
+@example("trace", "\ufeff", ("", None))  # named as json.loads names a byte-order mark
+@example("trace", " \ufeff", ("", None))
+@example("trace", "", ("\x1c", None))
+@example("queries", "", (" \t\r", None))
+@example("trace", "", ("\t", 2))  # a line that ends inside a string: the tab is a control character
+@settings(max_examples=300, deadline=None)
+def test_padded_or_cut_line_reads_as_json_decoder_decode_reads_it(kind, before, ending):
+    header, line, record = one_record_files()[kind]
+    after, cut = ending
+    line = line.rstrip("\n")
+    if cut is not None:
+        line = line[: 1 + cut % (len(line) - 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{kind}.ndjson"
+        path.write_bytes((header + before + line + after + "\n").encode("utf-8"))
+        try:
+            objects = oracle_read_objects(path)
+        except ValueError as exc:
+            with pytest.raises(TraceFormatError) as info:
+                RECORDS[kind](path)
+            assert str(info.value) == str(exc)
+        else:
+            assert len(objects) == 2
+            assert RECORDS[kind](path) == [record]
+
+
+@pytest.mark.parametrize("space", ["\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"])
+def test_a_line_of_space_that_json_does_not_skip_is_not_json(tmp_path, space):
+    path = tmp_path / "queries.ndjson"
+    write_queries(path, [QueryRecord(1_000, 500, "?", QueryMode.QA)])
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(" \t\n\r\n" + space + "\n")
+    assert space.isspace()
+    with pytest.raises(TraceFormatError) as info:
+        read_queries(path)
+    assert str(info.value) == f"{path}:5: not JSON: Expecting value"
 
 
 # -- mutated and truncated files -------------------------------------------------
